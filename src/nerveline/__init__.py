@@ -46,7 +46,6 @@ from .hand import (
     JointState,
     default_hand,
     posture_command,
-    self_contact_mask,
     wire_displacement,
     wire_to_angle,
 )

@@ -178,10 +178,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     frames = _parse_frames(args.log, config)
     calibration = _calibration_table(config)
-    filters = {
-        i: FilterState(coefficient_a=config.filter_coefficient_a, dt_ms=config.dt_ms)
-        for i in config.sensors
-    }
+    filters = {i: FilterState(coefficient_a=config.filter_coefficient_a) for i in config.sensors}
     with open(args.out, "w", newline="", encoding="ascii") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(REPLAY_HEADER)

@@ -2,21 +2,34 @@
 
 Every violation is reported with the path of the offending field, for
 example ``sensors[0].pullup_ohm``, and all violations in a file are
-collected into a single error rather than stopping at the first.
+collected into a single error rather than stopping at the first.  Numeric
+bounds are declared once, on the dataclass fields (``bounds.bounded``);
+this module prefixes their messages with the path and adds the rules only
+a file can break: unknown keys, shapes, names and cross-references.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from .controller import ContactRule, ControllerConfig, Scenario, TaskPhase, TERMINAL_PHASES
+from .bounds import bounded, check_fields, field_problems, is_finite_number, number_problem
+from .controller import (
+    GOALS,
+    OUTCOMES,
+    TERMINAL_PHASES,
+    ContactRule,
+    ControllerConfig,
+    Scenario,
+    TaskPhase,
+    rule_problem,
+)
 from .errors import ConfigError, ScenarioError
-from .estimation import smoothing_coefficient
-from .hand import DEFAULT_PULLEY_RADIUS_MM, ActuatorSpec, FingerSpec, Hand, default_hand
+from .estimation import FilterState, smoothing_coefficient
+from .hand import ActuatorSpec, FingerSpec, Hand, default_hand
 from .line import NerveLineSpec
 
 SENSOR_COUNT = 4
@@ -26,15 +39,18 @@ SENSOR_COUNT = 4
 class RunConfig:
     """Everything a reproducible run needs besides the scenario itself."""
 
-    seed: int
+    seed: int = bounded()
     sensors: dict[int, NerveLineSpec]
     controller: ControllerConfig
     filter_coefficient_a: float
-    dt_ms: int = 10
-    noise_sd_counts: float = 0.0
+    dt_ms: int = bounded(10, gt=0)
+    noise_sd_counts: float = bounded(0.0, ge=0)
     quantize_to_spikes: bool = True
     calibration_file: str | None = None
     hand: Hand = field(default_factory=default_hand)
+
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
 
 
 def default_sensors() -> dict[int, NerveLineSpec]:
@@ -54,12 +70,8 @@ def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any
     return raw
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _field_names(cls: type) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
 def _check_unknown_keys(data: dict[str, Any], allowed: set[str], path: str, errors: list[str]) -> None:
@@ -68,312 +80,161 @@ def _check_unknown_keys(data: dict[str, Any], allowed: set[str], path: str, erro
             errors.append(f"{path}{key}: unknown key")
 
 
-def _number(
+def _is_mapping(data: Any, path: str, errors: list[str]) -> bool:
+    if not isinstance(data, dict):
+        errors.append(f"{path[:-1]}: must be a mapping, got {type(data).__name__}")
+    return isinstance(data, dict)
+
+
+def _build(
+    cls: type,
     data: dict[str, Any],
-    key: str,
     path: str,
-    default: float,
     errors: list[str],
-    minimum: float | None = None,
-    exclusive_minimum: bool = False,
-    maximum: float | None = None,
-    exclusive_maximum: bool = False,
-    integer: bool = False,
-) -> float:
-    if key not in data:
-        return default
-    value = data[key]
-    full = f"{path}{key}"
-    if integer and not _is_int(value):
-        errors.append(f"{full}: must be an integer, got {value!r}")
-        return default
-    if not _is_number(value):
-        errors.append(f"{full}: must be a number, got {value!r}")
-        return default
-    if minimum is not None:
-        if exclusive_minimum and not value > minimum:
-            errors.append(f"{full}: must be > {minimum}, got {value}")
-            return default
-        if not exclusive_minimum and not value >= minimum:
-            errors.append(f"{full}: must be >= {minimum}, got {value}")
-            return default
-    if maximum is not None:
-        if exclusive_maximum and not value < maximum:
-            errors.append(f"{full}: must be < {maximum}, got {value}")
-            return default
-        if not exclusive_maximum and not value <= maximum:
-            errors.append(f"{full}: must be <= {maximum}, got {value}")
-            return default
-    return value
+    since: int,
+    **parsed: Any,
+) -> Any:
+    """``cls`` from the keys of ``data`` and the already ``parsed`` values.
 
-
-_SENSOR_KEYS = {
-    "index",
-    "effective_length_mm",
-    "spike_pitch_mm",
-    "flat_rail_ohm_per_mm",
-    "string_rail_ohm_per_mm",
-    "lead_offset_ohm",
-    "pullup_ohm",
-    "supply_volts",
-    "adc_full_scale",
-    "body_fraction",
-}
+    Reports unknown keys, missing required fields, out-of-bounds numbers
+    and the constructor's own objection under ``path`` (``"sensors[0]."``).
+    Returns None when any of these, or anything else recorded in ``errors``
+    after position ``since``, went wrong.
+    """
+    names = _field_names(cls)
+    _check_unknown_keys(data, names, path, errors)
+    values = {key: value for key, value in data.items() if key in names}
+    values.update(parsed)
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            errors.append(f"{path}{f.name}: required")
+    errors.extend(path + problem for problem in field_problems(cls, values))
+    if len(errors) > since:
+        return None
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        errors.append(f"{path[:-1]}: {exc}")
+        return None
 
 
 def _parse_sensor(data: Any, path: str, errors: list[str]) -> tuple[int, NerveLineSpec] | None:
-    if not isinstance(data, dict):
-        errors.append(f"{path}: must be a mapping, got {type(data).__name__}")
+    if not _is_mapping(data, path, errors):
         return None
-    _check_unknown_keys(data, _SENSOR_KEYS, f"{path}.", errors)
-    if "index" not in data:
-        errors.append(f"{path}.index: required")
-        return None
-    index = data["index"]
-    if not _is_int(index) or index not in range(SENSOR_COUNT):
-        errors.append(f"{path}.index: must be an integer in 0..{SENSOR_COUNT - 1}, got {index!r}")
-        return None
-    defaults = NerveLineSpec()
-    before = len(errors)
-    kwargs = {
-        "effective_length_mm": _number(
-            data, "effective_length_mm", f"{path}.", defaults.effective_length_mm, errors,
-            minimum=0, exclusive_minimum=True,
-        ),
-        "spike_pitch_mm": _number(
-            data, "spike_pitch_mm", f"{path}.", defaults.spike_pitch_mm, errors,
-            minimum=0, exclusive_minimum=True,
-        ),
-        "flat_rail_ohm_per_mm": _number(
-            data, "flat_rail_ohm_per_mm", f"{path}.", defaults.flat_rail_ohm_per_mm, errors,
-            minimum=0, exclusive_minimum=True,
-        ),
-        "string_rail_ohm_per_mm": _number(
-            data, "string_rail_ohm_per_mm", f"{path}.", defaults.string_rail_ohm_per_mm, errors,
-            minimum=0, exclusive_minimum=True,
-        ),
-        "lead_offset_ohm": _number(
-            data, "lead_offset_ohm", f"{path}.", defaults.lead_offset_ohm, errors, minimum=0,
-        ),
-        "pullup_ohm": _number(
-            data, "pullup_ohm", f"{path}.", defaults.pullup_ohm, errors,
-            minimum=0, exclusive_minimum=True,
-        ),
-        "supply_volts": _number(
-            data, "supply_volts", f"{path}.", defaults.supply_volts, errors,
-            minimum=0, exclusive_minimum=True,
-        ),
-        "adc_full_scale": _number(
-            data, "adc_full_scale", f"{path}.", defaults.adc_full_scale, errors,
-            minimum=0, exclusive_minimum=True, integer=True,
-        ),
-        "body_fraction": _number(
-            data, "body_fraction", f"{path}.", defaults.body_fraction, errors,
-            minimum=0, exclusive_minimum=True, maximum=1,
-        ),
-    }
-    if len(errors) > before:
-        return None
-    kwargs["adc_full_scale"] = int(kwargs["adc_full_scale"])
-    return index, NerveLineSpec(**kwargs)
+    since = len(errors)
+    index = data.get("index")
+    if type(index) is not int or index not in range(SENSOR_COUNT):
+        errors.append(f"{path}index: must be an integer in 0..{SENSOR_COUNT - 1}, got {index!r}")
+    fields_only = {key: value for key, value in data.items() if key != "index"}
+    spec = _build(NerveLineSpec, fields_only, path, errors, since)
+    return None if spec is None else (index, spec)
 
 
-_CONTROLLER_KEYS = {f.name for f in fields(ControllerConfig)}
+def _parse_sensors(data: Any, errors: list[str]) -> dict[int, NerveLineSpec]:
+    if not isinstance(data, list):
+        errors.append(f"sensors: must be a list, got {type(data).__name__}")
+        return {}
+    sensors: dict[int, NerveLineSpec] = {}
+    for k, item in enumerate(data):
+        parsed = _parse_sensor(item, f"sensors[{k}].", errors)
+        if parsed is None:
+            continue
+        index, spec = parsed
+        if index in sensors:
+            errors.append(f"sensors[{k}].index: duplicate sensor {index}")
+            continue
+        sensors[index] = spec
+    if not sensors and not errors:
+        errors.append("sensors: must not be empty")
+    return sensors
 
 
-def _parse_controller(data: Any, errors: list[str]) -> ControllerConfig:
-    defaults = ControllerConfig()
+def _parse_filter(data: Any, dt_ms: int, errors: list[str]) -> float | None:
+    """The smoothing coefficient, given directly or through a cutoff frequency."""
     if data is None:
-        return defaults
-    if not isinstance(data, dict):
-        errors.append(f"controller: must be a mapping, got {type(data).__name__}")
-        return defaults
-    _check_unknown_keys(data, _CONTROLLER_KEYS, "controller.", errors)
-    before = len(errors)
-    kwargs = {
-        "touch_threshold_p": _number(
-            data, "touch_threshold_p", "controller.", defaults.touch_threshold_p, errors,
-            minimum=0, exclusive_minimum=True, maximum=100, exclusive_maximum=True,
-        ),
-        "base_threshold_p": _number(
-            data, "base_threshold_p", "controller.", defaults.base_threshold_p, errors,
-            minimum=0, exclusive_minimum=True, maximum=100, exclusive_maximum=True,
-        ),
-        "step_mm": _number(
-            data, "step_mm", "controller.", defaults.step_mm, errors,
-            minimum=0, exclusive_minimum=True,
-        ),
-        "wrist_rotation_deg": _number(
-            data, "wrist_rotation_deg", "controller.", defaults.wrist_rotation_deg, errors,
-        ),
-        "max_retries": int(_number(
-            data, "max_retries", "controller.", defaults.max_retries, errors,
-            minimum=0, integer=True,
-        )),
-        "max_regrasp_steps": int(_number(
-            data, "max_regrasp_steps", "controller.", defaults.max_regrasp_steps, errors,
-            minimum=1, integer=True,
-        )),
-        "window_n": int(_number(
-            data, "window_n", "controller.", defaults.window_n, errors,
-            minimum=1, integer=True,
-        )),
-        "dwell_ticks": int(_number(
-            data, "dwell_ticks", "controller.", defaults.dwell_ticks, errors,
-            minimum=1, integer=True,
-        )),
-        "dt_ms": int(_number(
-            data, "dt_ms", "controller.", defaults.dt_ms, errors,
-            minimum=0, exclusive_minimum=True, integer=True,
-        )),
-        "watched_sensor_grasp": int(_number(
-            data, "watched_sensor_grasp", "controller.", defaults.watched_sensor_grasp, errors,
-            minimum=0, integer=True,
-        )),
-        "watched_sensor_regrasp": int(_number(
-            data, "watched_sensor_regrasp", "controller.", defaults.watched_sensor_regrasp, errors,
-            minimum=0, integer=True,
-        )),
-    }
-    if len(errors) > before:
-        return defaults
+        data = {}
+    if not _is_mapping(data, "filter.", errors):
+        return None
+    _check_unknown_keys(data, {"cutoff_hz", "coefficient_a"}, "filter.", errors)
+    if "cutoff_hz" in data and "coefficient_a" in data:
+        errors.append("filter: give either cutoff_hz or coefficient_a, not both")
+        return None
+    key = "coefficient_a" if "coefficient_a" in data else "cutoff_hz"
+    value = data.get(key, 5.0)
+    problem = number_problem(value)
+    if problem is not None:
+        errors.append(f"filter.{key}: {problem}")
+        return None
     try:
-        return ControllerConfig(**kwargs)
+        coefficient = value if key == "coefficient_a" else smoothing_coefficient(value, dt_ms)
+        return FilterState(coefficient_a=coefficient).coefficient_a
     except ValueError as exc:
-        errors.append(f"controller: {exc}")
-        return defaults
+        errors.append(f"filter.{exc}")
+        return None
 
 
-_FINGER_KEYS = {"name", "sensor_length_mm", "joint_width_range_mm"}
-_ACTUATOR_KEYS = {"id", "role", "pulley_radius_mm", "joint_ref", "displacement_table"}
+def _parse_controller(data: Any, dt_ms: int, errors: list[str]) -> ControllerConfig | None:
+    if data is None:
+        data = {}
+    if not _is_mapping(data, "controller.", errors):
+        return None
+    return _build(ControllerConfig, {"dt_ms": dt_ms, **data}, "controller.", errors, len(errors))
 
 
 def _parse_finger(data: Any, path: str, errors: list[str]) -> FingerSpec | None:
-    if not isinstance(data, dict):
-        errors.append(f"{path}: must be a mapping, got {type(data).__name__}")
+    if not _is_mapping(data, path, errors):
         return None
-    _check_unknown_keys(data, _FINGER_KEYS, f"{path}.", errors)
-    before = len(errors)
-    name = data.get("name")
-    if not isinstance(name, str):
-        errors.append(f"{path}.name: required finger name, got {name!r}")
-    length = data.get("sensor_length_mm")
-    if length is not None and not _is_number(length):
-        errors.append(f"{path}.sensor_length_mm: must be a number or null, got {length!r}")
-    widths = data.get("joint_width_range_mm", (9.0, 14.0))
-    if not (
-        isinstance(widths, (list, tuple))
-        and len(widths) == 2
-        and all(_is_number(w) for w in widths)
-    ):
-        errors.append(f"{path}.joint_width_range_mm: must be [low, high], got {widths!r}")
-    if len(errors) > before:
-        return None
-    try:
-        return FingerSpec(
-            name=name,
-            sensor_length_mm=length,
-            joint_width_range_mm=(float(widths[0]), float(widths[1])),
-        )
-    except ConfigError as exc:
-        errors.append(f"{path}: {exc}")
-        return None
+    since = len(errors)
+    widths = data.get("joint_width_range_mm", FingerSpec.joint_width_range_mm)
+    pair = isinstance(widths, (list, tuple)) and len(widths) == 2
+    if pair and all(map(is_finite_number, widths)):
+        widths = (float(widths[0]), float(widths[1]))
+    else:
+        errors.append(f"{path}joint_width_range_mm: must be [low, high], got {widths!r}")
+    return _build(FingerSpec, data, path, errors, since, joint_width_range_mm=widths)
 
 
 def _parse_actuator(data: Any, path: str, errors: list[str]) -> ActuatorSpec | None:
-    if not isinstance(data, dict):
-        errors.append(f"{path}: must be a mapping, got {type(data).__name__}")
+    if not _is_mapping(data, path, errors):
         return None
-    _check_unknown_keys(data, _ACTUATOR_KEYS, f"{path}.", errors)
-    before = len(errors)
-    actuator_id = data.get("id")
-    if not _is_int(actuator_id) or actuator_id < 0:
-        errors.append(f"{path}.id: must be a non-negative integer, got {actuator_id!r}")
-    role = data.get("role")
-    if not isinstance(role, str):
-        errors.append(f"{path}.role: required role name, got {role!r}")
-    radius = _number(
-        data, "pulley_radius_mm", f"{path}.", DEFAULT_PULLEY_RADIUS_MM, errors,
-        minimum=0, exclusive_minimum=True,
-    )
+    since = len(errors)
     joint_ref = data.get("joint_ref")
     if joint_ref is not None and not isinstance(joint_ref, str):
-        errors.append(f"{path}.joint_ref: must be a string or null, got {joint_ref!r}")
+        errors.append(f"{path}joint_ref: must be a string or null, got {joint_ref!r}")
     table = data.get("displacement_table")
     if table is not None and (
         not isinstance(table, dict)
-        or not all(isinstance(k, str) and _is_number(v) for k, v in table.items())
+        or not all(isinstance(k, str) and is_finite_number(v) for k, v in table.items())
     ):
-        errors.append(f"{path}.displacement_table: must map posture names to numbers, got {table!r}")
-        table = None
-    if len(errors) > before:
-        return None
-    try:
-        return ActuatorSpec(
-            id=actuator_id,
-            role=role,
-            pulley_radius_mm=radius,
-            joint_ref=joint_ref,
-            displacement_table=table,
-        )
-    except ConfigError as exc:
-        errors.append(f"{path}: {exc}")
-        return None
+        errors.append(f"{path}displacement_table: must map posture names to numbers, got {table!r}")
+    return _build(ActuatorSpec, data, path, errors, since)
 
 
-def _parse_hand(data: Any, errors: list[str]) -> Hand:
+def _parse_hand(data: Any, errors: list[str]) -> Hand | None:
     default = default_hand()
     if data is None:
         return default
-    if not isinstance(data, dict):
-        errors.append(f"hand: must be a mapping, got {type(data).__name__}")
-        return default
-    _check_unknown_keys(data, {"fingers", "actuators"}, "hand.", errors)
-
-    fingers = default.fingers
-    raw_fingers = data.get("fingers")
-    if raw_fingers is not None:
-        if not isinstance(raw_fingers, list) or not raw_fingers:
-            errors.append("hand.fingers: must be a non-empty list")
+    if not _is_mapping(data, "hand.", errors):
+        return None
+    _check_unknown_keys(data, _field_names(Hand), "hand.", errors)
+    parts = {}
+    for key, parse in (("fingers", _parse_finger), ("actuators", _parse_actuator)):
+        raw = data.get(key)
+        if raw is None:
+            parts[key] = getattr(default, key)
+        elif not isinstance(raw, list) or not raw:
+            errors.append(f"hand.{key}: must be a non-empty list")
         else:
-            parsed_fingers = [
-                _parse_finger(item, f"hand.fingers[{k}]", errors)
-                for k, item in enumerate(raw_fingers)
-            ]
-            if all(f is not None for f in parsed_fingers):
-                fingers = tuple(parsed_fingers)
-
-    actuators = default.actuators
-    raw_actuators = data.get("actuators")
-    if raw_actuators is not None:
-        if not isinstance(raw_actuators, list) or not raw_actuators:
-            errors.append("hand.actuators: must be a non-empty list")
-        else:
-            parsed_actuators = [
-                _parse_actuator(item, f"hand.actuators[{k}]", errors)
-                for k, item in enumerate(raw_actuators)
-            ]
-            if all(a is not None for a in parsed_actuators):
-                actuators = tuple(parsed_actuators)
-
+            parsed = [parse(item, f"hand.{key}[{k}].", errors) for k, item in enumerate(raw)]
+            if all(part is not None for part in parsed):
+                parts[key] = tuple(parsed)
+    if len(parts) < 2:
+        return None
     try:
-        return Hand(fingers=fingers, actuators=actuators)
+        return Hand(**parts)
     except ConfigError as exc:
         errors.append(f"hand.actuators: {exc}")
-        return default
-
-
-_TOP_KEYS = {
-    "seed",
-    "dt_ms",
-    "noise_sd_counts",
-    "quantize_to_spikes",
-    "filter",
-    "sensors",
-    "controller",
-    "calibration_file",
-    "hand",
-}
+        return None
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -385,97 +246,44 @@ def load_config(path: str | Path) -> RunConfig:
     """
     data = _load_yaml_mapping(path, ConfigError)
     errors: list[str] = []
-    _check_unknown_keys(data, _TOP_KEYS, "", errors)
-
+    top_keys = _field_names(RunConfig) - {"filter_coefficient_a"} | {"filter"}
+    _check_unknown_keys(data, top_keys, "", errors)
     if "seed" not in data:
         errors.append("seed: required; runs must not fall back to wall-clock entropy")
-        seed = 0
-    elif not _is_int(data["seed"]):
-        errors.append(f"seed: must be an integer, got {data['seed']!r}")
-        seed = 0
-    else:
-        seed = data["seed"]
-
-    dt_ms = int(_number(data, "dt_ms", "", 10, errors, minimum=0, exclusive_minimum=True, integer=True))
-    noise = _number(data, "noise_sd_counts", "", 0.0, errors, minimum=0)
+    errors.extend(field_problems(RunConfig, data))
+    dt_ms = data.get("dt_ms", RunConfig.dt_ms)
+    if field_problems(RunConfig, {"dt_ms": dt_ms}):
+        dt_ms = RunConfig.dt_ms  # already reported; keep checking the rest
 
     quantize = data.get("quantize_to_spikes", True)
     if not isinstance(quantize, bool):
         errors.append(f"quantize_to_spikes: must be a boolean, got {quantize!r}")
-        quantize = True
 
-    coefficient = None
-    filter_data = data.get("filter")
-    if filter_data is not None:
-        if not isinstance(filter_data, dict):
-            errors.append(f"filter: must be a mapping, got {type(filter_data).__name__}")
-        else:
-            _check_unknown_keys(filter_data, {"cutoff_hz", "coefficient_a"}, "filter.", errors)
-            if "cutoff_hz" in filter_data and "coefficient_a" in filter_data:
-                errors.append("filter: give either cutoff_hz or coefficient_a, not both")
-            elif "coefficient_a" in filter_data:
-                coefficient = _number(
-                    filter_data, "coefficient_a", "filter.", None, errors,
-                    minimum=0, maximum=1, exclusive_maximum=True,
-                )
-            elif "cutoff_hz" in filter_data:
-                cutoff = _number(
-                    filter_data, "cutoff_hz", "filter.", 5.0, errors,
-                    minimum=0, exclusive_minimum=True,
-                )
-                if cutoff is not None:
-                    coefficient = smoothing_coefficient(cutoff, dt_ms)
-    if coefficient is None:
-        coefficient = smoothing_coefficient(5.0, dt_ms)
-
-    sensors: dict[int, NerveLineSpec]
-    if "sensors" not in data:
-        sensors = default_sensors()
-    elif not isinstance(data["sensors"], list):
-        errors.append(f"sensors: must be a list, got {type(data['sensors']).__name__}")
-        sensors = default_sensors()
-    else:
-        sensors = {}
-        for k, item in enumerate(data["sensors"]):
-            parsed = _parse_sensor(item, f"sensors[{k}]", errors)
-            if parsed is None:
-                continue
-            index, spec = parsed
-            if index in sensors:
-                errors.append(f"sensors[{k}].index: duplicate sensor {index}")
-                continue
-            sensors[index] = spec
-        if not sensors and not errors:
-            errors.append("sensors: must not be empty")
-
-    controller = _parse_controller(data.get("controller"), errors)
-    controller_data = data.get("controller")
-    if not (isinstance(controller_data, dict) and "dt_ms" in controller_data):
-        try:
-            controller = replace(controller, dt_ms=dt_ms)
-        except ValueError as exc:
-            errors.append(f"dt_ms: {exc}")
+    coefficient = _parse_filter(data.get("filter"), dt_ms, errors)
+    since = len(errors)
+    sensors = _parse_sensors(data["sensors"], errors) if "sensors" in data else default_sensors()
+    sensors_valid = len(errors) == since
+    controller = _parse_controller(data.get("controller"), dt_ms, errors)
     for key in ("watched_sensor_grasp", "watched_sensor_regrasp"):
-        watched = getattr(controller, key)
-        if sensors and watched not in sensors:
+        watched = getattr(controller, key, None)
+        if controller is not None and sensors_valid and watched not in sensors:
             errors.append(f"controller.{key}: sensor {watched} is not configured")
 
     calibration_file = data.get("calibration_file")
     if calibration_file is not None and not isinstance(calibration_file, str):
         errors.append(f"calibration_file: must be a string path, got {calibration_file!r}")
-        calibration_file = None
 
     hand = _parse_hand(data.get("hand"), errors)
 
     if errors:
         raise ConfigError("\n".join(errors))
     return RunConfig(
-        seed=seed,
+        seed=data["seed"],
         sensors=sensors,
         controller=controller,
         filter_coefficient_a=coefficient,
         dt_ms=dt_ms,
-        noise_sd_counts=noise,
+        noise_sd_counts=data.get("noise_sd_counts", RunConfig.noise_sd_counts),
         quantize_to_spikes=quantize,
         calibration_file=calibration_file,
         hand=hand,
@@ -483,64 +291,32 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 _PHASES_BY_NAME = {phase.value: phase for phase in TaskPhase}
-_RULE_KEYS = {"sensor", "position_mm", "phases", "bridge_ohm", "slide_mm_per_step", "attempt"}
-_SCENARIO_KEYS = {"name", "goal", "expected_outcome", "object_pose_mm", "rules", "noise_sd_counts"}
 
 
 def _parse_rule(data: Any, path: str, config: RunConfig, errors: list[str]) -> ContactRule | None:
-    if not isinstance(data, dict):
-        errors.append(f"{path}: must be a mapping, got {type(data).__name__}")
+    if not _is_mapping(data, path, errors):
         return None
-    _check_unknown_keys(data, _RULE_KEYS, f"{path}.", errors)
-    before = len(errors)
-
-    sensor = data.get("sensor")
-    if not _is_int(sensor):
-        errors.append(f"{path}.sensor: must be an integer, got {sensor!r}")
-    elif sensor not in config.sensors:
-        errors.append(f"{path}.sensor: sensor {sensor} is not configured")
-
-    if "position_mm" not in data:
-        errors.append(f"{path}.position_mm: required")
-        position = 0.0
-    else:
-        position = _number(data, "position_mm", f"{path}.", 0.0, errors, minimum=0)
-        if sensor in config.sensors and _is_number(position):
-            length = config.sensors[sensor].effective_length_mm
-            if position > length:
-                errors.append(f"{path}.position_mm: {position} beyond line length {length}")
-
-    phases: list[TaskPhase] = []
+    since = len(errors)
+    phases: set[TaskPhase] = set()
     raw_phases = data.get("phases")
     if not isinstance(raw_phases, list) or not raw_phases:
-        errors.append(f"{path}.phases: must be a non-empty list of phase names")
+        errors.append(f"{path}phases: must be a non-empty list of phase names")
     else:
         for j, name in enumerate(raw_phases):
-            phase = _PHASES_BY_NAME.get(name)
+            phase = _PHASES_BY_NAME.get(name) if isinstance(name, str) else None
             if phase is None:
-                errors.append(f"{path}.phases[{j}]: unknown phase {name!r}")
+                errors.append(f"{path}phases[{j}]: unknown phase {name!r}")
             elif phase in TERMINAL_PHASES:
-                errors.append(f"{path}.phases[{j}]: terminal phase {name!r} not allowed")
+                errors.append(f"{path}phases[{j}]: terminal phase {name!r} not allowed")
             else:
-                phases.append(phase)
+                phases.add(phase)
 
-    bridge = _number(data, "bridge_ohm", f"{path}.", 0.0, errors, minimum=0)
-    slide = _number(data, "slide_mm_per_step", f"{path}.", 0.0, errors)
-    attempt = data.get("attempt")
-    if attempt is not None and (not _is_int(attempt) or attempt < 1):
-        errors.append(f"{path}.attempt: must be a positive integer or null, got {attempt!r}")
-        attempt = None
-
-    if len(errors) > before:
+    rule = _build(ContactRule, data, path, errors, since, phases=frozenset(phases))
+    problem = None if rule is None else rule_problem(rule, config.sensors)
+    if problem is not None:
+        errors.append(path + problem)
         return None
-    return ContactRule(
-        sensor=sensor,
-        position_mm=position,
-        phases=frozenset(phases),
-        bridge_ohm=bridge,
-        slide_mm_per_step=slide,
-        attempt=attempt,
-    )
+    return rule
 
 
 def load_scenario(path: str | Path, config: RunConfig) -> Scenario:
@@ -552,40 +328,23 @@ def load_scenario(path: str | Path, config: RunConfig) -> Scenario:
     """
     data = _load_yaml_mapping(path, ScenarioError)
     errors: list[str] = []
-    _check_unknown_keys(data, _SCENARIO_KEYS, "", errors)
 
     name = data.get("name")
     if not isinstance(name, str) or not name:
         errors.append(f"name: must be a non-empty string, got {name!r}")
-        name = "unnamed"
-
-    goal = data.get("goal")
-    if goal not in ("lift", "operate"):
-        errors.append(f"goal: must be 'lift' or 'operate', got {goal!r}")
-        goal = "lift"
-
-    expected = data.get("expected_outcome")
-    if expected not in ("lifted", "retried_then_lifted", "operated", "failed"):
-        errors.append(
-            "expected_outcome: must be one of lifted, retried_then_lifted, operated, failed, "
-            f"got {expected!r}"
-        )
-        expected = "failed"
+    for key, allowed in (("goal", GOALS), ("expected_outcome", OUTCOMES)):
+        if data.get(key) not in allowed:
+            errors.append(f"{key}: must be one of {', '.join(allowed)}, got {data.get(key)!r}")
 
     pose = (0.0, 0.0)
     raw_pose = data.get("object_pose_mm")
     if raw_pose is not None:
         if not isinstance(raw_pose, dict) or set(raw_pose) != {"x", "y"}:
             errors.append(f"object_pose_mm: must be a mapping with keys x and y, got {raw_pose!r}")
-        elif not (_is_number(raw_pose["x"]) and _is_number(raw_pose["y"])):
-            errors.append(f"object_pose_mm: x and y must be numbers, got {raw_pose!r}")
+        elif not (is_finite_number(raw_pose["x"]) and is_finite_number(raw_pose["y"])):
+            errors.append(f"object_pose_mm: x and y must be finite numbers, got {raw_pose!r}")
         else:
             pose = (float(raw_pose["x"]), float(raw_pose["y"]))
-
-    noise = data.get("noise_sd_counts")
-    if noise is not None:
-        checked = _number(data, "noise_sd_counts", "", None, errors, minimum=0)
-        noise = checked
 
     rules: list[ContactRule] = []
     raw_rules = data.get("rules", [])
@@ -593,17 +352,15 @@ def load_scenario(path: str | Path, config: RunConfig) -> Scenario:
         errors.append(f"rules: must be a list, got {type(raw_rules).__name__}")
     else:
         for k, item in enumerate(raw_rules):
-            rule = _parse_rule(item, f"rules[{k}]", config, errors)
+            rule = _parse_rule(item, f"rules[{k}].", config, errors)
             if rule is not None:
                 rules.append(rule)
 
+    scenario = _build(
+        Scenario, data, "", errors, 0,
+        name=name, goal=data.get("goal"), expected_outcome=data.get("expected_outcome"),
+        object_pose_mm=pose, rules=tuple(rules),
+    )
     if errors:
         raise ScenarioError("\n".join(errors))
-    return Scenario(
-        name=name,
-        goal=goal,
-        expected_outcome=expected,
-        object_pose_mm=pose,
-        rules=tuple(rules),
-        noise_sd_counts=noise,
-    )
+    return scenario

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+from .bounds import bounded, check_fields
 from .errors import ScenarioError
 from .estimation import (
     CalibrationData,
@@ -68,37 +69,24 @@ class ControllerConfig:
     windowed average never mixes samples from an earlier phase.
     """
 
-    touch_threshold_p: float = 90.0
-    base_threshold_p: float = 50.0
-    step_mm: float = 5.0
-    wrist_rotation_deg: float = 20.0
-    max_retries: int = 2
-    max_regrasp_steps: int = 16
-    window_n: int = 10
-    dwell_ticks: int = 10
-    dt_ms: int = 10
-    watched_sensor_grasp: int = 0
-    watched_sensor_regrasp: int = 1
+    touch_threshold_p: float = bounded(90.0, gt=0, lt=100)
+    base_threshold_p: float = bounded(50.0, gt=0, lt=100)
+    step_mm: float = bounded(5.0, gt=0)
+    wrist_rotation_deg: float = bounded(20.0)
+    max_retries: int = bounded(2, ge=0)
+    max_regrasp_steps: int = bounded(16, ge=1)
+    window_n: int = bounded(10, ge=1)
+    dwell_ticks: int = bounded(10, ge=1)
+    dt_ms: int = bounded(10, gt=0)
+    watched_sensor_grasp: int = bounded(0, ge=0)
+    watched_sensor_regrasp: int = bounded(1, ge=0)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.touch_threshold_p < 100.0:
-            raise ValueError(f"touch_threshold_p must be in (0, 100), got {self.touch_threshold_p}")
-        if not 0.0 < self.base_threshold_p < 100.0:
-            raise ValueError(f"base_threshold_p must be in (0, 100), got {self.base_threshold_p}")
-        if self.step_mm <= 0:
-            raise ValueError(f"step_mm must be positive, got {self.step_mm}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.max_regrasp_steps < 1:
-            raise ValueError(f"max_regrasp_steps must be >= 1, got {self.max_regrasp_steps}")
-        if self.window_n < 1:
-            raise ValueError(f"window_n must be >= 1, got {self.window_n}")
+        check_fields(self)
         if self.dwell_ticks < self.window_n:
             raise ValueError(
                 f"dwell_ticks ({self.dwell_ticks}) must cover window_n ({self.window_n})"
             )
-        if self.dt_ms <= 0:
-            raise ValueError(f"dt_ms must be positive, got {self.dt_ms}")
 
 
 @dataclass(frozen=True)
@@ -121,24 +109,29 @@ class ContactRule:
     step slides the contact by ``slide_mm_per_step``.
     """
 
-    sensor: int
-    position_mm: float
+    sensor: int = bounded()
+    position_mm: float = bounded(ge=0)
     phases: frozenset[TaskPhase]
-    bridge_ohm: float = 0.0
-    slide_mm_per_step: float = 0.0
-    attempt: int | None = None
+    bridge_ohm: float = bounded(0.0, ge=0)
+    slide_mm_per_step: float = bounded(0.0)
+    attempt: int | None = bounded(None, ge=1)
 
     def __post_init__(self) -> None:
-        if self.position_mm < 0:
-            raise ScenarioError(f"position_mm must be >= 0, got {self.position_mm}")
-        if self.bridge_ohm < 0:
-            raise ScenarioError(f"bridge_ohm must be >= 0, got {self.bridge_ohm}")
+        check_fields(self, ScenarioError)
         if not self.phases:
             raise ScenarioError("phases must not be empty")
         if self.phases & TERMINAL_PHASES:
             raise ScenarioError("rules cannot apply to terminal phases")
-        if self.attempt is not None and self.attempt < 1:
-            raise ScenarioError(f"attempt must be >= 1, got {self.attempt}")
+
+
+def rule_problem(rule: ContactRule, specs: Mapping[int, NerveLineSpec]) -> str | None:
+    """Why ``rule`` cannot press the configured lines, as ``field: problem``, or None."""
+    if rule.sensor not in specs:
+        return f"sensor: sensor {rule.sensor} is not configured"
+    length = specs[rule.sensor].effective_length_mm
+    if rule.position_mm > length:
+        return f"position_mm: {rule.position_mm} beyond line length {length}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -150,18 +143,15 @@ class Scenario:
     expected_outcome: str
     object_pose_mm: tuple[float, float] = (0.0, 0.0)
     rules: tuple[ContactRule, ...] = ()
-    noise_sd_counts: float | None = None
+    noise_sd_counts: float | None = bounded(None, ge=0)
 
     def __post_init__(self) -> None:
+        check_fields(self, ScenarioError)
         if self.goal not in GOALS:
             raise ScenarioError(f"goal must be one of {GOALS}, got {self.goal!r}")
         if self.expected_outcome not in OUTCOMES:
             raise ScenarioError(
                 f"expected_outcome must be one of {OUTCOMES}, got {self.expected_outcome!r}"
-            )
-        if self.noise_sd_counts is not None and self.noise_sd_counts < 0:
-            raise ScenarioError(
-                f"noise_sd_counts must be >= 0, got {self.noise_sd_counts}"
             )
 
 
@@ -381,13 +371,9 @@ def run_scenario(
     if not specs:
         raise ScenarioError("specs must contain at least one sensor")
     for i, rule in enumerate(scenario.rules):
-        if rule.sensor not in specs:
-            raise ScenarioError(f"rules[{i}].sensor: sensor {rule.sensor} is not configured")
-        length = specs[rule.sensor].effective_length_mm
-        if rule.position_mm > length:
-            raise ScenarioError(
-                f"rules[{i}].position_mm: {rule.position_mm} beyond line length {length}"
-            )
+        problem = rule_problem(rule, specs)
+        if problem is not None:
+            raise ScenarioError(f"rules[{i}].{problem}")
     effective_noise = (
         scenario.noise_sd_counts if scenario.noise_sd_counts is not None else noise_sd_counts
     )
@@ -412,10 +398,7 @@ def run_scenario(
 
     rng = random.Random(seed)
     sensor_ids = sorted(specs)
-    filters = {
-        i: FilterState(coefficient_a=filter_coefficient_a, dt_ms=config.dt_ms)
-        for i in sensor_ids
-    }
+    filters = {i: FilterState(coefficient_a=filter_coefficient_a) for i in sensor_ids}
     histories: dict[int, list[ContactEstimate]] = {i: [] for i in sensor_ids}
     state = ControllerState()
     commands = _entry_commands(state.phase, config, context)

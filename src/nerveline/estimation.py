@@ -68,13 +68,10 @@ class FilterState:
 
     coefficient_a: float
     last: float | None = None
-    dt_ms: float = 10.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.coefficient_a < 1.0:
-            raise ValueError(f"coefficient_a must be in [0, 1), got {self.coefficient_a}")
-        if self.dt_ms <= 0:
-            raise ValueError(f"dt_ms must be positive, got {self.dt_ms}")
+            raise ValueError(f"coefficient_a: must be in [0, 1), got {self.coefficient_a}")
 
 
 def smoothing_coefficient(cutoff_hz: float, dt_ms: float) -> float:
@@ -85,7 +82,7 @@ def smoothing_coefficient(cutoff_hz: float, dt_ms: float) -> float:
     a = 1 / (1 + 2*pi*fc*dt).
     """
     if cutoff_hz <= 0:
-        raise ValueError(f"cutoff_hz must be positive, got {cutoff_hz}")
+        raise ValueError(f"cutoff_hz: must be > 0, got {cutoff_hz}")
     if dt_ms <= 0:
         raise ValueError(f"dt_ms must be positive, got {dt_ms}")
     omega_dt = 2.0 * math.pi * cutoff_hz * (dt_ms / 1000.0)

@@ -1,4 +1,4 @@
-"""Wire-driven hand model: pulley kinematics, postures, self-contact masking.
+"""Wire-driven hand model: pulley kinematics and postures.
 
 Joints are driven by wires wound on motor pulleys, so wire displacement and
 joint angle are related by x = r * theta.  The hand has five fingers; the
@@ -11,13 +11,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .bounds import bounded, check_fields
 from .errors import ConfigError
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "little")
 ACTUATOR_ROLES = ("bend", "extend", "internal_rotation")
 
 DEFAULT_JOINT_LIMITS = (0.0, math.pi / 2)
-DEFAULT_PULLEY_RADIUS_MM = 5.0
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,13 @@ class FingerSpec:
     """One finger: its name, sensor coverage, and joint width range."""
 
     name: str
-    sensor_length_mm: float | None = None
+    sensor_length_mm: float | None = bounded(None, gt=0)
     joint_width_range_mm: tuple[float, float] = (9.0, 14.0)
 
     def __post_init__(self) -> None:
         if self.name not in FINGER_NAMES:
             raise ConfigError(f"unknown finger name {self.name!r}")
-        if self.sensor_length_mm is not None and self.sensor_length_mm <= 0:
-            raise ConfigError(f"sensor_length_mm must be positive, got {self.sensor_length_mm}")
+        check_fields(self, ConfigError)
         low, high = self.joint_width_range_mm
         if not 0 < low <= high:
             raise ConfigError(f"joint_width_range_mm must be 0 < low <= high, got {self.joint_width_range_mm}")
@@ -42,19 +41,16 @@ class FingerSpec:
 class ActuatorSpec:
     """One wire actuator: pulley radius, role, and the joint it drives."""
 
-    id: int
+    id: int = bounded(ge=0)
     role: str
-    pulley_radius_mm: float = DEFAULT_PULLEY_RADIUS_MM
+    pulley_radius_mm: float = bounded(5.0, gt=0)
     joint_ref: str | None = None
     displacement_table: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
         if self.role not in ACTUATOR_ROLES:
             raise ConfigError(f"actuator {self.id}: unknown role {self.role!r}")
-        if self.pulley_radius_mm <= 0:
-            raise ConfigError(
-                f"actuator {self.id}: pulley_radius_mm must be positive, got {self.pulley_radius_mm}"
-            )
 
 
 @dataclass
@@ -100,9 +96,10 @@ def wire_to_angle(
     low, high = limits
     if not low < high:
         raise ConfigError(f"joint limits must satisfy low < high, got {limits}")
-    theta = displacement_mm / pulley_radius_mm
-    clamped = min(max(theta, low), high)
-    return clamped, clamped != theta
+    # Decide in displacement space: r * theta for theta within the limits can
+    # divide back to an angle one rounding step outside them.
+    clamped = not low * pulley_radius_mm <= displacement_mm <= high * pulley_radius_mm
+    return min(max(displacement_mm / pulley_radius_mm, low), high), clamped
 
 
 def _joint_angle(state: JointState, joint_ref: str) -> float:
@@ -149,18 +146,6 @@ def posture_command(
             continue
         raise ConfigError(f"actuator {actuator.id}: no displacement for posture {posture!r}")
     return command
-
-
-def self_contact_mask(state: JointState, sensor_count: int = 4) -> tuple[bool, ...]:
-    """Per-sensor flag: True when the sensor stays valid under self-contact.
-
-    The string rail folds outward over the fingertip, so curling a finger
-    presses skin on skin without bridging any line; no posture invalidates
-    a sensor.
-    """
-    if sensor_count < 0:
-        raise ValueError(f"sensor_count must be non-negative, got {sensor_count}")
-    return (True,) * sensor_count
 
 
 def default_hand() -> Hand:

@@ -19,6 +19,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .bounds import bounded, check_fields
+
 OPEN = math.inf  # line resistance when nothing touches the line
 
 
@@ -32,35 +34,18 @@ class NerveLineSpec:
     the sensitive region, a 100 kohm pull-up, 5 V supply and a 10-bit ADC.
     """
 
-    effective_length_mm: float = 80.0
-    spike_pitch_mm: float = 5.0
-    flat_rail_ohm_per_mm: float = 50.0
-    string_rail_ohm_per_mm: float = 200.0
-    lead_offset_ohm: float = 10_000.0
-    pullup_ohm: float = 100_000.0
-    supply_volts: float = 5.0
-    adc_full_scale: int = 1023
-    body_fraction: float = 0.8
+    effective_length_mm: float = bounded(80.0, gt=0)
+    spike_pitch_mm: float = bounded(5.0, gt=0)
+    flat_rail_ohm_per_mm: float = bounded(50.0, gt=0)
+    string_rail_ohm_per_mm: float = bounded(200.0, gt=0)
+    lead_offset_ohm: float = bounded(10_000.0, ge=0)
+    pullup_ohm: float = bounded(100_000.0, gt=0)
+    supply_volts: float = bounded(5.0, gt=0)
+    adc_full_scale: int = bounded(1023, gt=0)
+    body_fraction: float = bounded(0.8, gt=0, le=1)
 
     def __post_init__(self) -> None:
-        if self.effective_length_mm <= 0:
-            raise ValueError(f"effective_length_mm must be positive, got {self.effective_length_mm}")
-        if self.spike_pitch_mm <= 0:
-            raise ValueError(f"spike_pitch_mm must be positive, got {self.spike_pitch_mm}")
-        if self.flat_rail_ohm_per_mm <= 0:
-            raise ValueError(f"flat_rail_ohm_per_mm must be positive, got {self.flat_rail_ohm_per_mm}")
-        if self.string_rail_ohm_per_mm <= 0:
-            raise ValueError(f"string_rail_ohm_per_mm must be positive, got {self.string_rail_ohm_per_mm}")
-        if self.lead_offset_ohm < 0:
-            raise ValueError(f"lead_offset_ohm must be non-negative, got {self.lead_offset_ohm}")
-        if self.pullup_ohm <= 0:
-            raise ValueError(f"pullup_ohm must be positive, got {self.pullup_ohm}")
-        if self.supply_volts <= 0:
-            raise ValueError(f"supply_volts must be positive, got {self.supply_volts}")
-        if self.adc_full_scale <= 0:
-            raise ValueError(f"adc_full_scale must be positive, got {self.adc_full_scale}")
-        if not 0.0 < self.body_fraction <= 1.0:
-            raise ValueError(f"body_fraction must be in (0, 1], got {self.body_fraction}")
+        check_fields(self)
 
     @property
     def rail_ohm_per_mm(self) -> float:

@@ -363,6 +363,45 @@ class TestCliRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config_text,scenario_text,path",
+        [
+            ("noise_sd_counts: .inf\n", None, "noise_sd_counts"),
+            (
+                "sensors:\n  - index: 0\n    effective_length_mm: .inf\n",
+                None,
+                "sensors[0].effective_length_mm",
+            ),
+            ("controller:\n  wrist_rotation_deg: .nan\n", None, "controller.wrist_rotation_deg"),
+            (
+                None,
+                "rules:\n  - {sensor: 0, position_mm: 10.0, phases: [Lift], bridge_ohm: .inf}\n",
+                "rules[0].bridge_ohm",
+            ),
+        ],
+        ids=["noise_sd_counts", "effective_length_mm", "wrist_rotation_deg", "bridge_ohm"],
+    )
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, config_text, scenario_text, path):
+        config = DEFAULT_CONFIG
+        if config_text is not None:
+            config = write(tmp_path, "c.yaml", "seed: 1\n" + config_text)
+        scenario = SCENARIOS / "scissors_present.yaml"
+        if scenario_text is not None:
+            header = "name: x\ngoal: lift\nexpected_outcome: lifted\n"
+            scenario = write(tmp_path, "s.yaml", header + scenario_text)
+        code = main(
+            [
+                "run",
+                "--config", str(config),
+                "--scenario", str(scenario),
+                "--out", str(tmp_path / "trace.csv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: must be a finite number" in err
+        assert "Traceback" not in err
+
     def test_no_spikes_flag(self, tmp_path, capsys):
         code = main(
             [

@@ -89,8 +89,6 @@ class TestFilter:
     def test_state_validation(self):
         with pytest.raises(ValueError, match="coefficient_a"):
             FilterState(coefficient_a=1.0)
-        with pytest.raises(ValueError, match="dt_ms"):
-            FilterState(coefficient_a=0.5, dt_ms=0.0)
 
 
 class TestCalibrate:
