@@ -27,7 +27,6 @@ from .estimation import (
     FilterState,
     PositionEstimate,
     Regime,
-    SensorId,
     auto_calibration,
     calibrate,
     detect_touch,

@@ -14,6 +14,7 @@ import random
 import statistics
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 from .config import RunConfig, load_config, load_scenario
 from .controller import run_scenario
@@ -22,20 +23,24 @@ from .estimation import (
     CalibrationData,
     FilterState,
     auto_calibration,
-    calibrate,
     estimate_p,
     filter_step,
     read_calibration,
     write_calibration,
 )
-from .line import ContactPoint, ContactSet, sense, simulate_sweep
+from .line import simulate_sweep
 
 TRACE_HEADER = ("t_ms", "phase", "sensor", "raw", "filtered", "p", "regime")
 SWEEP_HEADER = ("position_mm", "mean_p_spiked", "var_p_spiked", "mean_p_smooth", "var_p_smooth")
 FRAMES_HEADER = ("t_ms", "sensor", "counts")
 REPLAY_HEADER = ("t_ms", "sensor", "raw", "filtered", "p", "regime")
 
-CALIBRATION_WINDOW = 100
+
+def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[Sequence[object]]) -> None:
+    with open(path, "w", newline="", encoding="ascii") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _calibration_table(config: RunConfig) -> dict[int, CalibrationData]:
@@ -79,24 +84,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             quantize_to_spikes=quantize,
         )
 
-    with open(args.out, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
-        for row, position in enumerate(positions):
-            cells: list[str] = [repr(float(position))]
-            for label in ("spiked", "smooth"):
-                block = runs[label][row * args.repeats : (row + 1) * args.repeats]
-                p_values = [estimate_p(s.reading.counts, calibration).p for s in block]
-                cells.append(repr(statistics.fmean(p_values)))
-                cells.append(repr(statistics.pvariance(p_values)))
-            writer.writerow(cells)
-
+    rows = []
+    for row, position in enumerate(positions):
+        cells: list[str] = [repr(float(position))]
+        for label in ("spiked", "smooth"):
+            block = runs[label][row * args.repeats : (row + 1) * args.repeats]
+            p_values = [estimate_p(s.reading.counts, calibration).p for s in block]
+            cells.append(repr(statistics.fmean(p_values)))
+            cells.append(repr(statistics.pvariance(p_values)))
+        rows.append(cells)
+    _write_csv(args.out, SWEEP_HEADER, rows)
     if args.frames_out is not None:
-        with open(args.frames_out, "w", newline="", encoding="ascii") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(FRAMES_HEADER)
-            for sample in runs["spiked"]:
-                writer.writerow([sample.reading.t_ms, args.sensor, sample.reading.counts])
+        frames = ((s.reading.t_ms, args.sensor, s.reading.counts) for s in runs["spiked"])
+        _write_csv(args.frames_out, FRAMES_HEADER, frames)
 
     print(f"wrote {args.out} rows={len(positions)} repeats={args.repeats} seed={seed}")
     return 0
@@ -121,23 +121,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
     out = args.out if args.out is not None else f"{scenario.name}_trace.csv"
-    with open(out, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for record in result.trace:
-            for sensor in sorted(record.samples):
-                sample = record.samples[sensor]
-                writer.writerow(
-                    [
-                        record.t_ms,
-                        record.phase.value,
-                        sensor,
-                        sample.raw,
-                        repr(sample.filtered),
-                        repr(sample.estimate.p),
-                        sample.estimate.regime.value,
-                    ]
-                )
+    rows = (
+        [
+            record.t_ms,
+            record.phase.value,
+            sensor,
+            sample.raw,
+            repr(sample.filtered),
+            repr(sample.estimate.p),
+            sample.estimate.regime.value,
+        ]
+        for record in result.trace
+        for sensor, sample in sorted(record.samples.items())
+    )
+    _write_csv(out, TRACE_HEADER, rows)
 
     print(f"outcome={result.outcome} steps={result.ticks}")
     if result.outcome != scenario.expected_outcome:
@@ -179,15 +176,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     frames = _parse_frames(args.log, config)
     calibration = _calibration_table(config)
     filters = {i: FilterState(coefficient_a=config.filter_coefficient_a) for i in config.sensors}
-    with open(args.out, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPLAY_HEADER)
+
+    def rows() -> Iterator[list[object]]:
         for t_ms, sensor, counts in frames:
             filters[sensor], filtered = filter_step(filters[sensor], counts)
             estimate = estimate_p(filtered, calibration[sensor], t_ms=t_ms)
-            writer.writerow(
-                [t_ms, sensor, counts, repr(filtered), repr(estimate.p), estimate.regime.value]
-            )
+            yield [t_ms, sensor, counts, repr(filtered), repr(estimate.p), estimate.regime.value]
+
+    _write_csv(args.out, REPLAY_HEADER, rows())
     print(f"wrote {args.out} frames={len(frames)}")
     return 0
 
@@ -196,22 +192,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.seed
     rng = random.Random(seed)
-    table: dict[int, CalibrationData] = {}
-    for sensor in sorted(config.sensors):
-        spec = config.sensors[sensor]
-        poses = (
-            ContactSet(),
-            ContactSet(contacts=(ContactPoint(spec.effective_length_mm),), quantize_to_spikes=False),
-            ContactSet(contacts=(ContactPoint(0.0),), quantize_to_spikes=False),
+    table = {
+        sensor: auto_calibration(
+            config.sensors[sensor], noise_sd_counts=config.noise_sd_counts, rng=rng
         )
-        streams = [
-            [
-                sense(spec, pose, noise_sd_counts=config.noise_sd_counts, rng=rng).counts
-                for _ in range(CALIBRATION_WINDOW)
-            ]
-            for pose in poses
-        ]
-        table[sensor] = calibrate(*streams, window=CALIBRATION_WINDOW)
+        for sensor in sorted(config.sensors)
+    }
     write_calibration(args.out, table)
     print(f"wrote {args.out} sensors={len(table)}")
     return 0

@@ -28,7 +28,7 @@ from .controller import (
     rule_problem,
 )
 from .errors import ConfigError, ScenarioError
-from .estimation import FilterState, smoothing_coefficient
+from .estimation import DEFAULT_CUTOFF_HZ, FilterState, smoothing_coefficient
 from .hand import ActuatorSpec, FingerSpec, Hand, default_hand
 from .line import NerveLineSpec
 
@@ -160,7 +160,7 @@ def _parse_filter(data: Any, dt_ms: int, errors: list[str]) -> float | None:
         errors.append("filter: give either cutoff_hz or coefficient_a, not both")
         return None
     key = "coefficient_a" if "coefficient_a" in data else "cutoff_hz"
-    value = data.get(key, 5.0)
+    value = data.get(key, DEFAULT_CUTOFF_HZ)
     problem = number_problem(value)
     if problem is not None:
         errors.append(f"filter.{key}: {problem}")

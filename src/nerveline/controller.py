@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .bounds import bounded, check_fields
 from .errors import ScenarioError
 from .estimation import (
+    DEFAULT_CUTOFF_HZ,
     CalibrationData,
     ContactEstimate,
     FilterState,
@@ -353,8 +354,8 @@ def run_scenario(
         specs: line model per sensor index.
         config: controller thresholds and budgets.
         seed: seed for spike ties and ADC noise.
-        filter_coefficient_a: smoothing coefficient; default derives the
-            5 Hz cutoff at the controller tick.
+        filter_coefficient_a: smoothing coefficient; default derives it
+            from ``DEFAULT_CUTOFF_HZ`` at the controller tick.
         noise_sd_counts: ADC noise unless the scenario overrides it.
         calibration: reference triplets; default derives noise-free ones
             from the line models.
@@ -378,7 +379,7 @@ def run_scenario(
         scenario.noise_sd_counts if scenario.noise_sd_counts is not None else noise_sd_counts
     )
     if filter_coefficient_a is None:
-        filter_coefficient_a = smoothing_coefficient(5.0, config.dt_ms)
+        filter_coefficient_a = smoothing_coefficient(DEFAULT_CUTOFF_HZ, config.dt_ms)
     if calibration is None:
         calibration = {i: auto_calibration(spec) for i, spec in specs.items()}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import random
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,8 +24,8 @@ from .line import ContactPoint, ContactSet, NerveLineSpec, sense
 # points cover the folded-out fingertip band beyond it.
 BODY_SPLIT_P = 80.0
 
-FINGERS = ("index", "middle")
-SIDES = ("palm", "dorsal")
+# Low-pass cutoff of the smoothing filter unless a config sets one.
+DEFAULT_CUTOFF_HZ = 5.0
 
 
 class Regime(enum.Enum):
@@ -33,29 +34,6 @@ class Regime(enum.Enum):
     NONE = "none"
     FINGERTIP = "fingertip"
     BODY = "body"
-
-
-@dataclass(frozen=True)
-class SensorId:
-    """Identity of one of the four lines: index/middle finger, palm/dorsal side."""
-
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index not in range(len(FINGERS) * len(SIDES)):
-            raise ValueError(f"sensor index must be 0..3, got {self.index}")
-
-    @property
-    def finger(self) -> str:
-        return FINGERS[self.index // 2]
-
-    @property
-    def side(self) -> str:
-        return SIDES[self.index % 2]
-
-    @property
-    def label(self) -> str:
-        return f"{self.finger}_{self.side}"
 
 
 @dataclass(frozen=True)
@@ -167,19 +145,27 @@ def calibrate(
     return CalibrationData(v_max=means["open"], v_mid=means["fingertip"], v_min=means["base"])
 
 
-def auto_calibration(spec: NerveLineSpec, window: int = 100) -> CalibrationData:
-    """Calibration a simulated line would produce under noise-free capture."""
-    open_counts = sense(spec, ContactSet()).counts
-    tip_pose = ContactSet(
-        contacts=(ContactPoint(spec.effective_length_mm),), quantize_to_spikes=False
+def auto_calibration(
+    spec: NerveLineSpec,
+    window: int = 100,
+    noise_sd_counts: float = 0.0,
+    rng: random.Random | None = None,
+) -> CalibrationData:
+    """Sense the open, fingertip and base poses ``window`` times each and calibrate.
+
+    Without noise every sample of a pose is the same, so it is sensed at most once.
+    """
+    poses = (
+        ContactSet(),
+        ContactSet(contacts=(ContactPoint(spec.effective_length_mm),), quantize_to_spikes=False),
+        ContactSet(contacts=(ContactPoint(0.0),), quantize_to_spikes=False),
     )
-    base_pose = ContactSet(contacts=(ContactPoint(0.0),), quantize_to_spikes=False)
-    return calibrate(
-        [open_counts] * window,
-        [sense(spec, tip_pose).counts] * window,
-        [sense(spec, base_pose).counts] * window,
-        window=window,
-    )
+    samples = window if noise_sd_counts > 0 else min(window, 1)
+    streams = [
+        [sense(spec, pose, noise_sd_counts=noise_sd_counts, rng=rng).counts for _ in range(samples)]
+        for pose in poses
+    ]
+    return calibrate(*streams, window=samples)
 
 
 @dataclass(frozen=True)
@@ -198,13 +184,16 @@ def estimate_p(v: float, calibration: CalibrationData, t_ms: int = 0) -> Contact
     Piecewise linear in the calibration triplet: values between v_mid and
     v_max land on the fingertip branch (p in (80, 100)); values at or below
     v_mid land on the body branch (p in [0, 80]), clamped at 0 below v_min.
-    Values at or above v_max mean no contact and report p = 100.
+    Values at or above v_max mean no contact and report p = 100; NaN is
+    rejected with a ValueError.
 
     Args:
         v: filtered ADC value in counts.
         calibration: reference triplet for this line.
         t_ms: timestamp carried through to the estimate.
     """
+    if math.isnan(v):
+        raise ValueError(f"v must be a number, got {v}")
     v_max = float(calibration.v_max)
     v_mid = float(calibration.v_mid)
     v_min = float(calibration.v_min)

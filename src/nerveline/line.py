@@ -192,26 +192,19 @@ def solve_line_resistance(
     resistance times the span.
 
     Args:
-        contacts: solver-ready points; a ContactSet is resolved first
-            (without an rng, so midpoint ties are rejected).
+        contacts: presses; a ContactSet is resolved without an rng (so
+            midpoint ties are rejected), a plain sequence without snapping.
 
     Returns:
         Resistance in ohms, or OPEN (infinity) for an empty contact set.
     """
-    if isinstance(contacts, ContactSet):
-        points = resolve_contacts(spec, contacts)
-    else:
-        merged: dict[float, float] = {}
-        for contact in contacts:
-            if not 0.0 <= contact.position_mm <= spec.effective_length_mm:
-                raise ValueError(
-                    f"position_mm {contact.position_mm} outside [0, {spec.effective_length_mm}]"
-                )
-            if contact.position_mm in merged:
-                merged[contact.position_mm] = min(merged[contact.position_mm], contact.bridge_ohm)
-            else:
-                merged[contact.position_mm] = contact.bridge_ohm
-        points = tuple(ContactPoint(p, b) for p, b in sorted(merged.items()))
+    if not isinstance(contacts, ContactSet):
+        contacts = ContactSet(tuple(contacts), quantize_to_spikes=False)
+    return _fold(spec, resolve_contacts(spec, contacts))
+
+
+def _fold(spec: NerveLineSpec, points: tuple[ContactPoint, ...] | list[ContactPoint]) -> float:
+    """Fold resolved points (merged, sorted base to tip) back to the base connector."""
     if not points:
         return OPEN
     beyond = points[-1].bridge_ohm
@@ -244,7 +237,7 @@ def adc_quantize(
     """Quantize a pin voltage to ADC counts, optionally with Gaussian noise.
 
     Counts are floor(volts / supply * full_scale); noise is added in count
-    units, rounded, and clamped to the converter range.
+    units, clamped to the converter range and rounded.
     """
     if not 0.0 <= volts <= spec.supply_volts:
         raise ValueError(f"volts {volts} outside [0, {spec.supply_volts}]")
@@ -254,8 +247,8 @@ def adc_quantize(
     if noise_sd_counts > 0:
         if rng is None:
             raise ValueError("noise_sd_counts > 0 requires an rng")
-        counts = int(round(counts + rng.gauss(0.0, noise_sd_counts)))
-        counts = min(max(counts, 0), spec.adc_full_scale)
+        noisy = counts + rng.gauss(0.0, noise_sd_counts)
+        counts = round(min(max(noisy, 0), spec.adc_full_scale))
     return AdcReading(t_ms=t_ms, counts=counts)
 
 
@@ -312,7 +305,7 @@ def sense(
             network.append(point)
     candidates: list[float] = []
     if network:
-        candidates.append(divider_voltage(spec, solve_line_resistance(spec, network)))
+        candidates.append(divider_voltage(spec, _fold(spec, network)))
     if tip_touches:
         if fingertip_quality is not None:
             quality = fingertip_quality

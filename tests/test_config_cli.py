@@ -402,6 +402,15 @@ class TestCliRun:
         assert f"{path}: must be a finite number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    def test_huge_noise_exits_cleanly(self, tmp_path, capsys, command):
+        config = write(tmp_path, "c.yaml", "seed: 1\nnoise_sd_counts: 1.0e+308\n")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "run":
+            argv += ["--scenario", str(SCENARIOS / "scissors_present.yaml")]
+        assert main(argv) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_no_spikes_flag(self, tmp_path, capsys):
         code = main(
             [
@@ -505,6 +514,17 @@ class TestCliCalibrate:
         assert code == 0
         group = "v_max=1023\nv_mid=236\nv_min=93\n"
         expected = "".join(f"sensor={i}\n{group}" for i in range(4))
+        assert out.read_text() == expected
+
+    def test_noisy_output_pinned(self, tmp_path):
+        config = write(tmp_path, "c.yaml", "seed: 3\nnoise_sd_counts: 60.0\n")
+        out = tmp_path / "calibration.txt"
+        assert main(["calibrate", "--config", str(config), "--out", str(out)]) == 0
+        triplets = [(992, 229, 93), (999, 237, 84), (1003, 243, 89), (1002, 232, 96)]
+        expected = "".join(
+            f"sensor={i}\nv_max={hi}\nv_mid={mid}\nv_min={lo}\n"
+            for i, (hi, mid, lo) in enumerate(triplets)
+        )
         assert out.read_text() == expected
 
     def test_calibration_file_feeds_run(self, tmp_path, capsys):

@@ -11,7 +11,6 @@ from nerveline import (
     FilterState,
     NerveLineSpec,
     Regime,
-    SensorId,
     auto_calibration,
     calibrate,
     detect_touch,
@@ -28,16 +27,6 @@ CAL = CalibrationData(v_max=1023, v_mid=236, v_min=93)
 
 # 5 Hz cutoff sampled at 10 ms, frozen from 1 / (1 + 2*pi*0.05)
 COEFFICIENT_A = 0.7609427763893117
-
-
-class TestSensorId:
-    def test_paper_table(self):
-        labels = [SensorId(i).label for i in range(4)]
-        assert labels == ["index_palm", "index_dorsal", "middle_palm", "middle_dorsal"]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="0..3"):
-            SensorId(4)
 
 
 class TestFilter:
@@ -162,6 +151,10 @@ class TestEstimateP:
     def test_monotone_in_v(self, a, b):
         low, high = sorted((a, b))
         assert estimate_p(low, CAL).p <= estimate_p(high, CAL).p
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="v must be a number"):
+            estimate_p(float("nan"), CAL)
 
     def test_continuous_at_v_mid(self):
         below = estimate_p(236.0, CAL).p

@@ -189,6 +189,12 @@ class TestAdc:
             counts = adc_quantize(SPEC, 5.0, noise_sd_counts=500.0, rng=big).counts
             assert 0 <= counts <= 1023
 
+    def test_huge_noise_clamped_before_rounding(self):
+        rng = random.Random(1)
+        for _ in range(50):
+            counts = adc_quantize(SPEC, 2.5, 1e308, rng).counts
+            assert 0 <= counts <= SPEC.adc_full_scale
+
     def test_timestamp_carried(self):
         assert adc_quantize(SPEC, 1.0, t_ms=70).t_ms == 70
 
@@ -244,6 +250,24 @@ class TestSense:
         )
         counts = sense(SPEC, contact_set).counts
         assert 0 <= counts <= SPEC.adc_full_scale
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(positions, st.just(0.0)),
+                st.tuples(st.floats(min_value=0.0, max_value=SPEC.body_limit_mm), bridges),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_network_presses_match_solver_chain(self, pairs):
+        # firm presses anywhere and light ones on the body all go through the ladder
+        contacts = tuple(ContactPoint(p, b) for p, b in pairs)
+        volts = divider_voltage(SPEC, solve_line_resistance(SPEC, contacts))
+        contact_set = ContactSet(contacts, quantize_to_spikes=False)
+        assert sense(SPEC, contact_set).counts == adc_quantize(SPEC, volts).counts
 
 
 class TestSweep:
