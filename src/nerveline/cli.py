@@ -84,12 +84,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             quantize_to_spikes=quantize,
         )
 
+    seen_counts = {s.reading.counts for run in runs.values() for s in run}
+    p_of = {counts: estimate_p(counts, calibration).p for counts in seen_counts}
     rows = []
     for row, position in enumerate(positions):
         cells: list[str] = [repr(float(position))]
         for label in ("spiked", "smooth"):
             block = runs[label][row * args.repeats : (row + 1) * args.repeats]
-            p_values = [estimate_p(s.reading.counts, calibration).p for s in block]
+            p_values = [p_of[s.reading.counts] for s in block]
             cells.append(repr(statistics.fmean(p_values)))
             cells.append(repr(statistics.pvariance(p_values)))
         rows.append(cells)
@@ -154,6 +156,7 @@ def _parse_frames(path: str, config: RunConfig) -> list[tuple[int, int, int]]:
     if tuple(lines[0].split(",")) != FRAMES_HEADER:
         raise ValueError(f"line 1: expected header {','.join(FRAMES_HEADER)!r}, got {lines[0]!r}")
     frames: list[tuple[int, int, int]] = []
+    last_t_ms: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3:
@@ -167,6 +170,10 @@ def _parse_frames(path: str, config: RunConfig) -> list[tuple[int, int, int]]:
         full_scale = config.sensors[sensor].adc_full_scale
         if not 0 <= counts <= full_scale:
             raise ValueError(f"line {lineno}: counts {counts} outside 0..{full_scale}")
+        previous = last_t_ms.get(sensor)
+        if previous is not None and t_ms <= previous:
+            raise ValueError(f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}")
+        last_t_ms[sensor] = t_ms
         frames.append((t_ms, sensor, counts))
     return frames
 

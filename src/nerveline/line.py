@@ -331,7 +331,10 @@ def simulate_sweep(
 
     Each repeat perturbs the commanded position by plus or minus
     ``jitter_mm`` (a fair coin per press), clamped to the line, modelling a
-    probe that never lands exactly where commanded.  Presses are firm.
+    probe that never lands exactly where commanded.  Presses are firm, so
+    each reading is what `sense` gives for that one press; the pin voltage
+    is computed once per pressed position and the rng draws (jitter coin,
+    spike tie coin, ADC noise) keep their per-press order.
 
     Args:
         positions: commanded press positions, each within the line.
@@ -347,11 +350,12 @@ def simulate_sweep(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if jitter_mm < 0:
-        raise ValueError(f"jitter_mm must be non-negative, got {jitter_mm}")
+    if not 0.0 <= jitter_mm < math.inf:
+        raise ValueError(f"jitter_mm must be finite and non-negative, got {jitter_mm}")
     if jitter_mm > 0 and rng is None:
         raise ValueError("jitter_mm > 0 requires an rng")
     samples: list[SweepSample] = []
+    volts_at: dict[float, float] = {}  # pressed position -> pin voltage
     t_ms = 0
     for position in positions:
         if not 0.0 <= position <= spec.effective_length_mm:
@@ -363,17 +367,12 @@ def simulate_sweep(
             if jitter_mm > 0:
                 offset = -jitter_mm if rng.random() < 0.5 else jitter_mm
                 touched = min(max(position + offset, 0.0), spec.effective_length_mm)
-            contact_set = ContactSet(
-                contacts=(ContactPoint(touched),),
-                quantize_to_spikes=quantize_to_spikes,
-            )
-            reading = sense(
-                spec,
-                contact_set,
-                noise_sd_counts=noise_sd_counts,
-                rng=rng,
-                t_ms=t_ms,
-            )
+            pressed = snap_to_spike(spec, touched, rng) if quantize_to_spikes else touched
+            volts = volts_at.get(pressed)
+            if volts is None:
+                # one firm press: the network branch of `sense`
+                volts = volts_at[pressed] = divider_voltage(spec, _fold(spec, (ContactPoint(pressed),)))
+            reading = adc_quantize(spec, volts, noise_sd_counts, rng, t_ms)
             samples.append(SweepSample(position, touched, reading))
             t_ms += 1
     return samples

@@ -1,5 +1,6 @@
 """Configuration loading and command line harness tests."""
 
+import hashlib
 import textwrap
 from pathlib import Path
 
@@ -458,6 +459,47 @@ class TestCliSweep:
         assert code == 2
         assert "sensor 9" in capsys.readouterr().err
 
+    # sha256 of sweep.csv and the --frames-out log as produced by sensing
+    # every press on its own; the sweep's voltage table must reproduce them.
+    @pytest.mark.parametrize(
+        "config_text,sweep_sha256,frames_sha256",
+        [
+            (
+                None,
+                "7f22d11d6c3c46bc211ae3e795d092de23ff737aee199d04addbac270895cfc0",
+                "b4c9662b9d3c278648e712dcd32c60eac68bda6f91aee4df2022d54dac67cf7e",
+            ),
+            (
+                "seed: 7\nnoise_sd_counts: 3.0\n",
+                "619fd43e955607814cfc2bfca4b291569557cbb13b80dc9b67aed277352f0bb5",
+                "04114a5c73509cb7ba6bec47b01d2d0596990f33b97e2bcd8923edcf66150061",
+            ),
+        ],
+        ids=["shipped", "noisy"],
+    )
+    def test_output_digests_pinned(self, tmp_path, config_text, sweep_sha256, frames_sha256):
+        config = DEFAULT_CONFIG if config_text is None else write(tmp_path, "c.yaml", config_text)
+        out, frames = tmp_path / "sweep.csv", tmp_path / "frames.csv"
+        code = main(["sweep", "--config", str(config), "--out", str(out), "--frames-out", str(frames)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sweep_sha256
+        assert hashlib.sha256(frames.read_bytes()).hexdigest() == frames_sha256
+
+    @pytest.mark.parametrize("jitter", ["nan", "inf", "-inf"])
+    def test_non_finite_jitter_exits_two(self, tmp_path, capsys, jitter):
+        code = main(
+            [
+                "sweep",
+                "--config", str(DEFAULT_CONFIG),
+                "--out", str(tmp_path / "s.csv"),
+                f"--jitter-mm={jitter}",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "jitter_mm" in err
+        assert "Traceback" not in err
+
 
 class TestCliReplay:
     def test_round_trip_matches_run_trace(self, tmp_path):
@@ -495,6 +537,10 @@ class TestCliReplay:
             ("t_ms,sensor,counts\n0,0,abc\n", "line 2: fields must be integers"),
             ("t_ms,sensor,counts\n0,9,100\n", "line 2: sensor 9"),
             ("t_ms,sensor,counts\n0,0,2000\n", "line 2: counts 2000 outside"),
+            (
+                "t_ms,sensor,counts\n20,0,1023\n10,0,500\n10,0,500\n",
+                "line 3: t_ms 10 not after t_ms 20 of sensor 0",
+            ),
         ],
     )
     def test_malformed_log_exits_two(self, tmp_path, capsys, frame_lines, message):

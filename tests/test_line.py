@@ -301,3 +301,52 @@ class TestSweep:
             simulate_sweep(SPEC, [0.0], jitter_mm=1.0)
         with pytest.raises(ValueError, match="outside"):
             simulate_sweep(SPEC, [90.0])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_press_sense_loop(self, data):
+        length = data.draw(st.one_of(st.just(80.0), st.floats(min_value=5.0, max_value=200.0)))
+        pitch = data.draw(st.one_of(st.sampled_from([1.0, 2.5, 5.0]), st.floats(0.5, 20.0)))
+        spec = NerveLineSpec(effective_length_mm=length, spike_pitch_mm=pitch)
+        # half-pitch multiples put presses on spike midpoints, where the tie coin is drawn
+        half_pitch = st.integers(0, int(2 * length / pitch)).map(lambda k: min(k * pitch / 2, length))
+        grid = data.draw(
+            st.lists(st.one_of(half_pitch, st.floats(0.0, length)), min_size=1, max_size=5)
+        )
+        jitter_mm = data.draw(
+            st.one_of(
+                st.just(0.0),
+                st.integers(1, 4).map(lambda k: k * pitch / 2),
+                st.floats(0.01, 10.0),
+            )
+        )
+        repeats = data.draw(st.integers(1, 20))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        quantize = data.draw(st.booleans())
+        noise = data.draw(st.one_of(st.just(0.0), st.floats(0.1, 50.0)))
+
+        rng = random.Random(seed)
+        samples = simulate_sweep(
+            spec,
+            grid,
+            jitter_mm=jitter_mm,
+            repeats=repeats,
+            rng=rng,
+            noise_sd_counts=noise,
+            quantize_to_spikes=quantize,
+        )
+
+        ref_rng = random.Random(seed)
+        expected = []
+        for t_ms, position in enumerate(p for p in grid for _ in range(repeats)):
+            touched = position
+            if jitter_mm > 0:
+                offset = -jitter_mm if ref_rng.random() < 0.5 else jitter_mm
+                touched = min(max(position + offset, 0.0), length)
+            contact_set = ContactSet((ContactPoint(touched),), quantize_to_spikes=quantize)
+            reading = sense(spec, contact_set, noise_sd_counts=noise, rng=ref_rng, t_ms=t_ms)
+            expected.append((position, touched, reading.t_ms, reading.counts))
+
+        got = [(s.commanded_mm, s.touched_mm, s.reading.t_ms, s.reading.counts) for s in samples]
+        assert got == expected
+        assert rng.getstate() == ref_rng.getstate()
