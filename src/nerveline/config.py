@@ -61,7 +61,10 @@ def default_sensors() -> dict[int, NerveLineSpec]:
 def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any]:
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, ValueError, RecursionError) as err:
+        # ValueError: undecodable bytes, or a tag constructor rejecting its
+        # scalar (``!!int 'x'``); RecursionError: nesting deeper than the
+        # parser's recursion allows
         raise exc(f"{path}: not valid YAML: {err}") from None
     if raw is None:
         raw = {}

@@ -26,12 +26,20 @@ from .estimation import (
     auto_calibration,
     detect_touch,
     estimate_p,
-    filter_step,
     smoothing_coefficient,
     position_reached,
 )
 from .hand import Hand, JointState, default_hand, posture_command
-from .line import ContactPoint, ContactSet, NerveLineSpec, sense
+from .line import (
+    ContactPoint,
+    ContactSet,
+    NerveLineSpec,
+    _is_spike_midpoint,
+    _pin_volts,
+    adc_quantize,
+    resolve_contacts,
+    sense,
+)
 
 GOALS = ("lift", "operate")
 OUTCOMES = ("lifted", "retried_then_lifted", "operated", "failed")
@@ -323,6 +331,19 @@ def _active_contacts(
     return tuple(points)
 
 
+def _phase_volts(spec: NerveLineSpec, contact_set: ContactSet) -> float | None:
+    """Pin voltage of ``contact_set`` for a whole phase, or None when it varies per tick.
+
+    It varies when a contact sits exactly on a spike midpoint of the spiked
+    skin: every tick then senses the set anew, flipping that contact's coin.
+    """
+    if contact_set.quantize_to_spikes and any(
+        _is_spike_midpoint(spec, c.position_mm) for c in contact_set.contacts
+    ):
+        return None
+    return _pin_volts(spec, resolve_contacts(spec, contact_set))
+
+
 def _outcome(state: ControllerState, goal: str) -> str:
     if state.phase is TaskPhase.FAILED:
         return "failed"
@@ -344,10 +365,14 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one scripted scenario to a terminal phase.
 
-    Every tick senses all lines (in sensor order), filters, estimates, and
-    appends to per-sensor histories; after each phase dwell the state
-    machine decides.  All randomness comes from one generator seeded with
-    ``seed``, so a run is a pure function of its arguments.
+    Each phase resolves every line's contacts to a pin voltage once, on
+    entry.  Every tick then samples all lines (in sensor order): a contact
+    on a spike midpoint flips its tie coin, the ADC draws its noise, and the
+    count is filtered, estimated and appended to the per-sensor histories,
+    exactly as `sense`, `filter_step` and `estimate_p` would per tick.  After
+    each phase dwell the state machine decides.  All randomness comes from
+    one generator seeded with ``seed``, so a run is a pure function of its
+    arguments.
 
     Args:
         scenario: world script and expected outcome.
@@ -368,6 +393,7 @@ def run_scenario(
     Raises:
         ScenarioError: a rule references an unknown sensor or a position
             beyond its line.
+        ValueError: ``filter_coefficient_a`` outside [0, 1).
     """
     if not specs:
         raise ScenarioError("specs must contain at least one sensor")
@@ -399,31 +425,37 @@ def run_scenario(
 
     rng = random.Random(seed)
     sensor_ids = sorted(specs)
-    filters = {i: FilterState(coefficient_a=filter_coefficient_a) for i in sensor_ids}
+    a = FilterState(coefficient_a=filter_coefficient_a).coefficient_a
+    filtered_last: dict[int, float | None] = {i: None for i in sensor_ids}
     histories: dict[int, list[ContactEstimate]] = {i: [] for i in sensor_ids}
     state = ControllerState()
     commands = _entry_commands(state.phase, config, context)
     trace: list[TraceRecord] = []
     t_ms = 0
     while state.phase not in TERMINAL_PHASES:
+        contact_sets = {
+            i: ContactSet(_active_contacts(scenario, i, state, specs[i]), quantize_to_spikes)
+            for i in sensor_ids
+        }
+        phase_volts = {i: _phase_volts(specs[i], contact_sets[i]) for i in sensor_ids}
         for tick in range(config.dwell_ticks):
             samples: dict[int, SensorSample] = {}
             for i in sensor_ids:
-                contact_set = ContactSet(
-                    contacts=_active_contacts(scenario, i, state, specs[i]),
-                    quantize_to_spikes=quantize_to_spikes,
-                )
-                reading = sense(
-                    specs[i],
-                    contact_set,
-                    noise_sd_counts=effective_noise,
-                    rng=rng,
-                    t_ms=t_ms,
-                )
-                filters[i], filtered = filter_step(filters[i], reading.counts)
+                volts = phase_volts[i]
+                if volts is None:
+                    reading = sense(
+                        specs[i], contact_sets[i], noise_sd_counts=effective_noise, rng=rng, t_ms=t_ms
+                    )
+                else:
+                    reading = adc_quantize(specs[i], volts, effective_noise, rng, t_ms)
+                raw = reading.counts
+                last = filtered_last[i]
+                # the expression of filter_step, on a plain float
+                filtered = float(raw) if last is None else a * last + (1.0 - a) * raw
+                filtered_last[i] = filtered
                 estimate = estimate_p(filtered, calibration[i], t_ms=t_ms)
                 histories[i].append(estimate)
-                samples[i] = SensorSample(reading.counts, filtered, estimate)
+                samples[i] = SensorSample(raw, filtered, estimate)
             trace.append(
                 TraceRecord(
                     t_ms=t_ms,

@@ -147,6 +147,14 @@ def snap_to_spike(spec: NerveLineSpec, position_mm: float, rng: random.Random | 
     return min(max(snapped, 0.0), spec.effective_length_mm)
 
 
+def _is_spike_midpoint(spec: NerveLineSpec, position_mm: float) -> bool:
+    """True when `snap_to_spike` would break a tie for ``position_mm`` with a coin."""
+    pitch = spec.spike_pitch_mm
+    lower = math.floor(position_mm / pitch) * pitch
+    upper = lower + pitch
+    return position_mm - lower == upper - position_mm
+
+
 def resolve_contacts(
     spec: NerveLineSpec,
     contact_set: ContactSet,
@@ -294,6 +302,15 @@ def sense(
     if fingertip_quality is not None and not 0.0 < fingertip_quality <= 1.0:
         raise ValueError(f"fingertip_quality must be in (0, 1], got {fingertip_quality}")
     points = resolve_contacts(spec, contact_set, rng)
+    return adc_quantize(spec, _pin_volts(spec, points, fingertip_quality), noise_sd_counts, rng, t_ms)
+
+
+def _pin_volts(
+    spec: NerveLineSpec,
+    points: tuple[ContactPoint, ...],
+    fingertip_quality: float | None = None,
+) -> float:
+    """Noise-free pin voltage for resolved points, as `sense` describes it."""
     network: list[ContactPoint] = []
     tip_touches: list[ContactPoint] = []
     for point in points:
@@ -314,8 +331,7 @@ def sense(
         v_open = spec.supply_volts
         v_full = divider_voltage(spec, spec.lead_offset_ohm + spec.total_line_ohm)
         candidates.append(v_open - quality * (v_open - v_full))
-    volts = min(candidates) if candidates else spec.supply_volts
-    return adc_quantize(spec, volts, noise_sd_counts, rng, t_ms)
+    return min(candidates) if candidates else spec.supply_volts
 
 
 def simulate_sweep(
@@ -370,8 +386,7 @@ def simulate_sweep(
             pressed = snap_to_spike(spec, touched, rng) if quantize_to_spikes else touched
             volts = volts_at.get(pressed)
             if volts is None:
-                # one firm press: the network branch of `sense`
-                volts = volts_at[pressed] = divider_voltage(spec, _fold(spec, (ContactPoint(pressed),)))
+                volts = volts_at[pressed] = _pin_volts(spec, (ContactPoint(pressed),))
             reading = adc_quantize(spec, volts, noise_sd_counts, rng, t_ms)
             samples.append(SweepSample(position, touched, reading))
             t_ms += 1

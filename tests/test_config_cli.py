@@ -15,6 +15,8 @@ SCENARIOS = REPO / "scenarios"
 
 COEFFICIENT_A = 0.7609427763893117
 
+NOISY = "seed: 7\nnoise_sd_counts: 3.0\n"
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -412,6 +414,30 @@ class TestCliRun:
         assert main(argv) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"x: " + b"[" * 1000 + b"]" * 1000 + b"\n",
+            b"seed: !!timestamp 2020-13-45\n",
+            b"seed: !!int 'x'\n",
+            b"seed: \xff\n",
+        ],
+        ids=["deep_nesting", "bad_timestamp", "bad_int", "not_utf8"],
+    )
+    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    def test_unloadable_yaml_exits_two(self, tmp_path, capsys, command, content):
+        # calibrate reads the file as a config, run as a scenario
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(content)
+        if command == "calibrate":
+            argv = ["calibrate", "--config", str(bad)]
+        else:
+            argv = ["run", "--config", str(DEFAULT_CONFIG), "--scenario", str(bad)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not valid YAML" in err
+        assert "Traceback" not in err
+
     def test_no_spikes_flag(self, tmp_path, capsys):
         code = main(
             [
@@ -425,6 +451,31 @@ class TestCliRun:
         assert code == 0
         assert "outcome=lifted" in capsys.readouterr().out
 
+    # sha256 of the trace CSV as produced by sensing every line on every
+    # tick; resolving contacts once per phase must reproduce them.  The
+    # shipped rules press on spikes, so both skins give the same trace.
+    RUN_TRACE_SHA256 = {
+        ("shipped", "no_scissors"): "c06f18f1e6118c4cc1090a1c63fb2479779384cd92cd4816f59b4f819b56fd09",
+        ("shipped", "scissors_moved_back"): "06764241884df826d5e371052f4be099c98b8878995e3fdd51e90648cd6dcf34",
+        ("shipped", "scissors_present"): "acdf36039a6d84d204e047fbd1d6f58f7eb3a3fc646effa30a26461319947ac7",
+        ("shipped", "scissors_regrasp"): "1e7da3bea366f680b49fdde6873d08b69c6e55f37215adc33aa5f1bbac7c01f7",
+        ("noisy", "no_scissors"): "e21a5ae6fb6c2cd1c7a534672272b9ff5d3578838ecca675b2cd68ca7a86c83d",
+        ("noisy", "scissors_moved_back"): "34b3489183d4314a1ad7278017a9f557710c5f47c784266f52485f3b49fc02f3",
+        ("noisy", "scissors_present"): "f1b6aaa3906bba9f27ca75eeccb5623ad1f1612b09240d4ae36d8b4883152969",
+        ("noisy", "scissors_regrasp"): "5ed0cf27bbcb2d39a5ff28b3a6fbbfe8b7169f24cefc38d9f5b29c75a365afc6",
+    }
+
+    @pytest.mark.parametrize("skin", [[], ["--no-spikes"]], ids=["spiked", "smooth"])
+    @pytest.mark.parametrize(
+        "config_name,scenario", list(RUN_TRACE_SHA256), ids=[f"{c}-{s}" for c, s in RUN_TRACE_SHA256]
+    )
+    def test_output_digests_pinned(self, tmp_path, config_name, scenario, skin):
+        config = DEFAULT_CONFIG if config_name == "shipped" else write(tmp_path, "c.yaml", NOISY)
+        out = tmp_path / "trace.csv"
+        argv = ["run", "--config", str(config), "--scenario", str(SCENARIOS / f"{scenario}.yaml")]
+        assert main(argv + ["--out", str(out)] + skin) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.RUN_TRACE_SHA256[config_name, scenario]
 
 class TestCliSweep:
     def test_writes_seventeen_rows(self, tmp_path, capsys):
@@ -470,7 +521,7 @@ class TestCliSweep:
                 "b4c9662b9d3c278648e712dcd32c60eac68bda6f91aee4df2022d54dac67cf7e",
             ),
             (
-                "seed: 7\nnoise_sd_counts: 3.0\n",
+                NOISY,
                 "619fd43e955607814cfc2bfca4b291569557cbb13b80dc9b67aed277352f0bb5",
                 "04114a5c73509cb7ba6bec47b01d2d0596990f33b97e2bcd8923edcf66150061",
             ),

@@ -1,27 +1,47 @@
 """State machine and scenario runner tests."""
 
+import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerveline import (
     ActuatorSpec,
     Command,
     ContactEstimate,
+    ContactPoint,
     ContactRule,
+    ContactSet,
     ControllerConfig,
     ControllerState,
+    FilterState,
     FingerSpec,
     Hand,
+    JointState,
+    NerveLineSpec,
     Regime,
     Scenario,
     ScenarioError,
+    ScenarioResult,
+    SensorSample,
     StepContext,
     TaskPhase,
+    TraceRecord,
+    auto_calibration,
+    default_hand,
     default_sensors,
+    estimate_p,
+    filter_step,
+    posture_command,
     run_scenario,
+    sense,
+    smoothing_coefficient,
     step,
 )
+from nerveline.controller import GRASP_FLEXION_RAD
+from nerveline.estimation import DEFAULT_CUTOFF_HZ
 
 CONFIG = ControllerConfig()
 CONTEXT = StepContext(
@@ -349,3 +369,124 @@ class TestRunScenario:
         )
         assert close_entry.commands == (Command("close_fingers", (6.5, 3.0)),)
         assert result.outcome == "lifted"
+
+    @pytest.mark.parametrize("coefficient_a", [1.0, -0.1])
+    def test_rejects_coefficient_outside_unit_interval(self, coefficient_a):
+        with pytest.raises(ValueError, match="coefficient_a"):
+            run_scenario(
+                SCISSORS_PRESENT, default_sensors(), seed=1, filter_coefficient_a=coefficient_a
+            )
+
+
+def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes):
+    """run_scenario with default arguments, sensed, filtered and estimated tick by tick."""
+    config = ControllerConfig()
+    coefficient_a = smoothing_coefficient(DEFAULT_CUTOFF_HZ, config.dt_ms)
+    calibration = {i: auto_calibration(spec) for i, spec in specs.items()}
+    hand = default_hand()
+    names = [finger.name for finger in hand.fingers]
+    grasp = posture_command(
+        "grasp", hand.actuators, JointState({name: GRASP_FLEXION_RAD for name in names})
+    )
+    release = posture_command("open", hand.actuators, JointState({name: 0.0 for name in names}))
+    context = StepContext(
+        goal=scenario.goal,
+        object_pose_mm=scenario.object_pose_mm,
+        grasp_command=Command("close_fingers", tuple(grasp[k] for k in sorted(grasp))),
+        open_command=Command("open_fingers", tuple(release[k] for k in sorted(release))),
+    )
+    rng = random.Random(seed)
+    filters = {i: FilterState(coefficient_a) for i in specs}
+    histories = {i: [] for i in specs}
+    state = ControllerState()
+    commands = (Command("move_above", scenario.object_pose_mm),)
+    trace = []
+    t_ms = 0
+    while state.phase not in (TaskPhase.DONE, TaskPhase.FAILED):
+        for tick in range(config.dwell_ticks):
+            samples = {}
+            for i in sorted(specs):
+                length = specs[i].effective_length_mm
+                contacts = tuple(
+                    ContactPoint(
+                        min(max(r.position_mm + r.slide_mm_per_step * state.regrasp_steps, 0.0), length),
+                        r.bridge_ohm,
+                    )
+                    for r in scenario.rules
+                    if r.sensor == i
+                    and state.phase in r.phases
+                    and r.attempt in (None, state.grasp_attempt)
+                )
+                reading = sense(
+                    specs[i],
+                    ContactSet(contacts, quantize_to_spikes),
+                    noise_sd_counts=noise_sd_counts,
+                    rng=rng,
+                    t_ms=t_ms,
+                )
+                filters[i], filtered = filter_step(filters[i], reading.counts)
+                estimate = estimate_p(filtered, calibration[i], t_ms=t_ms)
+                histories[i].append(estimate)
+                samples[i] = SensorSample(reading.counts, filtered, estimate)
+            trace.append(TraceRecord(t_ms, state.phase, samples, commands if tick == 0 else ()))
+            t_ms += config.dt_ms
+        state, commands = step(state, histories, config, context)
+    if state.phase is TaskPhase.FAILED:
+        outcome = "failed"
+    elif scenario.goal == "operate":
+        outcome = "operated"
+    else:
+        outcome = "retried_then_lifted" if state.retries_used else "lifted"
+    return ScenarioResult(
+        outcome=outcome,
+        final_phase=state.phase,
+        ticks=len(trace),
+        retries=state.retries_used,
+        regrasp_steps=state.regrasp_steps,
+        failure_reason=state.failure_reason,
+        trace=tuple(trace),
+    )
+
+
+LIVE_PHASES = [phase for phase in TaskPhase if phase not in (TaskPhase.DONE, TaskPhase.FAILED)]
+
+
+@st.composite
+def rules_on(draw, sensors, spec):
+    """One contact rule; half-pitch multiples land on spike midpoints, where every tick flips a coin."""
+    half = spec.spike_pitch_mm / 2
+    length = spec.effective_length_mm
+    on_grid = st.integers(0, int(length / half)).map(lambda k: k * half)
+    return ContactRule(
+        sensor=draw(st.sampled_from(sensors)),
+        position_mm=draw(st.one_of(on_grid, st.floats(0.0, length))),
+        phases=frozenset(draw(st.lists(st.sampled_from(LIVE_PHASES), min_size=1, max_size=6))),
+        # firm presses go through the ladder; light ones beyond body_limit_mm are tip touches
+        bridge_ohm=draw(st.one_of(st.just(0.0), st.floats(1.0, 1e6))),
+        slide_mm_per_step=draw(
+            st.one_of(st.just(0.0), st.integers(-4, 4).map(lambda k: k * half), st.floats(-10.0, 10.0))
+        ),
+        attempt=draw(st.one_of(st.none(), st.integers(1, 3))),
+    )
+
+
+class TestRunScenarioMatchesTickLoop:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_tick_sense_loop(self, data):
+        spec = NerveLineSpec(spike_pitch_mm=data.draw(st.sampled_from([2.5, 5.0, 7.0])))
+        sensors = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        specs = {i: spec for i in sensors}
+        scenario = Scenario(
+            name="drawn",
+            goal=data.draw(st.sampled_from(["lift", "operate"])),
+            expected_outcome="failed",
+            rules=tuple(data.draw(st.lists(rules_on(sorted(sensors), spec), min_size=1, max_size=3))),
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        noise = data.draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
+        quantize = data.draw(st.booleans())
+        result = run_scenario(
+            scenario, specs, seed=seed, noise_sd_counts=noise, quantize_to_spikes=quantize
+        )
+        assert result == reference_run(scenario, specs, seed, noise, quantize)
