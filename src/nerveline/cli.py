@@ -21,10 +21,9 @@ from .controller import run_scenario
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
-    FilterState,
+    _smooth,
     auto_calibration,
     estimate_p,
-    filter_step,
     read_calibration,
     write_calibration,
 )
@@ -182,12 +181,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     frames = _parse_frames(args.log, config)
     calibration = _calibration_table(config)
-    filters = {i: FilterState(coefficient_a=config.filter_coefficient_a) for i in config.sensors}
+    a = config.filter_coefficient_a
+    filtered_last: dict[int, float | None] = dict.fromkeys(config.sensors)
 
     def rows() -> Iterator[list[object]]:
         for t_ms, sensor, counts in frames:
-            filters[sensor], filtered = filter_step(filters[sensor], counts)
-            estimate = estimate_p(filtered, calibration[sensor], t_ms=t_ms)
+            filtered = filtered_last[sensor] = _smooth(a, filtered_last[sensor], counts)
+            estimate = estimate_p(filtered, calibration[sensor])
             yield [t_ms, sensor, counts, repr(filtered), repr(estimate.p), estimate.regime.value]
 
     _write_csv(args.out, REPLAY_HEADER, rows())

@@ -43,7 +43,6 @@ class RunConfig:
     sensors: dict[int, NerveLineSpec]
     controller: ControllerConfig
     filter_coefficient_a: float
-    dt_ms: int = bounded(10, gt=0)
     noise_sd_counts: float = bounded(0.0, ge=0)
     quantize_to_spikes: bool = True
     calibration_file: str | None = None
@@ -187,14 +186,7 @@ def _parse_controller(data: Any, dt_ms: int, errors: list[str]) -> ControllerCon
 def _parse_finger(data: Any, path: str, errors: list[str]) -> FingerSpec | None:
     if not _is_mapping(data, path, errors):
         return None
-    since = len(errors)
-    widths = data.get("joint_width_range_mm", FingerSpec.joint_width_range_mm)
-    pair = isinstance(widths, (list, tuple)) and len(widths) == 2
-    if pair and all(map(is_finite_number, widths)):
-        widths = (float(widths[0]), float(widths[1]))
-    else:
-        errors.append(f"{path}joint_width_range_mm: must be [low, high], got {widths!r}")
-    return _build(FingerSpec, data, path, errors, since, joint_width_range_mm=widths)
+    return _build(FingerSpec, data, path, errors, len(errors))
 
 
 def _parse_actuator(data: Any, path: str, errors: list[str]) -> ActuatorSpec | None:
@@ -249,24 +241,31 @@ def load_config(path: str | Path) -> RunConfig:
     """
     data = _load_yaml_mapping(path, ConfigError)
     errors: list[str] = []
-    top_keys = _field_names(RunConfig) - {"filter_coefficient_a"} | {"filter"}
+    top_keys = _field_names(RunConfig) - {"filter_coefficient_a"} | {"filter", "dt_ms"}
     _check_unknown_keys(data, top_keys, "", errors)
     if "seed" not in data:
         errors.append("seed: required; runs must not fall back to wall-clock entropy")
     errors.extend(field_problems(RunConfig, data))
-    dt_ms = data.get("dt_ms", RunConfig.dt_ms)
-    if field_problems(RunConfig, {"dt_ms": dt_ms}):
-        dt_ms = RunConfig.dt_ms  # already reported; keep checking the rest
+    # the top-level tick is the controller's unless its block sets its own
+    dt_ms = data.get("dt_ms", ControllerConfig.dt_ms)
+    dt_problems = field_problems(ControllerConfig, {"dt_ms": dt_ms})
+    if dt_problems:
+        errors.extend(dt_problems)
+        dt_ms = ControllerConfig.dt_ms  # reported; keep checking the rest
 
     quantize = data.get("quantize_to_spikes", True)
     if not isinstance(quantize, bool):
         errors.append(f"quantize_to_spikes: must be a boolean, got {quantize!r}")
 
-    coefficient = _parse_filter(data.get("filter"), dt_ms, errors)
+    # the controller's tick is the filter's; its errors are reported after the sensors'
+    controller_errors: list[str] = []
+    controller = _parse_controller(data.get("controller"), dt_ms, controller_errors)
+    tick_ms = dt_ms if controller is None else controller.dt_ms
+    coefficient = _parse_filter(data.get("filter"), tick_ms, errors)
     since = len(errors)
     sensors = _parse_sensors(data["sensors"], errors) if "sensors" in data else default_sensors()
     sensors_valid = len(errors) == since
-    controller = _parse_controller(data.get("controller"), dt_ms, errors)
+    errors.extend(controller_errors)
     for key in ("watched_sensor_grasp", "watched_sensor_regrasp"):
         watched = getattr(controller, key, None)
         if controller is not None and sensors_valid and watched not in sensors:
@@ -285,7 +284,6 @@ def load_config(path: str | Path) -> RunConfig:
         sensors=sensors,
         controller=controller,
         filter_coefficient_a=coefficient,
-        dt_ms=dt_ms,
         noise_sd_counts=data.get("noise_sd_counts", RunConfig.noise_sd_counts),
         quantize_to_spikes=quantize,
         calibration_file=calibration_file,

@@ -23,6 +23,7 @@ from .estimation import (
     CalibrationData,
     ContactEstimate,
     FilterState,
+    _smooth,
     auto_calibration,
     detect_touch,
     estimate_p,
@@ -449,11 +450,8 @@ def run_scenario(
                 else:
                     reading = adc_quantize(specs[i], volts, effective_noise, rng, t_ms)
                 raw = reading.counts
-                last = filtered_last[i]
-                # the expression of filter_step, on a plain float
-                filtered = float(raw) if last is None else a * last + (1.0 - a) * raw
-                filtered_last[i] = filtered
-                estimate = estimate_p(filtered, calibration[i], t_ms=t_ms)
+                filtered = filtered_last[i] = _smooth(a, filtered_last[i], raw)
+                estimate = estimate_p(filtered, calibration[i])
                 histories[i].append(estimate)
                 samples[i] = SensorSample(raw, filtered, estimate)
             trace.append(

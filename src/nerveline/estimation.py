@@ -67,6 +67,11 @@ def smoothing_coefficient(cutoff_hz: float, dt_ms: float) -> float:
     return 1.0 / (1.0 + omega_dt)
 
 
+def _smooth(a: float, last: float | None, raw: float) -> float:
+    """The smoother's output after ``raw``; the first sample (``last`` None) seeds it."""
+    return float(raw) if last is None else a * last + (1.0 - a) * raw
+
+
 def filter_step(state: FilterState, raw: float) -> tuple[FilterState, float]:
     """Advance the smoother by one sample.
 
@@ -77,10 +82,7 @@ def filter_step(state: FilterState, raw: float) -> tuple[FilterState, float]:
     Returns:
         The next state and the filtered value.
     """
-    if state.last is None:
-        filtered = float(raw)
-    else:
-        filtered = state.coefficient_a * state.last + (1.0 - state.coefficient_a) * raw
+    filtered = _smooth(state.coefficient_a, state.last, raw)
     return replace(state, last=filtered), filtered
 
 
@@ -170,15 +172,13 @@ def auto_calibration(
 
 @dataclass(frozen=True)
 class ContactEstimate:
-    """Estimator output for one sample: ratio, regime and the input value."""
+    """Estimator output for one sample: the ratio and the branch that gave it."""
 
     p: float
     regime: Regime
-    v: float
-    t_ms: int = 0
 
 
-def estimate_p(v: float, calibration: CalibrationData, t_ms: int = 0) -> ContactEstimate:
+def estimate_p(v: float, calibration: CalibrationData) -> ContactEstimate:
     """Map a (filtered) ADC value to the contact-point ratio.
 
     Piecewise linear in the calibration triplet: values between v_mid and
@@ -190,7 +190,6 @@ def estimate_p(v: float, calibration: CalibrationData, t_ms: int = 0) -> Contact
     Args:
         v: filtered ADC value in counts.
         calibration: reference triplet for this line.
-        t_ms: timestamp carried through to the estimate.
     """
     if math.isnan(v):
         raise ValueError(f"v must be a number, got {v}")
@@ -198,14 +197,14 @@ def estimate_p(v: float, calibration: CalibrationData, t_ms: int = 0) -> Contact
     v_mid = float(calibration.v_mid)
     v_min = float(calibration.v_min)
     if v >= v_max:
-        return ContactEstimate(p=100.0, regime=Regime.NONE, v=v, t_ms=t_ms)
+        return ContactEstimate(p=100.0, regime=Regime.NONE)
     if v > v_mid:
         tip_span = 100.0 - BODY_SPLIT_P
         p = 100.0 - (v_max - v) / (v_max - v_mid) * tip_span
-        return ContactEstimate(p=p, regime=Regime.FINGERTIP, v=v, t_ms=t_ms)
+        return ContactEstimate(p=p, regime=Regime.FINGERTIP)
     p = (v - v_min) / (v_mid - v_min) * BODY_SPLIT_P
     p = min(max(p, 0.0), BODY_SPLIT_P)
-    return ContactEstimate(p=p, regime=Regime.BODY, v=v, t_ms=t_ms)
+    return ContactEstimate(p=p, regime=Regime.BODY)
 
 
 def detect_touch(estimate: ContactEstimate, threshold_p: float = 90.0) -> bool:

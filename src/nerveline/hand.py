@@ -2,7 +2,8 @@
 
 Joints are driven by wires wound on motor pulleys, so wire displacement and
 joint angle are related by x = r * theta.  The hand has five fingers; the
-index and middle fingers carry nerve lines on both palm and dorsal sides.
+nerve lines on the index and middle fingers are configured as sensors, not
+here.
 """
 
 from __future__ import annotations
@@ -22,19 +23,13 @@ DEFAULT_JOINT_LIMITS = (0.0, math.pi / 2)
 
 @dataclass(frozen=True)
 class FingerSpec:
-    """One finger: its name, sensor coverage, and joint width range."""
+    """One finger of the hand, by name; actuators drive it as ``<name>_flexion``."""
 
     name: str
-    sensor_length_mm: float | None = bounded(None, gt=0)
-    joint_width_range_mm: tuple[float, float] = (9.0, 14.0)
 
     def __post_init__(self) -> None:
         if self.name not in FINGER_NAMES:
             raise ConfigError(f"unknown finger name {self.name!r}")
-        check_fields(self, ConfigError)
-        low, high = self.joint_width_range_mm
-        if not 0 < low <= high:
-            raise ConfigError(f"joint_width_range_mm must be 0 < low <= high, got {self.joint_width_range_mm}")
 
 
 @dataclass(frozen=True)
@@ -149,11 +144,8 @@ def posture_command(
 
 
 def default_hand() -> Hand:
-    """The prototype hand: five fingers, nerve lines on index and middle, seven wires."""
-    fingers = tuple(
-        FingerSpec(name=name, sensor_length_mm=80.0 if name in ("index", "middle") else None)
-        for name in FINGER_NAMES
-    )
+    """The prototype hand: five fingers and seven wires."""
+    fingers = tuple(FingerSpec(name=name) for name in FINGER_NAMES)
     actuators = (
         ActuatorSpec(id=0, role="bend", joint_ref="thumb_flexion"),
         ActuatorSpec(id=1, role="bend", joint_ref="index_flexion"),

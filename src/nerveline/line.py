@@ -105,9 +105,8 @@ class AdcReading:
 
 @dataclass(frozen=True)
 class SweepSample:
-    """One reading of a position sweep: commanded press, actual press, ADC value."""
+    """One reading of a position sweep: where the probe actually pressed, and the ADC value."""
 
-    commanded_mm: float
     touched_mm: float
     reading: AdcReading
 
@@ -388,6 +387,6 @@ def simulate_sweep(
             if volts is None:
                 volts = volts_at[pressed] = _pin_volts(spec, (ContactPoint(pressed),))
             reading = adc_quantize(spec, volts, noise_sd_counts, rng, t_ms)
-            samples.append(SweepSample(position, touched, reading))
+            samples.append(SweepSample(touched, reading))
             t_ms += 1
     return samples

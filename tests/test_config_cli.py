@@ -1,12 +1,30 @@
 """Configuration loading and command line harness tests."""
 
 import hashlib
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nerveline import ConfigError, ScenarioError, TaskPhase, load_config, load_scenario
+from nerveline import (
+    ConfigError,
+    FilterState,
+    NerveLineSpec,
+    ScenarioError,
+    TaskPhase,
+    auto_calibration,
+    default_hand,
+    estimate_p,
+    filter_step,
+    load_config,
+    load_scenario,
+    run_scenario,
+    smoothing_coefficient,
+)
 from nerveline.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -16,6 +34,9 @@ SCENARIOS = REPO / "scenarios"
 COEFFICIENT_A = 0.7609427763893117
 
 NOISY = "seed: 7\nnoise_sd_counts: 3.0\n"
+
+# the controller ticks every 40 ms while the top-level tick says 10 ms
+CONTROLLER_TICK = "seed: 1\ndt_ms: 10\ncontroller:\n  dt_ms: 40\n"
 
 
 def write(tmp_path, name, text):
@@ -38,7 +59,7 @@ class TestLoadConfig:
         config = load_config(write(tmp_path, "c.yaml", "seed: 1\n"))
         assert sorted(config.sensors) == [0, 1, 2, 3]
         assert config.sensors[0].pullup_ohm == 100_000.0
-        assert config.dt_ms == 10
+        assert config.controller.dt_ms == 10
         assert config.controller.max_retries == 2
 
     def test_missing_seed_rejected(self, tmp_path):
@@ -100,6 +121,18 @@ class TestLoadConfig:
         )
         assert load_config(explicit).controller.dt_ms == 5
 
+    @pytest.mark.parametrize(
+        "value,problem", [(0, "must be > 0, got 0"), (2.5, "must be an integer, got 2.5")]
+    )
+    def test_top_level_dt_bound(self, tmp_path, value, problem):
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write(tmp_path, "c.yaml", f"seed: 1\ndt_ms: {value}\n"))
+        assert str(excinfo.value) == f"dt_ms: {problem}"
+
+    def test_filter_coefficient_follows_controller_tick(self, tmp_path):
+        config = load_config(write(tmp_path, "c.yaml", CONTROLLER_TICK))
+        assert config.filter_coefficient_a == smoothing_coefficient(5.0, 40)
+
     def test_hand_block_parsed(self, tmp_path):
         path = write(
             tmp_path,
@@ -127,7 +160,7 @@ class TestLoadConfig:
     def test_hand_defaults_when_absent(self, tmp_path):
         config = load_config(write(tmp_path, "c.yaml", "seed: 1\n"))
         assert len(config.hand.actuators) == 7
-        assert config.hand.fingers[1].sensor_length_mm == 80.0
+        assert config.hand == default_hand()
 
     def test_hand_field_paths_in_errors(self, tmp_path):
         path = write(
@@ -148,6 +181,16 @@ class TestLoadConfig:
         message = str(excinfo.value)
         assert "hand.fingers[0]: unknown finger name 'pinky'" in message
         assert "hand.actuators[0]: actuator 0: unknown role 'twist'" in message
+
+    @pytest.mark.parametrize(
+        "key,value", [("sensor_length_mm", 80.0), ("joint_width_range_mm", [9.0, 14.0])]
+    )
+    def test_finger_takes_only_a_name(self, tmp_path, capsys, key, value):
+        finger = f"{{name: index, {key}: {value}}}"
+        config = write(tmp_path, "c.yaml", f"seed: 1\nhand:\n  fingers:\n    - {finger}\n")
+        code = main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal.txt")])
+        assert code == 2
+        assert f"hand.fingers[0].{key}: unknown key" in capsys.readouterr().err
 
     def test_hand_duplicate_actuator_ids_rejected(self, tmp_path):
         path = write(
@@ -342,6 +385,24 @@ class TestCliRun:
         assert code == 1
         assert "outcome=lifted" in captured.out
         assert "expected failed, got lifted" in captured.err
+
+    def test_controller_tick_matches_library_default(self, tmp_path):
+        config_path = write(tmp_path, "c.yaml", CONTROLLER_TICK)
+        scenario_path = SCENARIOS / "scissors_regrasp.yaml"
+        out = tmp_path / "trace.csv"
+        argv = ["run", "--config", str(config_path), "--scenario", str(scenario_path)]
+        assert main(argv + ["--out", str(out)]) == 0
+        config = load_config(config_path)
+        result = run_scenario(
+            load_scenario(scenario_path, config), config.sensors, config.controller, seed=config.seed
+        )
+        expected = "".join(
+            f"{record.t_ms},{record.phase.value},{sensor},{sample.raw},{sample.filtered!r},"
+            f"{sample.estimate.p!r},{sample.estimate.regime.value}\n"
+            for record in result.trace
+            for sensor, sample in sorted(record.samples.items())
+        )
+        assert out.read_text() == "t_ms,phase,sensor,raw,filtered,p,regime\n" + expected
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         config = write(tmp_path, "c.yaml", "dt_ms: 10\n")
@@ -552,33 +613,83 @@ class TestCliSweep:
         assert "Traceback" not in err
 
 
+def _replay_of_regrasp_run(tmp_path, config, skin=()):
+    """Trace rows of ``nerveline run`` on scissors_regrasp and the replay.csv path of its counts."""
+    trace = tmp_path / "trace.csv"
+    argv = ["run", "--config", str(config), "--scenario", str(SCENARIOS / "scissors_regrasp.yaml")]
+    assert main(argv + ["--out", str(trace), *skin]) == 0
+    trace_rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    frames = tmp_path / "frames.csv"
+    frames.write_text(
+        "t_ms,sensor,counts\n" + "".join(f"{row[0]},{row[2]},{row[3]}\n" for row in trace_rows)
+    )
+    replayed = tmp_path / "replay.csv"
+    code = main(["replay", "--config", str(config), "--log", str(frames), "--out", str(replayed)])
+    assert code == 0
+    return trace_rows, replayed
+
+
 class TestCliReplay:
-    def test_round_trip_matches_run_trace(self, tmp_path):
-        trace = tmp_path / "trace.csv"
-        main(
-            [
-                "run",
-                "--config", str(DEFAULT_CONFIG),
-                "--scenario", str(SCENARIOS / "scissors_regrasp.yaml"),
-                "--out", str(trace),
-            ]
-        )
-        frames = tmp_path / "frames.csv"
-        trace_rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
-        frames.write_text(
-            "t_ms,sensor,counts\n"
-            + "".join(f"{row[0]},{row[2]},{row[3]}\n" for row in trace_rows)
-        )
-        replayed = tmp_path / "replay.csv"
-        code = main(
-            ["replay", "--config", str(DEFAULT_CONFIG), "--log", str(frames), "--out", str(replayed)]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("skin", [[], ["--no-spikes"]], ids=["spiked", "smooth"])
+    @pytest.mark.parametrize("config_name", ["shipped", "noisy"])
+    def test_round_trip_matches_run_trace(self, tmp_path, config_name, skin):
+        config = DEFAULT_CONFIG if config_name == "shipped" else write(tmp_path, "c.yaml", NOISY)
+        trace_rows, replayed = _replay_of_regrasp_run(tmp_path, config, skin)
         replay_rows = [line.split(",") for line in replayed.read_text().splitlines()[1:]]
         assert len(replay_rows) == len(trace_rows)
         for trace_row, replay_row in zip(trace_rows, replay_rows):
             assert replay_row[3] == trace_row[4]  # filtered, exact text
             assert replay_row[4] == trace_row[5]  # p, exact text
+
+    # sha256 of replay.csv for the counts of a scissors_regrasp run, as
+    # produced by stepping a FilterState per frame; one plain float per
+    # sensor through the shared filter expression must reproduce them.
+    REPLAY_SHA256 = {
+        "shipped": "8394dcfaf2970d71f605c1b18940cc0a54babd9ced3662f9a8af1e29e3d4d139",
+        "noisy": "53ab6ba725fcc5c45b0540bb67e19317658f473af1349ee0f743cc079232f1a3",
+    }
+
+    @pytest.mark.parametrize("config_name", list(REPLAY_SHA256))
+    def test_output_digests_pinned(self, tmp_path, config_name):
+        config = DEFAULT_CONFIG if config_name == "shipped" else write(tmp_path, "c.yaml", NOISY)
+        _, replayed = _replay_of_regrasp_run(tmp_path, config)
+        digest = hashlib.sha256(replayed.read_bytes()).hexdigest()
+        assert digest == self.REPLAY_SHA256[config_name]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_filter_step_loop(self, data):
+        sensors = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        coefficient_a = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        steps = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(sensors), st.integers(1, 50), st.integers(0, 1023)),
+                min_size=1,
+                max_size=60,
+            )
+        )
+        last_t_ms = {i: data.draw(st.integers(-1, 1000)) for i in sensors}
+        frames = []
+        for sensor, gap, counts in steps:
+            last_t_ms[sensor] += gap
+            frames.append((last_t_ms[sensor], sensor, counts))
+
+        calibration = auto_calibration(NerveLineSpec())
+        filters = {i: FilterState(coefficient_a) for i in sensors}
+        expected = []
+        for t_ms, sensor, counts in frames:
+            filters[sensor], filtered = filter_step(filters[sensor], counts)
+            estimate = estimate_p(filtered, calibration)
+            expected.append(
+                f"{t_ms},{sensor},{counts},{filtered!r},{estimate.p!r},{estimate.regime.value}"
+            )
+
+        with tempfile.TemporaryDirectory() as tmp:
+            config, log, out = (Path(tmp) / name for name in ("c.yaml", "frames.csv", "replay.csv"))
+            config.write_text(yaml.safe_dump({"seed": 1, "filter": {"coefficient_a": coefficient_a}}))
+            log.write_text("t_ms,sensor,counts\n" + "".join(f"{t},{i},{c}\n" for t, i, c in frames))
+            assert main(["replay", "--config", str(config), "--log", str(log), "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[1:] == expected
 
     @pytest.mark.parametrize(
         "frame_lines,message",

@@ -59,7 +59,7 @@ OPERATE_CONTEXT = StepContext(
 
 
 def estimates(p, n=10):
-    return [ContactEstimate(p=p, regime=Regime.BODY, v=0.0)] * n
+    return [ContactEstimate(p=p, regime=Regime.BODY)] * n
 
 
 def advance(state, histories, context):
@@ -357,7 +357,7 @@ class TestRunScenario:
 
     def test_custom_hand_tables_drive_grasp_command(self):
         hand = Hand(
-            fingers=(FingerSpec(name="index", sensor_length_mm=80.0),),
+            fingers=(FingerSpec(name="index"),),
             actuators=(
                 ActuatorSpec(id=0, role="bend", displacement_table={"grasp": 6.5, "open": 0.0}),
                 ActuatorSpec(id=1, role="extend", displacement_table={"grasp": 3.0, "open": 0.0}),
@@ -425,7 +425,7 @@ def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes):
                     t_ms=t_ms,
                 )
                 filters[i], filtered = filter_step(filters[i], reading.counts)
-                estimate = estimate_p(filtered, calibration[i], t_ms=t_ms)
+                estimate = estimate_p(filtered, calibration[i])
                 histories[i].append(estimate)
                 samples[i] = SensorSample(reading.counts, filtered, estimate)
             trace.append(TraceRecord(t_ms, state.phase, samples, commands if tick == 0 else ()))

@@ -130,11 +130,6 @@ class TestEstimateP:
         assert estimate.p == 0.0
         assert estimate.regime is Regime.BODY
 
-    def test_carries_inputs(self):
-        estimate = estimate_p(164.5, CAL, t_ms=120)
-        assert estimate.v == 164.5
-        assert estimate.t_ms == 120
-
     @given(st.floats(min_value=0.0, max_value=1100.0, allow_nan=False))
     def test_range_and_branch_consistency(self, v):
         estimate = estimate_p(v, CAL)
@@ -166,7 +161,7 @@ class TestThresholds:
     def test_detect_touch_strictly_below(self):
         assert detect_touch(estimate_p(600.0, CAL))  # p ~ 89.25
         assert not detect_touch(estimate_p(1023.0, CAL))
-        exactly_90 = ContactEstimate(p=90.0, regime=Regime.FINGERTIP, v=629.5)
+        exactly_90 = ContactEstimate(p=90.0, regime=Regime.FINGERTIP)
         assert not detect_touch(exactly_90)
 
     def test_detect_touch_threshold_validation(self):
@@ -177,7 +172,7 @@ class TestThresholds:
             detect_touch(estimate, threshold_p=100.0)
 
     def _history(self, p_values):
-        return [ContactEstimate(p=p, regime=Regime.BODY, v=0.0) for p in p_values]
+        return [ContactEstimate(p=p, regime=Regime.BODY) for p in p_values]
 
     def test_position_reached_waits_for_full_window(self):
         history = self._history([10.0] * 9)
@@ -196,7 +191,7 @@ class TestThresholds:
     def test_position_reached_rejects_dropouts(self):
         # a lost-contact sample voids the hold even if the mean qualifies
         window = self._history([0.0] * 9)
-        window.append(ContactEstimate(p=100.0, regime=Regime.NONE, v=1023.0))
+        window.append(ContactEstimate(p=100.0, regime=Regime.NONE))
         assert not position_reached(window, window_n=10)
 
     def test_position_reached_validation(self):

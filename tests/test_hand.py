@@ -63,16 +63,6 @@ class TestHandModel:
         roles = sorted(a.role for a in hand.actuators)
         assert roles == ["bend"] * 3 + ["extend"] * 3 + ["internal_rotation"]
 
-    def test_sensors_on_index_and_middle_only(self):
-        hand = default_hand()
-        with_sensor = {f.name for f in hand.fingers if f.sensor_length_mm is not None}
-        assert with_sensor == {"index", "middle"}
-        lengths = {f.sensor_length_mm for f in hand.fingers if f.sensor_length_mm}
-        assert lengths == {80.0}
-
-    def test_joint_width_range(self):
-        assert default_hand().fingers[0].joint_width_range_mm == (9.0, 14.0)
-
     def test_duplicate_actuator_ids_rejected(self):
         actuator = ActuatorSpec(id=0, role="bend")
         with pytest.raises(ConfigError, match="unique"):
@@ -87,8 +77,6 @@ class TestHandModel:
     def test_finger_validation(self):
         with pytest.raises(ConfigError, match="finger name"):
             FingerSpec(name="pinky")
-        with pytest.raises(ConfigError, match="sensor_length_mm"):
-            FingerSpec(name="index", sensor_length_mm=-1.0)
 
 
 class TestPostureCommand:

@@ -275,7 +275,7 @@ class TestSweep:
         samples = simulate_sweep(SPEC, [0.0, 40.0], repeats=3)
         assert len(samples) == 6
         assert [s.reading.t_ms for s in samples] == list(range(6))
-        assert [s.commanded_mm for s in samples] == [0.0, 0.0, 0.0, 40.0, 40.0, 40.0]
+        assert [s.touched_mm for s in samples] == [0.0, 0.0, 0.0, 40.0, 40.0, 40.0]
 
     def test_jitter_is_two_sided(self):
         samples = simulate_sweep(SPEC, [40.0], jitter_mm=2.5, repeats=200, rng=random.Random(5))
@@ -345,8 +345,8 @@ class TestSweep:
                 touched = min(max(position + offset, 0.0), length)
             contact_set = ContactSet((ContactPoint(touched),), quantize_to_spikes=quantize)
             reading = sense(spec, contact_set, noise_sd_counts=noise, rng=ref_rng, t_ms=t_ms)
-            expected.append((position, touched, reading.t_ms, reading.counts))
+            expected.append((touched, reading.t_ms, reading.counts))
 
-        got = [(s.commanded_mm, s.touched_mm, s.reading.t_ms, s.reading.counts) for s in samples]
+        got = [(s.touched_mm, s.reading.t_ms, s.reading.counts) for s in samples]
         assert got == expected
         assert rng.getstate() == ref_rng.getstate()
