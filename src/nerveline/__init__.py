@@ -54,7 +54,6 @@ from .line import (
     ContactPoint,
     ContactSet,
     NerveLineSpec,
-    SweepSample,
     adc_quantize,
     bridge_quality,
     divider_voltage,

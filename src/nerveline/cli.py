@@ -83,20 +83,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             quantize_to_spikes=quantize,
         )
 
-    seen_counts = {s.reading.counts for run in runs.values() for s in run}
+    seen_counts = {counts for run in runs.values() for _, counts in run}
     p_of = {counts: estimate_p(counts, calibration).p for counts in seen_counts}
     rows = []
     for row, position in enumerate(positions):
         cells: list[str] = [repr(float(position))]
         for label in ("spiked", "smooth"):
             block = runs[label][row * args.repeats : (row + 1) * args.repeats]
-            p_values = [p_of[s.reading.counts] for s in block]
+            p_values = [p_of[counts] for _, counts in block]
             cells.append(repr(statistics.fmean(p_values)))
             cells.append(repr(statistics.pvariance(p_values)))
         rows.append(cells)
     _write_csv(args.out, SWEEP_HEADER, rows)
     if args.frames_out is not None:
-        frames = ((s.reading.t_ms, args.sensor, s.reading.counts) for s in runs["spiked"])
+        frames = ((t_ms, args.sensor, counts) for t_ms, (_, counts) in enumerate(runs["spiked"]))
         _write_csv(args.frames_out, FRAMES_HEADER, frames)
 
     print(f"wrote {args.out} rows={len(positions)} repeats={args.repeats} seed={seed}")

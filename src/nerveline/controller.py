@@ -444,12 +444,11 @@ def run_scenario(
             for i in sensor_ids:
                 volts = phase_volts[i]
                 if volts is None:
-                    reading = sense(
-                        specs[i], contact_sets[i], noise_sd_counts=effective_noise, rng=rng, t_ms=t_ms
-                    )
+                    raw = sense(
+                        specs[i], contact_sets[i], noise_sd_counts=effective_noise, rng=rng
+                    ).counts
                 else:
-                    reading = adc_quantize(specs[i], volts, effective_noise, rng, t_ms)
-                raw = reading.counts
+                    raw = adc_quantize(specs[i], volts, effective_noise, rng)
                 filtered = filtered_last[i] = _smooth(a, filtered_last[i], raw)
                 estimate = estimate_p(filtered, calibration[i])
                 histories[i].append(estimate)

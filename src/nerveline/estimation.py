@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .bounds import is_finite_number
 from .errors import CalibrationError
 from .line import ContactPoint, ContactSet, NerveLineSpec, sense
 
@@ -278,9 +279,12 @@ def write_calibration(path: str | Path, table: Mapping[int, CalibrationData]) ->
 
 def _parse_int(raw: str, lineno: int) -> int:
     try:
-        return int(raw, 10)
+        value = int(raw, 10)
     except ValueError:
         raise ValueError(f"line {lineno}: expected an integer, got {raw!r}") from None
+    if not is_finite_number(value):
+        raise ValueError(f"line {lineno}: integer beyond the float range")
+    return value
 
 
 def read_calibration(path: str | Path) -> dict[int, CalibrationData]:

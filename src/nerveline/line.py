@@ -103,14 +103,6 @@ class AdcReading:
     counts: int
 
 
-@dataclass(frozen=True)
-class SweepSample:
-    """One reading of a position sweep: where the probe actually pressed, and the ADC value."""
-
-    touched_mm: float
-    reading: AdcReading
-
-
 def snap_to_spike(spec: NerveLineSpec, position_mm: float, rng: random.Random | None = None) -> float:
     """Snap a press position to the nearest spike on the string rail.
 
@@ -183,7 +175,10 @@ def resolve_contacts(
 def _parallel(a: float, b: float) -> float:
     if a == 0.0 or b == 0.0:
         return 0.0
-    return a * b / (a + b)
+    product = a * b
+    if product == math.inf:  # both above 1, so b / a is finite
+        return b / (1.0 + b / a)
+    return product / (a + b)
 
 
 def solve_line_resistance(
@@ -231,7 +226,10 @@ def divider_voltage(spec: NerveLineSpec, line_ohm: float) -> float:
         raise ValueError(f"line_ohm must be non-negative, got {line_ohm}")
     if math.isinf(line_ohm):
         return spec.supply_volts
-    return spec.supply_volts * line_ohm / (line_ohm + spec.pullup_ohm)
+    numerator = spec.supply_volts * line_ohm
+    if numerator == math.inf:  # line_ohm near the float maximum
+        return spec.supply_volts / (1.0 + spec.pullup_ohm / line_ohm)
+    return numerator / (line_ohm + spec.pullup_ohm)
 
 
 def adc_quantize(
@@ -239,12 +237,12 @@ def adc_quantize(
     volts: float,
     noise_sd_counts: float = 0.0,
     rng: random.Random | None = None,
-    t_ms: int = 0,
-) -> AdcReading:
+) -> int:
     """Quantize a pin voltage to ADC counts, optionally with Gaussian noise.
 
     Counts are floor(volts / supply * full_scale); noise is added in count
-    units, clamped to the converter range and rounded.
+    units, clamped to the converter range and rounded.  Returns the counts
+    as an int; `sense` is what timestamps them in an `AdcReading`.
     """
     if not 0.0 <= volts <= spec.supply_volts:
         raise ValueError(f"volts {volts} outside [0, {spec.supply_volts}]")
@@ -256,7 +254,7 @@ def adc_quantize(
             raise ValueError("noise_sd_counts > 0 requires an rng")
         noisy = counts + rng.gauss(0.0, noise_sd_counts)
         counts = round(min(max(noisy, 0), spec.adc_full_scale))
-    return AdcReading(t_ms=t_ms, counts=counts)
+    return counts
 
 
 def bridge_quality(spec: NerveLineSpec, bridge_ohm: float) -> float:
@@ -301,7 +299,8 @@ def sense(
     if fingertip_quality is not None and not 0.0 < fingertip_quality <= 1.0:
         raise ValueError(f"fingertip_quality must be in (0, 1], got {fingertip_quality}")
     points = resolve_contacts(spec, contact_set, rng)
-    return adc_quantize(spec, _pin_volts(spec, points, fingertip_quality), noise_sd_counts, rng, t_ms)
+    volts = _pin_volts(spec, points, fingertip_quality)
+    return AdcReading(t_ms, adc_quantize(spec, volts, noise_sd_counts, rng))
 
 
 def _pin_volts(
@@ -341,7 +340,7 @@ def simulate_sweep(
     rng: random.Random | None = None,
     noise_sd_counts: float = 0.0,
     quantize_to_spikes: bool = True,
-) -> list[SweepSample]:
+) -> list[tuple[float, int]]:
     """Press the line repeatedly along a position grid and record readings.
 
     Each repeat perturbs the commanded position by plus or minus
@@ -361,7 +360,8 @@ def simulate_sweep(
         quantize_to_spikes: press the spiked skin (True) or a smooth one.
 
     Returns:
-        Samples in press order with consecutive timestamps.
+        ``(touched_mm, counts)`` per press, in press order: where the probe
+        actually pressed, and the ADC value.  The index is the sample time.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -369,9 +369,8 @@ def simulate_sweep(
         raise ValueError(f"jitter_mm must be finite and non-negative, got {jitter_mm}")
     if jitter_mm > 0 and rng is None:
         raise ValueError("jitter_mm > 0 requires an rng")
-    samples: list[SweepSample] = []
+    samples: list[tuple[float, int]] = []
     volts_at: dict[float, float] = {}  # pressed position -> pin voltage
-    t_ms = 0
     for position in positions:
         if not 0.0 <= position <= spec.effective_length_mm:
             raise ValueError(
@@ -386,7 +385,5 @@ def simulate_sweep(
             volts = volts_at.get(pressed)
             if volts is None:
                 volts = volts_at[pressed] = _pin_volts(spec, (ContactPoint(pressed),))
-            reading = adc_quantize(spec, volts, noise_sd_counts, rng, t_ms)
-            samples.append(SweepSample(touched, reading))
-            t_ms += 1
+            samples.append((touched, adc_quantize(spec, volts, noise_sd_counts, rng)))
     return samples

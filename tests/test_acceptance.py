@@ -89,7 +89,7 @@ def test_criterion_3_spike_variance():
         per_position = []
         for row in range(len(positions)):
             block = samples[row * repeats : (row + 1) * repeats]
-            p_values = [estimate_p(s.reading.counts, calibration).p for s in block]
+            p_values = [estimate_p(counts, calibration).p for _, counts in block]
             mean = sum(p_values) / repeats
             per_position.append(sum((p - mean) ** 2 for p in p_values) / repeats)
         return per_position

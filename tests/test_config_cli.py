@@ -499,6 +499,26 @@ class TestCliRun:
         assert f"{bad}: not valid YAML" in err
         assert "Traceback" not in err
 
+    def test_huge_bridges_read_as_open_line(self, tmp_path, capsys):
+        # a * b overflows in the ladder fold and supply * ohm in the divider
+        scenario = write(
+            tmp_path,
+            "s.yaml",
+            """\
+            name: huge_bridges
+            goal: lift
+            expected_outcome: failed
+            rules:
+              - {sensor: 0, position_mm: 30.0, bridge_ohm: 1.0e+308, phases: [VerifyGrasp]}
+              - {sensor: 0, position_mm: 50.0, bridge_ohm: 1.0e+308, phases: [VerifyGrasp]}
+            """,
+        )
+        argv = ["run", "--config", str(DEFAULT_CONFIG), "--scenario", str(scenario)]
+        assert main(argv + ["--out", str(tmp_path / "trace.csv")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "outcome=failed steps=140\n"
+        assert captured.err == ""
+
     def test_no_spikes_flag(self, tmp_path, capsys):
         code = main(
             [
@@ -756,6 +776,23 @@ class TestCliCalibrate:
         )
         assert code == 0
         assert "outcome=lifted steps=50" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "replay"])
+    def test_calibration_value_beyond_float_range_exits_two(self, tmp_path, capsys, command):
+        calibration = tmp_path / "calibration.txt"
+        calibration.write_text("sensor=0\nv_max=1" + "0" * 400 + "\nv_mid=236\nv_min=93\n")
+        config = write(tmp_path, "c.yaml", f"seed: 1\ncalibration_file: {calibration}\n")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out.csv")]
+        if command == "run":
+            argv += ["--scenario", str(SCENARIOS / "no_scissors.yaml")]
+        elif command == "replay":
+            log = tmp_path / "frames.csv"
+            log.write_text("t_ms,sensor,counts\n0,0,500\n")
+            argv += ["--log", str(log)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 2: integer beyond the float range" in err
+        assert "Traceback" not in err
 
     def test_missing_sensor_in_calibration_file(self, tmp_path, capsys):
         calibration = tmp_path / "calibration.txt"

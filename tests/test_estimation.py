@@ -243,6 +243,11 @@ class TestCalibrationFile:
             ("sensor=0\nv_max=10.5\nv_mid=2\nv_min=1\n", "line 2: expected an integer"),
             ("sensor=0\n\nv_max=1023\nv_mid=236\nv_min=93\n", "line 2: blank"),
             ("sensor zero\n", "line 1: expected key=value"),
+            pytest.param(
+                "sensor=0\nv_max=1" + "0" * 400 + "\n",
+                "line 2: integer beyond the float range",
+                id="beyond_float_range",
+            ),
             (
                 "sensor=0\nv_max=100\nv_mid=200\nv_min=93\n",
                 "line 4: v_mid < v_max violated",
