@@ -44,7 +44,10 @@ def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[Sequence[objec
 
 def _calibration_table(config: RunConfig) -> dict[int, CalibrationData]:
     if config.calibration_file is not None:
-        table = read_calibration(config.calibration_file)
+        try:
+            table = read_calibration(config.calibration_file)
+        except ValueError as exc:
+            raise ValueError(f"{config.calibration_file}: {exc}") from None
         missing = sorted(set(config.sensors) - set(table))
         if missing:
             raise ConfigError(
@@ -179,7 +182,10 @@ def _parse_frames(path: str, config: RunConfig) -> list[tuple[int, int, int]]:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    frames = _parse_frames(args.log, config)
+    try:
+        frames = _parse_frames(args.log, config)
+    except ValueError as exc:
+        raise ValueError(f"{args.log}: {exc}") from None
     calibration = _calibration_table(config)
     a = config.filter_coefficient_a
     filtered_last: dict[int, float | None] = dict.fromkeys(config.sensors)

@@ -10,6 +10,7 @@ a file can break: unknown keys, shapes, names and cross-references.
 
 from __future__ import annotations
 
+import string
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -57,9 +58,41 @@ def default_sensors() -> dict[int, NerveLineSpec]:
     return {i: NerveLineSpec() for i in range(SENSOR_COUNT)}
 
 
+# libyaml reads a few texts differently from the pure loader (a tab in a
+# plain key, ``?`` in a flow scalar, a bare ``!`` tag), so it only gets texts
+# of at most 16 KiB in these characters, which keep out anchors and aliases
+# too; what it fails on or nests deeper than 64 goes to the pure loader.
+_FAST_LOADER = getattr(yaml, "CSafeLoader", None)
+_FAST_CHARS = frozenset(string.ascii_letters + string.digits + " \n#:-_.,[]{}()'\"+/=;`")
+
+
+def _nests_deeper_than(value: Any, limit: int) -> bool:
+    stack = [(value, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, (dict, list)):
+            if depth > limit:
+                return True
+            stack.extend((child, depth + 1) for child in (node.values() if isinstance(node, dict) else node))
+    return False
+
+
+def _parse_yaml(text: str) -> Any:
+    """``yaml.safe_load(text)``: the same object or the same exception."""
+    if _FAST_LOADER is not None and len(text) <= 16 * 1024 and _FAST_CHARS.issuperset(text):
+        try:
+            raw = yaml.load(text, Loader=_FAST_LOADER)
+        except Exception:  # the pure loader's result or error is the one reported
+            pass
+        else:
+            if not _nests_deeper_than(raw, 64):  # real files nest 4 deep, the pure loader fails near 500
+                return raw
+    return yaml.safe_load(text)
+
+
 def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any]:
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = _parse_yaml(Path(path).read_text(encoding="utf-8"))
     except (yaml.YAMLError, ValueError, RecursionError) as err:
         # ValueError: undecodable bytes, or a tag constructor rejecting its
         # scalar (``!!int 'x'``); RecursionError: nesting deeper than the

@@ -1,15 +1,17 @@
 """Configuration loading and command line harness tests."""
 
 import hashlib
+import string
 import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nerveline.config
 from nerveline import (
     ConfigError,
     FilterState,
@@ -26,6 +28,7 @@ from nerveline import (
     smoothing_coefficient,
 )
 from nerveline.cli import main
+from nerveline.config import _load_yaml_mapping
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default.yaml"
@@ -37,6 +40,17 @@ NOISY = "seed: 7\nnoise_sd_counts: 3.0\n"
 
 # the controller ticks every 40 ms while the top-level tick says 10 ms
 CONTROLLER_TICK = "seed: 1\ndt_ms: 10\ncontroller:\n  dt_ms: 40\n"
+
+
+SHIPPED_YAML = sorted([DEFAULT_CONFIG, *SCENARIOS.glob("*.yaml")])
+
+# the cases of TestCliRun::test_unloadable_yaml_exits_two
+UNLOADABLE_YAML = [
+    b"x: " + b"[" * 1000 + b"]" * 1000 + b"\n",
+    b"seed: !!timestamp 2020-13-45\n",
+    b"seed: !!int 'x'\n",
+    b"seed: \xff\n",
+]
 
 
 def write(tmp_path, name, text):
@@ -331,6 +345,142 @@ class TestLoadScenario:
         )
         with pytest.raises(ScenarioError, match="object_pose_mm"):
             load_scenario(path, config)
+
+
+# pieces of YAML, including those that must keep a text off the libyaml path:
+# tags, anchors, aliases, tabs, ``?``, block scalars, directives, CR, non-ASCII
+YAML_PIECES = [
+    "a", "seed", "x", "1", "-2", "0.5", ".inf", ".nan", "1e3", "0x1f", "1_0", "true", "No", "null",
+    "~", "2020-01-01", "2001-12-14 21:59:43.10", ":", ": ", "- ", "-", ",", ", ", "[", "]", "{", "}",
+    "'", "'q r'", '"', '"q r"', "#", " # c", "\n", "\n  ", "\n    ", " ", "---", "...", "!", "!!int ",
+    "!!str ", "!!float ", "!!timestamp ", "!t ", "&a ", "*a", "\t", "?", "? ", "|", ">", "%YAML 1.1",
+    "<<: ", "\r\n", "\u00e9", "\\", "`", "@",
+]
+EDIT_CHARS = string.ascii_letters + string.digits + " \n#:-_.,[]{}()'\"+/=;`" + "\t?!&*|>%@\\\r\u00e9"
+
+
+@st.composite
+def _edited(draw, texts):
+    """A text from ``texts`` with up to four random cut-and-insert edits."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.text(st.sampled_from(EDIT_CHARS), max_size=3)) + text[at + cut :]
+    return text
+
+
+def _nested(style, depth):
+    if style == "flow":
+        return "x: " + "[" * depth + "]" * depth + "\n"
+    if style == "block":
+        return "- " * depth + "x"
+    return "{a: " * depth + "1" + "}" * depth + "\n"
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+YAML_TEXTS = st.one_of(
+    _edited(st.sampled_from([path.read_text() for path in SHIPPED_YAML])),
+    _edited(st.builds(yaml.safe_dump, _VALUES, default_flow_style=st.sampled_from([False, True, None]))),
+    st.lists(st.sampled_from(YAML_PIECES), max_size=30).map("".join),
+    # around the depth of 64 beyond which libyaml's result is parsed again,
+    # and far beyond the ~500 levels where the pure loader's recursion gives
+    # out (a bound that moves with the caller's stack); only block nesting
+    # goes that deep here, because the pure scanner is quadratic in flow depth
+    st.builds(_nested, st.sampled_from(["flow", "block", "flow_map"]), st.integers(1, 80)),
+    st.builds(_nested, st.just("block"), st.integers(1000, 1100)),
+)
+
+
+def _verdict(load, path):
+    """What loading ``path`` gives: the mapping, or the error and its message."""
+    try:
+        return load(path)
+    except Exception as exc:  # some tags' constructors fail with IndexError or KeyError
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _safe_load_mapping(path):
+    """``_load_yaml_mapping`` spelled with ``yaml.safe_load`` alone."""
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (yaml.YAMLError, ValueError, RecursionError) as err:
+        raise ConfigError(f"{path}: not valid YAML: {err}") from None
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a mapping, got {type(raw).__name__}")
+    return raw
+
+
+class TestYamlFastPath:
+    @given(YAML_TEXTS)
+    # libyaml reads each of these differently from the pure loader
+    @example("expec\ted_outcome: failed\n")  # a tab in a key; pure: scanner error
+    @example("object_pose_mm: {x: 120?0, y: 40.0}\n")  # '120?0'; pure: parser error
+    @example("sensor: !\n")  # ''; pure: None
+    @example("- " * 8000 + "x")  # an 8,000-deep list; pure: RecursionError
+    @example(UNLOADABLE_YAML[0].decode())  # 1,000-deep flow; pure: RecursionError
+    @settings(max_examples=120, deadline=None)
+    def test_matches_safe_load(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.yaml"
+            path.write_text(text, encoding="utf-8")
+            expected = _verdict(_safe_load_mapping, path)
+            got = _verdict(lambda p: _load_yaml_mapping(p, ConfigError), path)
+        # repr tells 1 from 1.0 and True, and a nan equals itself
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_shipped_files_take_the_fast_path(self, monkeypatch):
+        def pure_loader(text):
+            raise AssertionError("fell back to the pure loader")
+
+        monkeypatch.setattr(yaml, "safe_load", pure_loader)
+        for path in SHIPPED_YAML:
+            assert _load_yaml_mapping(path, ConfigError)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a:\tb\n", "a: {x: 1?0}\n", "a: !\n", "a: &x 1\nb: *x\n", "a: \u00e9\n", "a: @b\n", "- " * 8200 + "x"],
+        ids=["tab", "question_mark", "bare_tag", "alias", "non_ascii", "at_sign", "over_16_kib"],
+    )
+    def test_texts_outside_the_gate_skip_libyaml(self, tmp_path, monkeypatch, text):
+        seen = []
+
+        class Recording:
+            def __init__(self, stream):
+                seen.append(stream)
+                raise AssertionError("reached the fast loader")
+
+        monkeypatch.setattr(nerveline.config, "_FAST_LOADER", Recording)
+        path = tmp_path / "in.yaml"
+        path.write_bytes(text.encode())
+        _verdict(lambda p: _load_yaml_mapping(p, ConfigError), path)
+        assert seen == []
+
+    def test_pure_loader_alone_gives_the_same_results(self, tmp_path, monkeypatch):
+        # as with a PyYAML built without libyaml
+        def load_all():
+            config = load_config(DEFAULT_CONFIG)
+            loaded = [config, *(load_scenario(path, config) for path in sorted(SCENARIOS.glob("*.yaml")))]
+            errors = []
+            for k, content in enumerate(UNLOADABLE_YAML):
+                bad = tmp_path / f"bad{k}.yaml"
+                bad.write_bytes(content)
+                errors.append(_verdict(load_config, bad))
+            return loaded, errors
+
+        fast = load_all()
+        monkeypatch.setattr(nerveline.config, "_FAST_LOADER", None)
+        pure = load_all()
+        assert pure == fast
+        assert all("not valid YAML" in message for message in pure[1])
 
 
 class TestCliRun:
@@ -734,6 +884,15 @@ class TestCliReplay:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_malformed_log_names_the_file(self, tmp_path, capsys):
+        log = tmp_path / "frames.csv"
+        log.write_text("t_ms,sensor,counts\n0,0,abc\n")
+        code = main(
+            ["replay", "--config", str(DEFAULT_CONFIG), "--log", str(log), "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 2
+        assert f"error: {log}: line 2: fields must be integers" in capsys.readouterr().err
+
 
 class TestCliCalibrate:
     def test_noise_free_output_exact(self, tmp_path):
@@ -793,6 +952,21 @@ class TestCliCalibrate:
         err = capsys.readouterr().err
         assert "line 2: integer beyond the float range" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "replay"])
+    def test_calibration_error_names_the_file(self, tmp_path, capsys, command):
+        calibration = tmp_path / "calibration.txt"
+        calibration.write_text("sensor=0\nv_max=1023\n\nv_min=93\n")
+        config = write(tmp_path, "c.yaml", f"seed: 1\ncalibration_file: {calibration}\n")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out.csv")]
+        if command == "run":
+            argv += ["--scenario", str(SCENARIOS / "no_scissors.yaml")]
+        elif command == "replay":
+            log = tmp_path / "frames.csv"
+            log.write_text("t_ms,sensor,counts\n0,0,500\n")
+            argv += ["--log", str(log)]
+        assert main(argv) == 2
+        assert f"error: {calibration}: line 3: blank line not allowed" in capsys.readouterr().err
 
     def test_missing_sensor_in_calibration_file(self, tmp_path, capsys):
         calibration = tmp_path / "calibration.txt"
