@@ -93,10 +93,11 @@ def _parse_yaml(text: str) -> Any:
 def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any]:
     try:
         raw = _parse_yaml(Path(path).read_text(encoding="utf-8"))
-    except (yaml.YAMLError, ValueError, RecursionError) as err:
-        # ValueError: undecodable bytes, or a tag constructor rejecting its
-        # scalar (``!!int 'x'``); RecursionError: nesting deeper than the
-        # parser's recursion allows
+    except OSError:  # a missing or unreadable file keeps its own message
+        raise
+    except Exception as err:
+        # undecodable bytes, nesting beyond the parser's recursion, or any
+        # failure of a tag constructor on its scalar (``!!int 'x'``, ``!!bool x``)
         raise exc(f"{path}: not valid YAML: {err}") from None
     if raw is None:
         raw = {}

@@ -69,6 +69,25 @@ class TaskPhase(enum.Enum):
 
 TERMINAL_PHASES = frozenset({TaskPhase.DONE, TaskPhase.FAILED})
 
+# The phase after each live one.  step() decides the rest: a failed touch
+# check in VerifyGrasp or base check in VerifyBase goes to RetryReset or
+# RegraspStep while their budgets last, then to Failed; Lift ends the lift
+# goal in Done.  Entering RetryReset spends a retry, RegraspStep a step.
+_NEXT_PHASE = {
+    TaskPhase.APPROACH: TaskPhase.LOWER,
+    TaskPhase.LOWER: TaskPhase.CLOSE_FINGERS,
+    TaskPhase.CLOSE_FINGERS: TaskPhase.VERIFY_GRASP,
+    TaskPhase.VERIFY_GRASP: TaskPhase.LIFT,
+    TaskPhase.RETRY_RESET: TaskPhase.APPROACH,
+    TaskPhase.LIFT: TaskPhase.HANDOVER,
+    TaskPhase.HANDOVER: TaskPhase.ROTATE_WRIST,
+    TaskPhase.ROTATE_WRIST: TaskPhase.REGRASP_STEP,
+    TaskPhase.REGRASP_STEP: TaskPhase.VERIFY_BASE,
+    TaskPhase.VERIFY_BASE: TaskPhase.FINAL_GRASP,
+    TaskPhase.FINAL_GRASP: TaskPhase.OPERATE,
+    TaskPhase.OPERATE: TaskPhase.DONE,
+}
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -105,9 +124,6 @@ class Command:
 
     name: str
     args: tuple[float, ...] = ()
-
-    def __str__(self) -> str:
-        return f"{self.name}({','.join(repr(a) for a in self.args)})"
 
 
 @dataclass(frozen=True)
@@ -153,10 +169,8 @@ class Scenario:
     expected_outcome: str
     object_pose_mm: tuple[float, float] = (0.0, 0.0)
     rules: tuple[ContactRule, ...] = ()
-    noise_sd_counts: float | None = bounded(None, ge=0)
 
     def __post_init__(self) -> None:
-        check_fields(self, ScenarioError)
         if self.goal not in GOALS:
             raise ScenarioError(f"goal must be one of {GOALS}, got {self.goal!r}")
         if self.expected_outcome not in OUTCOMES:
@@ -226,7 +240,7 @@ def _entry_commands(phase: TaskPhase, config: ControllerConfig, context: StepCon
         return (Command("move_above", context.object_pose_mm),)
     if phase is TaskPhase.LOWER:
         return (Command("lower_to_grasp_height"),)
-    if phase is TaskPhase.CLOSE_FINGERS:
+    if phase is TaskPhase.CLOSE_FINGERS or phase is TaskPhase.FINAL_GRASP:
         return (context.grasp_command,)
     if phase is TaskPhase.RETRY_RESET:
         return (context.open_command, Command("raise_to_pregrasp"))
@@ -238,8 +252,6 @@ def _entry_commands(phase: TaskPhase, config: ControllerConfig, context: StepCon
         return (Command("rotate_wrist_deg", (config.wrist_rotation_deg,)),)
     if phase is TaskPhase.REGRASP_STEP:
         return (Command("advance_tool_mm", (config.step_mm,)),)
-    if phase is TaskPhase.FINAL_GRASP:
-        return (context.grasp_command,)
     if phase is TaskPhase.OPERATE:
         return (Command("drive_thumb"),)
     return ()
@@ -262,54 +274,29 @@ def step(
     """
     if state.phase in TERMINAL_PHASES:
         raise ValueError(f"step() called in terminal phase {state.phase.value}")
-    retries = state.retries_used
-    regrasps = state.regrasp_steps
-    reason = state.failure_reason
     phase = state.phase
-    if phase is TaskPhase.APPROACH:
-        nxt = TaskPhase.LOWER
-    elif phase is TaskPhase.LOWER:
-        nxt = TaskPhase.CLOSE_FINGERS
-    elif phase is TaskPhase.CLOSE_FINGERS:
-        nxt = TaskPhase.VERIFY_GRASP
-    elif phase is TaskPhase.VERIFY_GRASP:
+    nxt = _NEXT_PHASE[phase]
+    reason = state.failure_reason
+    if phase is TaskPhase.VERIFY_GRASP:
         history = histories.get(config.watched_sensor_grasp, ())
-        touched = bool(history) and detect_touch(history[-1], config.touch_threshold_p)
-        if touched:
-            nxt = TaskPhase.LIFT
-        elif retries < config.max_retries:
+        if not (history and detect_touch(history[-1], config.touch_threshold_p)):
             nxt = TaskPhase.RETRY_RESET
-            retries += 1
-        else:
-            nxt = TaskPhase.FAILED
-            reason = "grasp retries exhausted"
-    elif phase is TaskPhase.RETRY_RESET:
-        nxt = TaskPhase.APPROACH
-    elif phase is TaskPhase.LIFT:
-        nxt = TaskPhase.DONE if context.goal == "lift" else TaskPhase.HANDOVER
-    elif phase is TaskPhase.HANDOVER:
-        nxt = TaskPhase.ROTATE_WRIST
-    elif phase is TaskPhase.ROTATE_WRIST:
-        nxt = TaskPhase.REGRASP_STEP
-        regrasps += 1
-    elif phase is TaskPhase.REGRASP_STEP:
-        nxt = TaskPhase.VERIFY_BASE
+            if state.retries_used >= config.max_retries:
+                nxt, reason = TaskPhase.FAILED, "grasp retries exhausted"
     elif phase is TaskPhase.VERIFY_BASE:
         history = histories.get(config.watched_sensor_regrasp, ())
-        if position_reached(history, config.base_threshold_p, config.window_n):
-            nxt = TaskPhase.FINAL_GRASP
-        elif regrasps < config.max_regrasp_steps:
+        if not position_reached(history, config.base_threshold_p, config.window_n):
             nxt = TaskPhase.REGRASP_STEP
-            regrasps += 1
-        else:
-            nxt = TaskPhase.FAILED
-            reason = "regrasp budget exhausted"
-    elif phase is TaskPhase.FINAL_GRASP:
-        nxt = TaskPhase.OPERATE
-    else:  # OPERATE
+            if state.regrasp_steps >= config.max_regrasp_steps:
+                nxt, reason = TaskPhase.FAILED, "regrasp budget exhausted"
+    elif phase is TaskPhase.LIFT and context.goal == "lift":
         nxt = TaskPhase.DONE
     new_state = replace(
-        state, phase=nxt, retries_used=retries, regrasp_steps=regrasps, failure_reason=reason
+        state,
+        phase=nxt,
+        retries_used=state.retries_used + (nxt is TaskPhase.RETRY_RESET),
+        regrasp_steps=state.regrasp_steps + (nxt is TaskPhase.REGRASP_STEP),
+        failure_reason=reason,
     )
     return new_state, _entry_commands(nxt, config, context)
 
@@ -382,7 +369,7 @@ def run_scenario(
         seed: seed for spike ties and ADC noise.
         filter_coefficient_a: smoothing coefficient; default derives it
             from ``DEFAULT_CUTOFF_HZ`` at the controller tick.
-        noise_sd_counts: ADC noise unless the scenario overrides it.
+        noise_sd_counts: ADC noise sigma, in counts.
         calibration: reference triplets; default derives noise-free ones
             from the line models.
         quantize_to_spikes: model the spiked skin (True) or a smooth one.
@@ -402,9 +389,6 @@ def run_scenario(
         problem = rule_problem(rule, specs)
         if problem is not None:
             raise ScenarioError(f"rules[{i}].{problem}")
-    effective_noise = (
-        scenario.noise_sd_counts if scenario.noise_sd_counts is not None else noise_sd_counts
-    )
     if filter_coefficient_a is None:
         filter_coefficient_a = smoothing_coefficient(DEFAULT_CUTOFF_HZ, config.dt_ms)
     if calibration is None:
@@ -445,10 +429,10 @@ def run_scenario(
                 volts = phase_volts[i]
                 if volts is None:
                     raw = sense(
-                        specs[i], contact_sets[i], noise_sd_counts=effective_noise, rng=rng
+                        specs[i], contact_sets[i], noise_sd_counts=noise_sd_counts, rng=rng
                     ).counts
                 else:
-                    raw = adc_quantize(specs[i], volts, effective_noise, rng)
+                    raw = adc_quantize(specs[i], volts, noise_sd_counts, rng)
                 filtered = filtered_last[i] = _smooth(a, filtered_last[i], raw)
                 estimate = estimate_p(filtered, calibration[i])
                 histories[i].append(estimate)

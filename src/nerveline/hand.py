@@ -53,7 +53,6 @@ class JointState:
     """Target joint angles in radians, keyed by finger for flexion."""
 
     flexion_rad: dict[str, float] = field(default_factory=dict)
-    wrist_rotation_rad: float = 0.0
     thumb_internal_rotation_rad: float = 0.0
 
 
@@ -98,8 +97,6 @@ def wire_to_angle(
 
 
 def _joint_angle(state: JointState, joint_ref: str) -> float:
-    if joint_ref == "wrist_rotation":
-        return state.wrist_rotation_rad
     if joint_ref == "thumb_internal_rotation":
         return state.thumb_internal_rotation_rad
     finger, sep, kind = joint_ref.rpartition("_")

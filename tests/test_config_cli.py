@@ -50,6 +50,15 @@ UNLOADABLE_YAML = [
     b"seed: !!timestamp 2020-13-45\n",
     b"seed: !!int 'x'\n",
     b"seed: \xff\n",
+    # tag constructors that fail with IndexError, AttributeError or KeyError
+    b"seed: !!int\n",
+    b"seed: !!float ''\n",
+    b"seed: !!timestamp ''\n",
+    b"seed: !!bool x\n",
+]
+UNLOADABLE_YAML_IDS = [
+    "deep_nesting", "bad_timestamp", "bad_int", "not_utf8",
+    "empty_int", "empty_float", "empty_timestamp", "bad_bool",
 ]
 
 
@@ -409,7 +418,9 @@ def _safe_load_mapping(path):
     """``_load_yaml_mapping`` spelled with ``yaml.safe_load`` alone."""
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except (yaml.YAMLError, ValueError, RecursionError) as err:
+    except OSError:
+        raise
+    except Exception as err:
         raise ConfigError(f"{path}: not valid YAML: {err}") from None
     if raw is None:
         return {}
@@ -625,16 +636,7 @@ class TestCliRun:
         assert main(argv) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "content",
-        [
-            b"x: " + b"[" * 1000 + b"]" * 1000 + b"\n",
-            b"seed: !!timestamp 2020-13-45\n",
-            b"seed: !!int 'x'\n",
-            b"seed: \xff\n",
-        ],
-        ids=["deep_nesting", "bad_timestamp", "bad_int", "not_utf8"],
-    )
+    @pytest.mark.parametrize("content", UNLOADABLE_YAML, ids=UNLOADABLE_YAML_IDS)
     @pytest.mark.parametrize("command", ["calibrate", "run"])
     def test_unloadable_yaml_exits_two(self, tmp_path, capsys, command, content):
         # calibrate reads the file as a config, run as a scenario
@@ -648,6 +650,74 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert f"{bad}: not valid YAML" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("sensors: 3\n", "sensors: must be a list, got int"),
+            ("sensors: []\n", "sensors: must not be empty"),
+            ("sensors: [{index: 7}]\n", "sensors[0].index: must be an integer in 0..3, got 7"),
+            ("filter: {cutoff_hz: x}\n", "filter.cutoff_hz: must be a finite number, got 'x'"),
+            ("filter: {coefficient_a: 1.5}\n", "filter.coefficient_a: must be in [0, 1), got 1.5"),
+            ("controller: 3\n", "controller: must be a mapping, got int"),
+            ("quantize_to_spikes: 1\n", "quantize_to_spikes: must be a boolean, got 1"),
+            ("calibration_file: 3\n", "calibration_file: must be a string path, got 3"),
+            ("hand: {fingers: []}\n", "hand.fingers: must be a non-empty list"),
+            (
+                "hand: {actuators: [{id: 0, role: bend, joint_ref: 3}]}\n",
+                "hand.actuators[0].joint_ref: must be a string or null, got 3",
+            ),
+            (
+                "hand: {actuators: [{id: 0, role: bend, displacement_table: [1]}]}\n",
+                "hand.actuators[0].displacement_table: must map posture names to numbers, got [1]",
+            ),
+            ("hand: {actuators: [{role: bend}]}\n", "hand.actuators[0].id: required"),
+        ],
+        ids=[
+            "sensors_not_list", "sensors_empty", "sensor_index", "cutoff_not_number",
+            "coefficient_out_of_range", "controller_not_mapping", "quantize_not_bool",
+            "calibration_file_not_string", "fingers_empty", "joint_ref_not_string",
+            "table_not_mapping", "actuator_id_missing",
+        ],
+    )
+    def test_config_shape_errors_name_the_field(self, tmp_path, capsys, text, message):
+        config = write(tmp_path, "c.yaml", "seed: 1\n" + text)
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("name: ''\n", "name: must be a non-empty string, got ''"),
+            ("rules: 3\n", "rules: must be a list, got int"),
+            ("rules: [3]\n", "rules[0]: must be a mapping, got int"),
+            (
+                "rules: [{sensor: 0, position_mm: 1.0, phases: []}]\n",
+                "rules[0].phases: must be a non-empty list of phase names",
+            ),
+            (
+                "rules: [{sensor: 0, position_mm: 1.0, phases: [Done]}]\n",
+                "rules[0].phases[0]: terminal phase 'Done' not allowed",
+            ),
+            ("rules: [{position_mm: 1.0, phases: [Lower]}]\n", "rules[0].sensor: required"),
+            (
+                "object_pose_mm: {x: .inf, y: 0}\n",
+                "object_pose_mm: x and y must be finite numbers, got {'x': inf, 'y': 0}",
+            ),
+            # ADC noise is a config setting; a scenario does not override it
+            ("noise_sd_counts: 1.0\n", "noise_sd_counts: unknown key"),
+        ],
+        ids=[
+            "name_empty", "rules_not_list", "rule_not_mapping", "phases_empty",
+            "terminal_phase", "sensor_missing", "pose_not_finite", "noise_sd_counts",
+        ],
+    )
+    def test_scenario_shape_errors_name_the_field(self, tmp_path, capsys, text, message):
+        header = "goal: lift\nexpected_outcome: lifted\n" + ("" if text.startswith("name:") else "name: x\n")
+        scenario = write(tmp_path, "s.yaml", header + text)
+        argv = ["run", "--config", str(DEFAULT_CONFIG), "--scenario", str(scenario)]
+        assert main(argv + ["--out", str(tmp_path / "trace.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_huge_bridges_read_as_open_line(self, tmp_path, capsys):
         # a * b overflows in the ladder fold and supply * ohm in the divider
