@@ -11,19 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import random
-import statistics
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import RunConfig, load_config, load_scenario
 from .controller import run_scenario
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
+    _estimator,
     _smooth,
     auto_calibration,
-    estimate_p,
     read_calibration,
     write_calibration,
 )
@@ -65,6 +66,14 @@ def _position_grid(length_mm: float, pitch_mm: float) -> list[float]:
     return positions
 
 
+def _mean_pvariance(tally: Mapping[float, int], n: int) -> tuple[float, float]:
+    """`statistics.fmean` and `pvariance` of n values given as {value: times}, to the same bits."""
+    exact = [(Fraction(p), k) for p, k in tally.items()]
+    total = sum(p * k for p, k in exact)
+    mean = total / n
+    return float(total) / n, float(sum((p - mean) ** 2 * k for p, k in exact) / n)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.seed
@@ -87,15 +96,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     seen_counts = {counts for run in runs.values() for _, counts in run}
-    p_of = {counts: estimate_p(counts, calibration).p for counts in seen_counts}
+    estimate = _estimator(calibration)
+    p_of = {counts: estimate(counts)[0] for counts in seen_counts}
     rows = []
     for row, position in enumerate(positions):
         cells: list[str] = [repr(float(position))]
         for label in ("spiked", "smooth"):
             block = runs[label][row * args.repeats : (row + 1) * args.repeats]
-            p_values = [p_of[counts] for _, counts in block]
-            cells.append(repr(statistics.fmean(p_values)))
-            cells.append(repr(statistics.pvariance(p_values)))
+            tally = Counter(p_of[counts] for _, counts in block)
+            cells.extend(map(repr, _mean_pvariance(tally, len(block))))
         rows.append(cells)
     _write_csv(args.out, SWEEP_HEADER, rows)
     if args.frames_out is not None:
@@ -157,6 +166,7 @@ def _parse_frames(path: str, config: RunConfig) -> list[tuple[int, int, int]]:
         raise ValueError("line 1: empty log")
     if tuple(lines[0].split(",")) != FRAMES_HEADER:
         raise ValueError(f"line 1: expected header {','.join(FRAMES_HEADER)!r}, got {lines[0]!r}")
+    full_scales = {sensor: spec.adc_full_scale for sensor, spec in config.sensors.items()}
     frames: list[tuple[int, int, int]] = []
     last_t_ms: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -164,12 +174,12 @@ def _parse_frames(path: str, config: RunConfig) -> list[tuple[int, int, int]]:
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
         try:
-            t_ms, sensor, counts = (int(part, 10) for part in parts)
+            t_ms, sensor, counts = map(int, parts)
         except ValueError:
             raise ValueError(f"line {lineno}: fields must be integers, got {line!r}") from None
-        if sensor not in config.sensors:
+        full_scale = full_scales.get(sensor)
+        if full_scale is None:
             raise ValueError(f"line {lineno}: sensor {sensor} is not configured")
-        full_scale = config.sensors[sensor].adc_full_scale
         if not 0 <= counts <= full_scale:
             raise ValueError(f"line {lineno}: counts {counts} outside 0..{full_scale}")
         previous = last_t_ms.get(sensor)
@@ -186,15 +196,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
         frames = _parse_frames(args.log, config)
     except ValueError as exc:
         raise ValueError(f"{args.log}: {exc}") from None
-    calibration = _calibration_table(config)
+    estimators = {sensor: _estimator(cal) for sensor, cal in _calibration_table(config).items()}
     a = config.filter_coefficient_a
     filtered_last: dict[int, float | None] = dict.fromkeys(config.sensors)
 
     def rows() -> Iterator[list[object]]:
         for t_ms, sensor, counts in frames:
             filtered = filtered_last[sensor] = _smooth(a, filtered_last[sensor], counts)
-            estimate = estimate_p(filtered, calibration[sensor])
-            yield [t_ms, sensor, counts, repr(filtered), repr(estimate.p), estimate.regime.value]
+            p, regime = estimators[sensor](filtered)
+            yield [t_ms, sensor, counts, repr(filtered), repr(p), regime.value]
 
     _write_csv(args.out, REPLAY_HEADER, rows())
     print(f"wrote {args.out} frames={len(frames)}")

@@ -23,10 +23,10 @@ from .estimation import (
     CalibrationData,
     ContactEstimate,
     FilterState,
+    _estimator,
     _smooth,
     auto_calibration,
     detect_touch,
-    estimate_p,
     smoothing_coefficient,
     position_reached,
 )
@@ -412,6 +412,7 @@ def run_scenario(
     sensor_ids = sorted(specs)
     a = FilterState(coefficient_a=filter_coefficient_a).coefficient_a
     filtered_last: dict[int, float | None] = {i: None for i in sensor_ids}
+    estimators = {i: _estimator(calibration[i]) for i in sensor_ids}
     histories: dict[int, list[ContactEstimate]] = {i: [] for i in sensor_ids}
     state = ControllerState()
     commands = _entry_commands(state.phase, config, context)
@@ -434,7 +435,7 @@ def run_scenario(
                 else:
                     raw = adc_quantize(specs[i], volts, noise_sd_counts, rng)
                 filtered = filtered_last[i] = _smooth(a, filtered_last[i], raw)
-                estimate = estimate_p(filtered, calibration[i])
+                estimate = ContactEstimate(*estimators[i](filtered))
                 histories[i].append(estimate)
                 samples[i] = SensorSample(raw, filtered, estimate)
             trace.append(

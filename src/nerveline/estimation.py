@@ -15,7 +15,7 @@ import random
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .bounds import is_finite_number
 from .errors import CalibrationError
@@ -179,33 +179,40 @@ class ContactEstimate:
     regime: Regime
 
 
-def estimate_p(v: float, calibration: CalibrationData) -> ContactEstimate:
-    """Map a (filtered) ADC value to the contact-point ratio.
+def _estimator(calibration: CalibrationData) -> Callable[[float], tuple[float, Regime]]:
+    """The three-point map of one calibration, v -> (p, regime), with its floats taken once.
 
-    Piecewise linear in the calibration triplet: values between v_mid and
-    v_max land on the fingertip branch (p in (80, 100)); values at or below
-    v_mid land on the body branch (p in [0, 80]), clamped at 0 below v_min.
-    Values at or above v_max mean no contact and report p = 100; NaN is
-    rejected with a ValueError.
-
-    Args:
-        v: filtered ADC value in counts.
-        calibration: reference triplet for this line.
+    Piecewise linear in the triplet: values between v_mid and v_max land on
+    the fingertip branch (p in (80, 100)); values at or below v_mid land on
+    the body branch (p in [0, 80]), clamped at 0 below v_min.  Values at or
+    above v_max mean no contact and report p = 100.  NaN is not checked.
     """
-    if math.isnan(v):
-        raise ValueError(f"v must be a number, got {v}")
     v_max = float(calibration.v_max)
     v_mid = float(calibration.v_mid)
     v_min = float(calibration.v_min)
-    if v >= v_max:
-        return ContactEstimate(p=100.0, regime=Regime.NONE)
-    if v > v_mid:
-        tip_span = 100.0 - BODY_SPLIT_P
-        p = 100.0 - (v_max - v) / (v_max - v_mid) * tip_span
-        return ContactEstimate(p=p, regime=Regime.FINGERTIP)
-    p = (v - v_min) / (v_mid - v_min) * BODY_SPLIT_P
-    p = min(max(p, 0.0), BODY_SPLIT_P)
-    return ContactEstimate(p=p, regime=Regime.BODY)
+    tip_counts, body_counts = v_max - v_mid, v_mid - v_min
+    tip_p, body_p = 100.0 - BODY_SPLIT_P, BODY_SPLIT_P
+    none, fingertip, body = Regime.NONE, Regime.FINGERTIP, Regime.BODY
+
+    def estimate(v: float) -> tuple[float, Regime]:
+        if v >= v_max:
+            return 100.0, none
+        if v > v_mid:
+            return 100.0 - (v_max - v) / tip_counts * tip_p, fingertip
+        p = (v - v_min) / body_counts * body_p
+        return (0.0 if p < 0.0 else body_p if p > body_p else p), body  # min(max(p, 0.0), body_p)
+
+    return estimate
+
+
+def estimate_p(v: float, calibration: CalibrationData) -> ContactEstimate:
+    """Map a (filtered) ADC value in counts to the contact-point ratio (see `_estimator`).
+
+    NaN is rejected with a ValueError.
+    """
+    if math.isnan(v):
+        raise ValueError(f"v must be a number, got {v}")
+    return ContactEstimate(*_estimator(calibration)(v))
 
 
 def detect_touch(estimate: ContactEstimate, threshold_p: float = 90.0) -> bool:

@@ -1,9 +1,11 @@
 """Configuration loading and command line harness tests."""
 
 import hashlib
+import statistics
 import string
 import tempfile
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from nerveline import (
     run_scenario,
     smoothing_coefficient,
 )
-from nerveline.cli import main
+from nerveline.cli import _mean_pvariance, main
 from nerveline.config import _load_yaml_mapping
 
 REPO = Path(__file__).resolve().parent.parent
@@ -852,6 +854,20 @@ class TestCliSweep:
         assert "jitter_mm" in err
         assert "Traceback" not in err
 
+    @given(
+        st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5, unique=True).flatmap(
+            lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=400)
+        )
+    )
+    @example([42.5])
+    @example([100 / 3] * 5000 + [80.0] * 3000 + [0.1] * 1999 + [200 / 3])
+    @example([100 / 3, 200 / 3, 0.1, 0.1])
+    @settings(deadline=None)
+    def test_grouped_statistics_match_statistics_module(self, row):
+        mean, variance = _mean_pvariance(Counter(row), len(row))
+        assert repr(mean) == repr(statistics.fmean(row))
+        assert repr(variance) == repr(statistics.pvariance(row))
+
 
 def _replay_of_regrasp_run(tmp_path, config, skin=()):
     """Trace rows of ``nerveline run`` on scissors_regrasp and the replay.csv path of its counts."""
@@ -953,6 +969,39 @@ class TestCliReplay:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "frame_lines,message",
+        [
+            ("t_ms,sensor,counts\n0,0\n", "line 2: expected 3 fields, got 2"),
+            ("t_ms,sensor,counts\n0,0,1,2\n", "line 2: expected 3 fields, got 4"),
+            ("t_ms,sensor,counts\n0,0,abc\n", "line 2: fields must be integers, got '0,0,abc'"),
+            ("t_ms,sensor,counts\n0,0,1.5\n", "line 2: fields must be integers, got '0,0,1.5'"),
+            ("t_ms,sensor,counts\n0,0,0x10\n", "line 2: fields must be integers, got '0,0,0x10'"),
+            ("t_ms,sensor,counts\n0,0,\n", "line 2: fields must be integers, got '0,0,'"),
+            ("t_ms,sensor,counts\n0,9,100\n", "line 2: sensor 9 is not configured"),
+            ("t_ms,sensor,counts\n0,-1,100\n", "line 2: sensor -1 is not configured"),
+            ("t_ms,sensor,counts\n0,0,1024\n", "line 2: counts 1024 outside 0..1023"),
+            ("t_ms,sensor,counts\n0,0,-1\n", "line 2: counts -1 outside 0..1023"),
+            (
+                "t_ms,sensor,counts\n20,0,1023\n10,0,500\n",
+                "line 3: t_ms 10 not after t_ms 20 of sensor 0",
+            ),
+            ("", "line 1: empty log"),
+            (
+                "bad,header,now\n0,0,1\n",
+                "line 1: expected header 't_ms,sensor,counts', got 'bad,header,now'",
+            ),
+        ],
+    )
+    def test_malformed_log_messages_pinned(self, tmp_path, capsys, frame_lines, message):
+        log = tmp_path / "frames.csv"
+        log.write_text(frame_lines)
+        code = main(
+            ["replay", "--config", str(DEFAULT_CONFIG), "--log", str(log), "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {log}: {message}\n"
 
     def test_malformed_log_names_the_file(self, tmp_path, capsys):
         log = tmp_path / "frames.csv"

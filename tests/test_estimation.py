@@ -1,7 +1,9 @@
 """Filter, calibration, and contact-point estimator tests."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerveline import (
@@ -22,6 +24,7 @@ from nerveline import (
     smoothing_coefficient,
     write_calibration,
 )
+from nerveline.estimation import BODY_SPLIT_P, _estimator
 
 CAL = CalibrationData(v_max=1023, v_mid=236, v_min=93)
 
@@ -155,6 +158,81 @@ class TestEstimateP:
         below = estimate_p(236.0, CAL).p
         above = estimate_p(236.0 + 1e-9, CAL).p
         assert abs(above - below) < 1e-9
+
+
+def reference_estimate_p(v, calibration):
+    """`estimate_p` as it was before the per-calibration map, kept verbatim as the reference."""
+    if math.isnan(v):
+        raise ValueError(f"v must be a number, got {v}")
+    v_max = float(calibration.v_max)
+    v_mid = float(calibration.v_mid)
+    v_min = float(calibration.v_min)
+    if v >= v_max:
+        return ContactEstimate(p=100.0, regime=Regime.NONE)
+    if v > v_mid:
+        tip_span = 100.0 - BODY_SPLIT_P
+        p = 100.0 - (v_max - v) / (v_max - v_mid) * tip_span
+        return ContactEstimate(p=p, regime=Regime.FINGERTIP)
+    p = (v - v_min) / (v_mid - v_min) * BODY_SPLIT_P
+    p = min(max(p, 0.0), BODY_SPLIT_P)
+    return ContactEstimate(p=p, regime=Regime.BODY)
+
+
+def _nudged(v, steps):
+    """``v`` moved ``steps`` floats up (or down, if negative)."""
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.inf if steps > 0 else -math.inf)
+    return v
+
+
+@st.composite
+def _triplet_and_value(draw):
+    """An ordered (v_min, v_mid, v_max) and a value, often within a few ulps of a breakpoint."""
+    bound = draw(st.sampled_from([4095, 2**20, 2**53]))
+    triplet = tuple(sorted(draw(st.lists(st.integers(-bound, bound), min_size=3, max_size=3, unique=True))))
+    breakpoint = float(draw(st.sampled_from(triplet)))
+    v = draw(
+        st.one_of(
+            st.integers(-4, 4).map(lambda steps: _nudged(breakpoint, steps)),
+            st.floats(-2.0, 2.0).map(lambda offset: breakpoint + offset),
+            st.floats(triplet[0] - 1.0, triplet[2] + 1.0),
+            st.floats(allow_nan=False),
+        )
+    )
+    return triplet, v
+
+
+CAL_TRIPLET = (CAL.v_min, CAL.v_mid, CAL.v_max)
+
+
+class TestEstimatorMatchesReference:
+    @given(_triplet_and_value())
+    @example((CAL_TRIPLET, 1023.0))
+    @example((CAL_TRIPLET, 236.0))
+    @example((CAL_TRIPLET, 93.0))
+    @example((CAL_TRIPLET, math.nextafter(1023.0, 0.0)))
+    @example((CAL_TRIPLET, math.nextafter(1023.0, math.inf)))
+    @example((CAL_TRIPLET, math.nextafter(236.0, 0.0)))
+    @example((CAL_TRIPLET, math.nextafter(236.0, math.inf)))
+    @example((CAL_TRIPLET, math.nextafter(93.0, 0.0)))
+    @example((CAL_TRIPLET, math.nextafter(93.0, math.inf)))
+    @example((CAL_TRIPLET, 1022.9999999999995))
+    @example((CAL_TRIPLET, math.inf))
+    @example((CAL_TRIPLET, -math.inf))
+    @example(((0, 1, 2), -0.0))  # the body branch gives -0.0, which the clamp keeps
+    @settings(max_examples=500)
+    def test_same_p_and_regime(self, case):
+        (v_min, v_mid, v_max), v = case
+        calibration = CalibrationData(v_max=v_max, v_mid=v_mid, v_min=v_min)
+        expected = reference_estimate_p(v, calibration)
+        public = estimate_p(v, calibration)
+        for p, regime in (_estimator(calibration)(v), (public.p, public.regime)):
+            assert repr(p) == repr(expected.p)
+            assert regime is expected.regime
+
+    def test_nan_still_rejected(self):
+        with pytest.raises(ValueError, match="v must be a number, got nan"):
+            estimate_p(math.nan, CAL)
 
 
 class TestThresholds:
