@@ -13,9 +13,8 @@ import csv
 import random
 import sys
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import RunConfig, load_config, load_scenario
 from .controller import run_scenario
@@ -66,12 +65,14 @@ def _position_grid(length_mm: float, pitch_mm: float) -> list[float]:
     return positions
 
 
-def _mean_pvariance(tally: Mapping[float, int], n: int) -> tuple[float, float]:
-    """`statistics.fmean` and `pvariance` of n values given as {value: times}, to the same bits."""
-    exact = [(Fraction(p), k) for p, k in tally.items()]
-    total = sum(p * k for p, k in exact)
-    mean = total / n
-    return float(total) / n, float(sum((p - mean) ** 2 * k for p, k in exact) / n)
+def _mean_pvariance(tally: Iterable[tuple[float, int]], n: int) -> tuple[float, float]:
+    """`statistics.fmean` and `pvariance` of n values given as (value, times) pairs, to the same bits."""
+    ratios = [(p.as_integer_ratio(), k) for p, k in tally]
+    den = max(d for (_, d), _ in ratios)  # every denominator is a power of two, so divides this one
+    scaled = [(num * (den // d), k) for (num, d), k in ratios]
+    total = sum(m * k for m, k in scaled)
+    squares = sum(m * m * k for m, k in scaled)
+    return total / den / n, (squares * n - total * total) / (den * den * n * n)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -95,16 +96,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             quantize_to_spikes=quantize,
         )
 
-    seen_counts = {counts for run in runs.values() for _, counts in run}
     estimate = _estimator(calibration)
-    p_of = {counts: estimate(counts)[0] for counts in seen_counts}
     rows = []
     for row, position in enumerate(positions):
         cells: list[str] = [repr(float(position))]
         for label in ("spiked", "smooth"):
             block = runs[label][row * args.repeats : (row + 1) * args.repeats]
-            tally = Counter(p_of[counts] for _, counts in block)
-            cells.extend(map(repr, _mean_pvariance(tally, len(block))))
+            tally = Counter(block)  # (touched_mm, counts) -> presses
+            p_tally = [(estimate(counts)[0], k) for (_, counts), k in tally.items()]
+            cells.extend(map(repr, _mean_pvariance(p_tally, len(block))))
         rows.append(cells)
     _write_csv(args.out, SWEEP_HEADER, rows)
     if args.frames_out is not None:

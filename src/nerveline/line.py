@@ -15,6 +15,7 @@ from the most distal contact back to the base.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -346,9 +347,11 @@ def simulate_sweep(
     Each repeat perturbs the commanded position by plus or minus
     ``jitter_mm`` (a fair coin per press), clamped to the line, modelling a
     probe that never lands exactly where commanded.  Presses are firm, so
-    each reading is what `sense` gives for that one press; the pin voltage
-    is computed once per pressed position and the rng draws (jitter coin,
-    spike tie coin, ADC noise) keep their per-press order.
+    each reading is what `sense` gives for that one press.  Each position
+    tables its jitter outcomes: the touched position, whether it is a spike
+    midpoint, and the noise-free counts of the spikes it can snap to.  A
+    press then draws jitter coin, tie coin (midpoints only) and noise in
+    that order, as `sense` would, and appends the tabled sample.
 
     Args:
         positions: commanded press positions, each within the line.
@@ -369,21 +372,37 @@ def simulate_sweep(
         raise ValueError(f"jitter_mm must be finite and non-negative, got {jitter_mm}")
     if jitter_mm > 0 and rng is None:
         raise ValueError("jitter_mm > 0 requires an rng")
+    length, pitch, full_scale = spec.effective_length_mm, spec.spike_pitch_mm, spec.adc_full_scale
+    jittered, noisy = jitter_mm > 0, noise_sd_counts > 0
+
+    @functools.cache  # once per pressed position
+    def counts(pressed: float) -> int:
+        return adc_quantize(spec, _pin_volts(spec, (ContactPoint(pressed),)))
+
     samples: list[tuple[float, int]] = []
-    volts_at: dict[float, float] = {}  # pressed position -> pin voltage
     for position in positions:
-        if not 0.0 <= position <= spec.effective_length_mm:
-            raise ValueError(
-                f"position {position} outside [0, {spec.effective_length_mm}]"
-            )
+        if not 0.0 <= position <= length:
+            raise ValueError(f"position {position} outside [0, {length}]")
+        offsets = (-jitter_mm, jitter_mm) if jittered else ()
+        touched_at = [min(max(position + offset, 0.0), length) for offset in offsets] or [position]
+        outcomes = []  # per jitter coin, minus first: (tie, sample at lower spike, at upper spike)
+        for touched in touched_at:
+            tie = quantize_to_spikes and _is_spike_midpoint(spec, touched)
+            if tie:
+                if rng is None:
+                    raise ValueError("midpoint tie requires an rng to break it")
+                lower = math.floor(touched / pitch) * pitch
+                upper = min(lower + pitch, length)
+            else:
+                lower = upper = snap_to_spike(spec, touched) if quantize_to_spikes else touched
+            outcomes.append((tie, (touched, counts(lower)), (touched, counts(upper))))
+        if noise_sd_counts < 0 or (noisy and rng is None):
+            adc_quantize(spec, 0.0, noise_sd_counts)  # raises its own error, as at a press
         for _ in range(repeats):
-            touched = position
-            if jitter_mm > 0:
-                offset = -jitter_mm if rng.random() < 0.5 else jitter_mm
-                touched = min(max(position + offset, 0.0), spec.effective_length_mm)
-            pressed = snap_to_spike(spec, touched, rng) if quantize_to_spikes else touched
-            volts = volts_at.get(pressed)
-            if volts is None:
-                volts = volts_at[pressed] = _pin_volts(spec, (ContactPoint(pressed),))
-            samples.append((touched, adc_quantize(spec, volts, noise_sd_counts, rng)))
+            tie, at_lower, at_upper = outcomes[jittered and rng.random() >= 0.5]
+            sample = at_upper if tie and rng.random() >= 0.5 else at_lower
+            if noisy:
+                touched, count = sample
+                sample = (touched, round(min(max(count + rng.gauss(0.0, noise_sd_counts), 0), full_scale)))
+            samples.append(sample)
     return samples

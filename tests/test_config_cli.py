@@ -839,6 +839,43 @@ class TestCliSweep:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sweep_sha256
         assert hashlib.sha256(frames.read_bytes()).hexdigest() == frames_sha256
 
+    # sha256 of sweep.csv and the --frames-out log for further sweeps, as
+    # produced by sensing every press on its own.
+    @pytest.mark.parametrize(
+        "config_text,extra_args,sweep_sha256,frames_sha256",
+        [
+            (
+                None,
+                ["--jitter-mm", "1.3"],
+                "cf93c48e865dd1d6840a2031882fdecfec0e4e2434b63432fca13260bb93ddd6",
+                "0defb7d5804035a3906a992a08d6c0eaa08e2858e9ec33941e7af78a9a1e3c5e",
+            ),
+            (
+                # 77.5 mm is a midpoint whose upper spike clamps to the line end
+                "seed: 3\nsensors:\n  - index: 0\n    effective_length_mm: 77.5\n  - index: 1\n",
+                ["--jitter-mm", "0", "--repeats", "7"],
+                "b97d69d04dc59483ad6037d5d39a75f49f00e40f72fea549cd5569f326571f9a",
+                "85e39698b0ebc8e4e95347292c5fa11639eee7376b05c707434a6528ebee386d",
+            ),
+            (
+                None,
+                ["--repeats", "10000"],
+                "285ec5e2f2d74764e25dc8f4c03bb7ce6843eb2222c7125ed768866048f3bcd3",
+                "1576054769135e0814d49b8dfda8fb842834a10f41c8402ee0611457a1e270be",
+            ),
+        ],
+        ids=["jitter_off_midpoints", "clamped_midpoint", "repeats_10000"],
+    )
+    def test_more_output_digests_pinned(
+        self, tmp_path, config_text, extra_args, sweep_sha256, frames_sha256
+    ):
+        config = DEFAULT_CONFIG if config_text is None else write(tmp_path, "c.yaml", config_text)
+        out, frames = tmp_path / "sweep.csv", tmp_path / "frames.csv"
+        argv = ["sweep", "--config", str(config), "--out", str(out), "--frames-out", str(frames)]
+        assert main(argv + extra_args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sweep_sha256
+        assert hashlib.sha256(frames.read_bytes()).hexdigest() == frames_sha256
+
     @pytest.mark.parametrize("jitter", ["nan", "inf", "-inf"])
     def test_non_finite_jitter_exits_two(self, tmp_path, capsys, jitter):
         code = main(
@@ -862,11 +899,24 @@ class TestCliSweep:
     @example([42.5])
     @example([100 / 3] * 5000 + [80.0] * 3000 + [0.1] * 1999 + [200 / 3])
     @example([100 / 3, 200 / 3, 0.1, 0.1])
+    # the shared power-of-two denominator: subnormal, far-apart exponents, zero, negative
+    @example([5e-324, 1.0])
+    @example([1e300, 1e-300, 3.0])  # the variance overflows a float in both
+    @example([1e150, 1e-300, 3.0])
+    @example([0.0])
+    @example([-2.5, 100 / 3])
+    # fmean rounds the sum, then divides: rounding T / (den * n) once differs here
+    @example([45.5, 20.41, 60.88, 52.1, 7.5])
     @settings(deadline=None)
     def test_grouped_statistics_match_statistics_module(self, row):
-        mean, variance = _mean_pvariance(Counter(row), len(row))
-        assert repr(mean) == repr(statistics.fmean(row))
-        assert repr(variance) == repr(statistics.pvariance(row))
+        try:
+            expected = repr(statistics.fmean(row)), repr(statistics.pvariance(row))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _mean_pvariance(Counter(row).items(), len(row))
+            return
+        mean, variance = _mean_pvariance(Counter(row).items(), len(row))
+        assert (repr(mean), repr(variance)) == expected
 
 
 def _replay_of_regrasp_run(tmp_path, config, skin=()):

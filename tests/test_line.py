@@ -1,5 +1,6 @@
 """Circuit and sampling model tests for a single nerve line."""
 
+import math
 import random
 
 import pytest
@@ -30,6 +31,64 @@ FIRM_COUNTS = [93, 103, 113, 123, 133, 143, 152, 161, 170, 179, 187, 196, 204, 2
 
 positions = st.floats(min_value=0.0, max_value=80.0, allow_nan=False, allow_infinity=False)
 bridges = st.floats(min_value=1.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+GRID_5MM = [5.0 * k for k in range(17)]
+
+
+def per_press_sweep(
+    spec, positions, jitter_mm=0.0, repeats=1, rng=None, noise_sd_counts=0.0, quantize_to_spikes=True
+):
+    """`simulate_sweep` as a plain loop: its argument checks, then `sense` on every press."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if not 0.0 <= jitter_mm < math.inf:
+        raise ValueError(f"jitter_mm must be finite and non-negative, got {jitter_mm}")
+    if jitter_mm > 0 and rng is None:
+        raise ValueError("jitter_mm > 0 requires an rng")
+    length = spec.effective_length_mm
+    samples = []
+    for position in positions:
+        if not 0.0 <= position <= length:
+            raise ValueError(f"position {position} outside [0, {length}]")
+        for _ in range(repeats):
+            touched = position
+            if jitter_mm > 0:
+                offset = -jitter_mm if rng.random() < 0.5 else jitter_mm
+                touched = min(max(position + offset, 0.0), length)
+            contact_set = ContactSet((ContactPoint(touched),), quantize_to_spikes=quantize_to_spikes)
+            reading = sense(spec, contact_set, noise_sd_counts=noise_sd_counts, rng=rng)
+            samples.append((touched, reading.counts))
+    return samples
+
+
+@st.composite
+def sweep_cases(draw):
+    """(spec, grid, seed, simulate_sweep keyword arguments) for the per-press comparison."""
+    length = draw(st.one_of(st.just(80.0), st.floats(min_value=5.0, max_value=200.0)))
+    pitch = draw(st.one_of(st.sampled_from([1.0, 2.5, 5.0]), st.floats(0.5, 20.0)))
+    spec = NerveLineSpec(effective_length_mm=length, spike_pitch_mm=pitch)
+    # half-pitch multiples put presses on spike midpoints, where the tie coin is drawn
+    half_pitch = st.integers(0, int(2 * length / pitch)).map(lambda k: min(k * pitch / 2, length))
+    grid = draw(st.lists(st.one_of(half_pitch, st.floats(0.0, length)), max_size=5))
+    jitter_mm = draw(
+        st.one_of(
+            st.just(0.0),
+            st.integers(1, 4).map(lambda k: k * pitch / 2),
+            # off the half-pitch lattice: offsets from a half-pitch grid miss every midpoint
+            st.tuples(st.integers(0, 4), st.floats(0.01, 0.99)).map(lambda t: (t[0] + t[1]) * pitch / 2),
+            st.floats(0.01, 10.0),
+            # both offsets clamp, one at each end of the line
+            st.floats(length, 2.0 * length),
+        )
+    )
+    kwargs = dict(
+        jitter_mm=jitter_mm,
+        repeats=draw(st.integers(1, 20)),
+        noise_sd_counts=draw(st.one_of(st.just(0.0), st.floats(0.1, 50.0))),
+        quantize_to_spikes=draw(st.booleans()),
+    )
+    return spec, grid, draw(st.integers(0, 2**32 - 1)), kwargs
 
 
 class TestSpec:
@@ -308,51 +367,49 @@ class TestSweep:
         with pytest.raises(ValueError, match="outside"):
             simulate_sweep(SPEC, [90.0])
 
-    @given(st.data())
+    @given(sweep_cases())
+    # the shipped line on its 5 mm grid: at 2.5 mm every jittered press lands on a midpoint
+    @example((SPEC, GRID_5MM, 3, dict(jitter_mm=2.5, repeats=20, quantize_to_spikes=True)))
+    # at 1.3 mm no jittered press does
+    @example((SPEC, GRID_5MM, 3, dict(jitter_mm=1.3, repeats=20, quantize_to_spikes=True)))
+    @example((SPEC, GRID_5MM, 7, dict(jitter_mm=2.5, repeats=20, noise_sd_counts=8.0)))
+    # 77.5 mm is a midpoint whose upper spike, 80 mm, clamps to the line end
+    @example((NerveLineSpec(effective_length_mm=77.5), [77.5], 3, dict(jitter_mm=0.0, repeats=20)))
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_press_sense_loop(self, data):
-        length = data.draw(st.one_of(st.just(80.0), st.floats(min_value=5.0, max_value=200.0)))
-        pitch = data.draw(st.one_of(st.sampled_from([1.0, 2.5, 5.0]), st.floats(0.5, 20.0)))
-        spec = NerveLineSpec(effective_length_mm=length, spike_pitch_mm=pitch)
-        # half-pitch multiples put presses on spike midpoints, where the tie coin is drawn
-        half_pitch = st.integers(0, int(2 * length / pitch)).map(lambda k: min(k * pitch / 2, length))
-        grid = data.draw(
-            st.lists(st.one_of(half_pitch, st.floats(0.0, length)), min_size=1, max_size=5)
-        )
-        jitter_mm = data.draw(
-            st.one_of(
-                st.just(0.0),
-                st.integers(1, 4).map(lambda k: k * pitch / 2),
-                st.floats(0.01, 10.0),
-            )
-        )
-        repeats = data.draw(st.integers(1, 20))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        quantize = data.draw(st.booleans())
-        noise = data.draw(st.one_of(st.just(0.0), st.floats(0.1, 50.0)))
-
+    def test_matches_per_press_sense_loop(self, case):
+        spec, grid, seed, kwargs = case
         rng = random.Random(seed)
-        samples = simulate_sweep(
-            spec,
-            grid,
-            jitter_mm=jitter_mm,
-            repeats=repeats,
-            rng=rng,
-            noise_sd_counts=noise,
-            quantize_to_spikes=quantize,
-        )
-
+        samples = simulate_sweep(spec, grid, rng=rng, **kwargs)
         ref_rng = random.Random(seed)
-        expected = []
-        for t_ms, position in enumerate(p for p in grid for _ in range(repeats)):
-            touched = position
-            if jitter_mm > 0:
-                offset = -jitter_mm if ref_rng.random() < 0.5 else jitter_mm
-                touched = min(max(position + offset, 0.0), length)
-            contact_set = ContactSet((ContactPoint(touched),), quantize_to_spikes=quantize)
-            reading = sense(spec, contact_set, noise_sd_counts=noise, rng=ref_rng, t_ms=t_ms)
-            expected.append((touched, reading.t_ms, reading.counts))
-
-        got = [(touched, t_ms, counts) for t_ms, (touched, counts) in enumerate(samples)]
-        assert got == expected
+        assert samples == per_press_sweep(spec, grid, rng=ref_rng, **kwargs)
         assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize(
+        "grid,kwargs,with_rng",
+        [
+            ([0.0], dict(repeats=0), True),
+            ([0.0], dict(jitter_mm=-1.0), True),
+            ([0.0], dict(jitter_mm=math.nan), True),
+            ([0.0], dict(jitter_mm=math.inf), True),
+            ([0.0], dict(jitter_mm=1.0), False),
+            ([0.0, 90.0], dict(), True),
+            ([0.0], dict(noise_sd_counts=-1.0), True),
+            ([0.0, 90.0], dict(noise_sd_counts=-1.0), True),
+            ([0.0], dict(noise_sd_counts=2.0), False),
+            ([2.5], dict(), False),
+            ([2.5], dict(noise_sd_counts=-1.0), False),
+            ([90.0], dict(noise_sd_counts=2.0), False),
+        ],
+        ids=[
+            "repeats", "jitter_negative", "jitter_nan", "jitter_inf", "jitter_without_rng",
+            "outside", "noise_negative", "noise_negative_before_later_outside",
+            "noise_without_rng", "tie_without_rng", "tie_before_noise_negative",
+            "outside_before_noise_without_rng",
+        ],
+    )
+    def test_errors_match_per_press_loop(self, grid, kwargs, with_rng):
+        with pytest.raises(ValueError) as expected:
+            per_press_sweep(SPEC, grid, rng=random.Random(1) if with_rng else None, **kwargs)
+        with pytest.raises(ValueError) as got:
+            simulate_sweep(SPEC, grid, rng=random.Random(1) if with_rng else None, **kwargs)
+        assert str(got.value) == str(expected.value)
