@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import random
 import sys
 from collections import Counter
@@ -17,10 +18,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .config import RunConfig, load_config, load_scenario
-from .controller import run_scenario
+from .controller import TaskPhase, run_scenario
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
+    Regime,
     _estimator,
     _smooth,
     auto_calibration,
@@ -33,6 +35,10 @@ TRACE_HEADER = ("t_ms", "phase", "sensor", "raw", "filtered", "p", "regime")
 SWEEP_HEADER = ("position_mm", "mean_p_spiked", "var_p_spiked", "mean_p_smooth", "var_p_smooth")
 FRAMES_HEADER = ("t_ms", "sensor", "counts")
 REPLAY_HEADER = ("t_ms", "sensor", "raw", "filtered", "p", "regime")
+
+# The text `run` writes for each phase and regime.
+_PHASE_TEXT = {phase: phase.value for phase in TaskPhase}
+_REGIME_TEXT = {regime: regime.value for regime in Regime}
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[Sequence[object]]) -> None:
@@ -135,17 +141,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out = args.out if args.out is not None else f"{scenario.name}_trace.csv"
     rows = (
-        [
-            record.t_ms,
-            record.phase.value,
-            sensor,
-            sample.raw,
-            repr(sample.filtered),
-            repr(sample.estimate.p),
-            sample.estimate.regime.value,
-        ]
-        for record in result.trace
-        for sensor, sample in sorted(record.samples.items())
+        (t_ms, _PHASE_TEXT[phase], sensor, raw, filtered, p, _REGIME_TEXT[regime])
+        for t_ms, phase, sensor, raw, filtered, p, regime in result.rows
     )
     _write_csv(out, TRACE_HEADER, rows)
 
@@ -226,6 +223,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # once per process, on the first main call; importing builds nothing
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nerveline",
@@ -267,8 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ScenarioError, ValueError, OSError) as exc:

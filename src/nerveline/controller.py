@@ -11,9 +11,11 @@ the tool actually touches each line, standing in for the physical world.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .bounds import bounded, check_fields
@@ -23,6 +25,7 @@ from .estimation import (
     CalibrationData,
     ContactEstimate,
     FilterState,
+    Regime,
     _estimator,
     _smooth,
     auto_calibration,
@@ -35,6 +38,7 @@ from .line import (
     ContactPoint,
     ContactSet,
     NerveLineSpec,
+    _add_noise,
     _is_spike_midpoint,
     _pin_volts,
     adc_quantize,
@@ -222,9 +226,39 @@ class TraceRecord:
     commands: tuple[Command, ...] = ()
 
 
+# One sensor at one tick, as `run` writes it: t_ms, phase, sensor, raw, filtered, p, regime.
+TraceRow = tuple[int, TaskPhase, int, int, float, float, Regime]
+
+
+class _LazyTrace:
+    """``ScenarioResult.trace``: kept when given, else built from the rows on first read."""
+
+    def __get__(self, result: ScenarioResult | None, owner: type | None = None) -> tuple[TraceRecord, ...] | None:
+        if result is None:
+            return None  # the field's default: no trace given
+        if result.__dict__["trace"] is None:
+            trace = []
+            for t_ms, tick in itertools.groupby(result.rows, operator.itemgetter(0)):
+                samples = {}
+                for _, phase, sensor, raw, filtered, p, regime in tick:
+                    samples[sensor] = SensorSample(raw, filtered, ContactEstimate(p, regime))
+                trace.append(TraceRecord(t_ms, phase, samples, result.commands.get(t_ms, ())))
+            result.__dict__["trace"] = tuple(trace)
+        return result.__dict__["trace"]
+
+    def __set__(self, result: ScenarioResult, trace: tuple[TraceRecord, ...] | None) -> None:
+        result.__dict__["trace"] = trace
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Outcome of a scenario run plus its full trace."""
+    """Outcome of a scenario run plus its full trace.
+
+    A run records ``rows``, one per sensor per tick, and ``commands``, what
+    each phase entry issued keyed by its ``t_ms``; ``trace`` is built from
+    them on first read.  A result built with ``trace=`` keeps it and has no
+    rows.  Equality compares every other field, the trace tick by tick.
+    """
 
     outcome: str
     final_phase: TaskPhase
@@ -232,7 +266,9 @@ class ScenarioResult:
     retries: int
     regrasp_steps: int
     failure_reason: str | None
-    trace: tuple[TraceRecord, ...]
+    trace: tuple[TraceRecord, ...] = _LazyTrace()
+    rows: tuple[TraceRow, ...] = field(default=(), repr=False, compare=False)
+    commands: Mapping[int, tuple[Command, ...]] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _entry_commands(phase: TaskPhase, config: ControllerConfig, context: StepContext) -> tuple[Command, ...]:
@@ -319,8 +355,8 @@ def _active_contacts(
     return tuple(points)
 
 
-def _phase_volts(spec: NerveLineSpec, contact_set: ContactSet) -> float | None:
-    """Pin voltage of ``contact_set`` for a whole phase, or None when it varies per tick.
+def _phase_count(spec: NerveLineSpec, contact_set: ContactSet) -> int | None:
+    """Noise-free ADC count of ``contact_set`` for a whole phase, or None when it varies per tick.
 
     It varies when a contact sits exactly on a spike midpoint of the spiked
     skin: every tick then senses the set anew, flipping that contact's coin.
@@ -329,7 +365,7 @@ def _phase_volts(spec: NerveLineSpec, contact_set: ContactSet) -> float | None:
         _is_spike_midpoint(spec, c.position_mm) for c in contact_set.contacts
     ):
         return None
-    return _pin_volts(spec, resolve_contacts(spec, contact_set))
+    return adc_quantize(spec, _pin_volts(spec, resolve_contacts(spec, contact_set)))
 
 
 def _outcome(state: ControllerState, goal: str) -> str:
@@ -353,13 +389,14 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one scripted scenario to a terminal phase.
 
-    Each phase resolves every line's contacts to a pin voltage once, on
-    entry.  Every tick then samples all lines (in sensor order): a contact
-    on a spike midpoint flips its tie coin, the ADC draws its noise, and the
-    count is filtered, estimated and appended to the per-sensor histories,
-    exactly as `sense`, `filter_step` and `estimate_p` would per tick.  After
-    each phase dwell the state machine decides.  All randomness comes from
-    one generator seeded with ``seed``, so a run is a pure function of its
+    Each phase resolves every line's contacts to a noise-free ADC count
+    once, on entry.  Every tick then samples all lines (in sensor order),
+    adding the ADC noise to that count, or through `sense` when a contact
+    on a spike midpoint flips its tie coin, then filters and estimates it
+    exactly as `sense`, `filter_step` and `estimate_p` would, and records a
+    row.  The state machine decides after each phase dwell, reading the
+    histories of the two watched sensors.  All randomness comes from one
+    generator seeded with ``seed``, so a run is a pure function of its
     arguments.
 
     Args:
@@ -376,12 +413,14 @@ def run_scenario(
         hand: wire actuators to drive; default is the prototype hand.
 
     Returns:
-        The run result with outcome, counters and full trace.
+        The run result with outcome, counters, rows and commands; its
+        ``trace`` is built from the rows when first read.
 
     Raises:
         ScenarioError: a rule references an unknown sensor or a position
             beyond its line.
-        ValueError: ``filter_coefficient_a`` outside [0, 1).
+        ValueError: ``filter_coefficient_a`` outside [0, 1) or a negative
+            ``noise_sd_counts``.
     """
     if not specs:
         raise ScenarioError("specs must contain at least one sensor")
@@ -411,49 +450,48 @@ def run_scenario(
     rng = random.Random(seed)
     sensor_ids = sorted(specs)
     a = FilterState(coefficient_a=filter_coefficient_a).coefficient_a
-    filtered_last: dict[int, float | None] = {i: None for i in sensor_ids}
+    if noise_sd_counts < 0:
+        raise ValueError(f"noise_sd_counts must be non-negative, got {noise_sd_counts}")
+    noisy = noise_sd_counts > 0
+    filtered_last: dict[int, float | None] = dict.fromkeys(sensor_ids)
     estimators = {i: _estimator(calibration[i]) for i in sensor_ids}
-    histories: dict[int, list[ContactEstimate]] = {i: [] for i in sensor_ids}
+    watched = (config.watched_sensor_grasp, config.watched_sensor_regrasp)
+    histories: dict[int, list[ContactEstimate]] = {i: [] for i in sensor_ids if i in watched}
     state = ControllerState()
     commands = _entry_commands(state.phase, config, context)
-    trace: list[TraceRecord] = []
+    rows: list[TraceRow] = []
+    entered: dict[int, tuple[Command, ...]] = {}
     t_ms = 0
     while state.phase not in TERMINAL_PHASES:
-        contact_sets = {
-            i: ContactSet(_active_contacts(scenario, i, state, specs[i]), quantize_to_spikes)
-            for i in sensor_ids
-        }
-        phase_volts = {i: _phase_volts(specs[i], contact_sets[i]) for i in sensor_ids}
-        for tick in range(config.dwell_ticks):
-            samples: dict[int, SensorSample] = {}
-            for i in sensor_ids:
-                volts = phase_volts[i]
-                if volts is None:
-                    raw = sense(
-                        specs[i], contact_sets[i], noise_sd_counts=noise_sd_counts, rng=rng
-                    ).counts
+        phase = state.phase
+        entered[t_ms] = commands
+        lines = []
+        for i in sensor_ids:
+            contact_set = ContactSet(_active_contacts(scenario, i, state, specs[i]), quantize_to_spikes)
+            count = _phase_count(specs[i], contact_set)
+            lines.append((i, specs[i], contact_set, count, estimators[i], histories.get(i)))
+        for _ in range(config.dwell_ticks):
+            for i, spec, contact_set, count, estimate, history in lines:
+                if count is None:
+                    raw = sense(spec, contact_set, noise_sd_counts=noise_sd_counts, rng=rng).counts
+                elif noisy:
+                    raw = _add_noise(count, noise_sd_counts, spec.adc_full_scale, rng)
                 else:
-                    raw = adc_quantize(specs[i], volts, noise_sd_counts, rng)
+                    raw = count
                 filtered = filtered_last[i] = _smooth(a, filtered_last[i], raw)
-                estimate = ContactEstimate(*estimators[i](filtered))
-                histories[i].append(estimate)
-                samples[i] = SensorSample(raw, filtered, estimate)
-            trace.append(
-                TraceRecord(
-                    t_ms=t_ms,
-                    phase=state.phase,
-                    samples=samples,
-                    commands=commands if tick == 0 else (),
-                )
-            )
+                p, regime = estimate(filtered)
+                if history is not None:
+                    history.append(ContactEstimate(p, regime))
+                rows.append((t_ms, phase, i, raw, filtered, p, regime))
             t_ms += config.dt_ms
         state, commands = step(state, histories, config, context)
     return ScenarioResult(
         outcome=_outcome(state, scenario.goal),
         final_phase=state.phase,
-        ticks=len(trace),
+        ticks=len(rows) // len(sensor_ids),
         retries=state.retries_used,
         regrasp_steps=state.regrasp_steps,
         failure_reason=state.failure_reason,
-        trace=tuple(trace),
+        rows=tuple(rows),
+        commands=entered,
     )

@@ -253,9 +253,13 @@ def adc_quantize(
     if noise_sd_counts > 0:
         if rng is None:
             raise ValueError("noise_sd_counts > 0 requires an rng")
-        noisy = counts + rng.gauss(0.0, noise_sd_counts)
-        counts = round(min(max(noisy, 0), spec.adc_full_scale))
+        counts = _add_noise(counts, noise_sd_counts, spec.adc_full_scale, rng)
     return counts
+
+
+def _add_noise(counts: int, noise_sd_counts: float, full_scale: int, rng: random.Random) -> int:
+    """``counts`` plus one Gaussian draw, clamped to the converter range and rounded."""
+    return round(min(max(counts + rng.gauss(0.0, noise_sd_counts), 0), full_scale))
 
 
 def bridge_quality(spec: NerveLineSpec, bridge_ohm: float) -> float:
@@ -402,7 +406,6 @@ def simulate_sweep(
             tie, at_lower, at_upper = outcomes[jittered and rng.random() >= 0.5]
             sample = at_upper if tie and rng.random() >= 0.5 else at_lower
             if noisy:
-                touched, count = sample
-                sample = (touched, round(min(max(count + rng.gauss(0.0, noise_sd_counts), 0), full_scale)))
+                sample = (sample[0], _add_noise(sample[1], noise_sd_counts, full_scale, rng))
             samples.append(sample)
     return samples

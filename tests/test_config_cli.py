@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nerveline.config
+import nerveline.controller
 from nerveline import (
     ConfigError,
     FilterState,
@@ -29,7 +30,7 @@ from nerveline import (
     run_scenario,
     smoothing_coefficient,
 )
-from nerveline.cli import _mean_pvariance, main
+from nerveline.cli import _build_parser, _mean_pvariance, main
 from nerveline.config import _load_yaml_mapping
 
 REPO = Path(__file__).resolve().parent.parent
@@ -549,15 +550,19 @@ class TestCliRun:
         assert "outcome=lifted" in captured.out
         assert "expected failed, got lifted" in captured.err
 
-    def test_controller_tick_matches_library_default(self, tmp_path):
-        config_path = write(tmp_path, "c.yaml", CONTROLLER_TICK)
-        scenario_path = SCENARIOS / "scissors_regrasp.yaml"
+    @staticmethod
+    def assert_run_writes_library_trace(tmp_path, config_path, scenario_path):
+        """`run`'s CSV is the rendering of `run_scenario`'s trace at the library's filter default."""
         out = tmp_path / "trace.csv"
         argv = ["run", "--config", str(config_path), "--scenario", str(scenario_path)]
         assert main(argv + ["--out", str(out)]) == 0
         config = load_config(config_path)
         result = run_scenario(
-            load_scenario(scenario_path, config), config.sensors, config.controller, seed=config.seed
+            load_scenario(scenario_path, config),
+            config.sensors,
+            config.controller,
+            seed=config.seed,
+            noise_sd_counts=config.noise_sd_counts,
         )
         expected = "".join(
             f"{record.t_ms},{record.phase.value},{sensor},{sample.raw},{sample.filtered!r},"
@@ -566,6 +571,42 @@ class TestCliRun:
             for sensor, sample in sorted(record.samples.items())
         )
         assert out.read_text() == "t_ms,phase,sensor,raw,filtered,p,regime\n" + expected
+
+    def test_controller_tick_matches_library_default(self, tmp_path):
+        config_path = write(tmp_path, "c.yaml", CONTROLLER_TICK)
+        self.assert_run_writes_library_trace(tmp_path, config_path, SCENARIOS / "scissors_regrasp.yaml")
+
+    @pytest.mark.parametrize(
+        "config_text,scenario_text",
+        [
+            (NOISY, None),
+            # 72.5 mm lies halfway between the spikes at 70 and 75 mm, so every tick flips a coin
+            (
+                None,
+                "name: midpoint\ngoal: lift\nexpected_outcome: lifted\n"
+                "rules: [{sensor: 0, position_mm: 72.5, phases: [VerifyGrasp, Lift]}]\n",
+            ),
+        ],
+        ids=["noisy", "spike_midpoint"],
+    )
+    def test_run_matches_library_trace(self, tmp_path, config_text, scenario_text):
+        config = DEFAULT_CONFIG if config_text is None else write(tmp_path, "c.yaml", config_text)
+        scenario = SCENARIOS / "scissors_regrasp.yaml"
+        if scenario_text is not None:
+            scenario = write(tmp_path, "s.yaml", scenario_text)
+        self.assert_run_writes_library_trace(tmp_path, config, scenario)
+
+    def test_run_builds_no_per_tick_records(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run built a per-tick trace record")
+
+        monkeypatch.setattr(nerveline.controller, "TraceRecord", refuse)
+        monkeypatch.setattr(nerveline.controller, "SensorSample", refuse)
+        out = tmp_path / "trace.csv"
+        scenario = SCENARIOS / "scissors_regrasp.yaml"
+        assert main(["run", "--config", str(DEFAULT_CONFIG), "--scenario", str(scenario), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.RUN_TRACE_SHA256["shipped", "scissors_regrasp"]
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         config = write(tmp_path, "c.yaml", "dt_ms: 10\n")
@@ -779,6 +820,42 @@ class TestCliRun:
         assert main(argv + ["--out", str(out)] + skin) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.RUN_TRACE_SHA256[config_name, scenario]
+
+class TestCliOneProcess:
+    # sweep writes the frame log that replay reads; the third call is a usage error
+    CALLS = [
+        ["sweep", "--config", str(DEFAULT_CONFIG), "--repeats", "3", "--frames-out", "frames.csv"],
+        ["run", "--config", str(DEFAULT_CONFIG), "--scenario", str(SCENARIOS / "scissors_present.yaml")],
+        ["sweep", "--config", str(DEFAULT_CONFIG), "--repeats", "many"],
+        ["replay", "--config", str(DEFAULT_CONFIG), "--log", "frames.csv"],
+    ]
+
+    def test_calls_in_turn_match_each_alone(self, tmp_path, monkeypatch, capsys):
+        def invoke(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            files = {path.name: path.read_bytes() for path in sorted(Path.cwd().iterdir())}
+            return code, capsys.readouterr(), files
+
+        def calls(workdir, fresh_parser):
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            results = []
+            for argv in self.CALLS:
+                if fresh_parser or not results:
+                    _build_parser.cache_clear()
+                results.append(invoke(argv))
+            return results
+
+        alone = calls(tmp_path / "alone", fresh_parser=True)
+        in_turn = calls(tmp_path / "in_turn", fresh_parser=False)
+        assert in_turn == alone
+        assert [code for code, _, _ in alone] == [0, 0, 2, 0]
+        assert "invalid int value: 'many'" in alone[2][1].err
+        assert _build_parser.cache_info()[:2] == (3, 1)  # in turn, one parser served all four calls
+
 
 class TestCliSweep:
     def test_writes_seventeen_rows(self, tmp_path, capsys):

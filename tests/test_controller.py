@@ -6,7 +6,7 @@ import statistics
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerveline import (
@@ -597,22 +597,39 @@ def rules_on(draw, sensors, spec):
     )
 
 
+@st.composite
+def drawn_runs(draw):
+    """Arguments of one run: scenario, specs, seed, noise_sd_counts, quantize_to_spikes."""
+    spec = NerveLineSpec(spike_pitch_mm=draw(st.sampled_from([2.5, 5.0, 7.0])))
+    sensors = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    scenario = Scenario(
+        name="drawn",
+        goal=draw(st.sampled_from(["lift", "operate"])),
+        expected_outcome="failed",
+        rules=tuple(draw(st.lists(rules_on(sorted(sensors), spec), min_size=1, max_size=3))),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    noise = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
+    return scenario, {i: spec for i in sensors}, seed, noise, draw(st.booleans())
+
+
+def pinned_run(sensors, noise, *rules):
+    """A drawn_runs value: an operate goal, default lines, seed 3, the spiked skin."""
+    scenario = Scenario("pinned", "operate", "failed", rules=rules)
+    return scenario, dict.fromkeys(sensors, NerveLineSpec()), 3, noise, True
+
+
 class TestRunScenarioMatchesTickLoop:
-    @given(st.data())
+    @given(drawn_runs())
+    # ADC noise on top of a spike-midpoint coin, sensed anew every tick
+    @example(pinned_run([0, 1], 3.0, touch_rule(0, 72.5, LIVE_PHASES), touch_rule(1, 40.0, LIVE_PHASES)))
+    # neither watched sensor is configured, so step reads empty histories
+    @example(pinned_run([2, 3], 0.0, touch_rule(2, 70.0, LIVE_PHASES)))
+    # the watched regrasp sensor is configured but no rule touches it
+    @example(pinned_run([0, 1, 2], 0.0, touch_rule(0, 70.0, LIVE_PHASES)))
     @settings(max_examples=100, deadline=None)
-    def test_matches_per_tick_sense_loop(self, data):
-        spec = NerveLineSpec(spike_pitch_mm=data.draw(st.sampled_from([2.5, 5.0, 7.0])))
-        sensors = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
-        specs = {i: spec for i in sensors}
-        scenario = Scenario(
-            name="drawn",
-            goal=data.draw(st.sampled_from(["lift", "operate"])),
-            expected_outcome="failed",
-            rules=tuple(data.draw(st.lists(rules_on(sorted(sensors), spec), min_size=1, max_size=3))),
-        )
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        noise = data.draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
-        quantize = data.draw(st.booleans())
+    def test_matches_per_tick_sense_loop(self, run):
+        scenario, specs, seed, noise, quantize = run
         result = run_scenario(
             scenario, specs, seed=seed, noise_sd_counts=noise, quantize_to_spikes=quantize
         )
