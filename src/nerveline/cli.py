@@ -14,15 +14,15 @@ import functools
 import random
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .config import RunConfig, load_config, load_scenario
-from .controller import TaskPhase, run_scenario
+from .controller import run_scenario
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
-    Regime,
     _estimator,
     _smooth,
     auto_calibration,
@@ -35,11 +35,6 @@ TRACE_HEADER = ("t_ms", "phase", "sensor", "raw", "filtered", "p", "regime")
 SWEEP_HEADER = ("position_mm", "mean_p_spiked", "var_p_spiked", "mean_p_smooth", "var_p_smooth")
 FRAMES_HEADER = ("t_ms", "sensor", "counts")
 REPLAY_HEADER = ("t_ms", "sensor", "raw", "filtered", "p", "regime")
-
-# The text `run` writes for each phase and regime.
-_PHASE_TEXT = {phase: phase.value for phase in TaskPhase}
-_REGIME_TEXT = {regime: regime.value for regime in Regime}
-
 
 def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", newline="", encoding="ascii") as handle:
@@ -141,7 +136,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out = args.out if args.out is not None else f"{scenario.name}_trace.csv"
     rows = (
-        (t_ms, _PHASE_TEXT[phase], sensor, raw, filtered, p, _REGIME_TEXT[regime])
+        (t_ms, phase._value_, sensor, raw, filtered, p, regime._value_)
         for t_ms, phase, sensor, raw, filtered, p, regime in result.rows
     )
     _write_csv(out, TRACE_HEADER, rows)
@@ -156,55 +151,49 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_frames(path: str, config: RunConfig) -> list[tuple[int, int, int]]:
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("line 1: empty log")
-    if tuple(lines[0].split(",")) != FRAMES_HEADER:
-        raise ValueError(f"line 1: expected header {','.join(FRAMES_HEADER)!r}, got {lines[0]!r}")
-    full_scales = {sensor: spec.adc_full_scale for sensor, spec in config.sensors.items()}
-    frames: list[tuple[int, int, int]] = []
-    last_t_ms: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            t_ms, sensor, counts = map(int, parts)
-        except ValueError:
-            raise ValueError(f"line {lineno}: fields must be integers, got {line!r}") from None
-        full_scale = full_scales.get(sensor)
-        if full_scale is None:
-            raise ValueError(f"line {lineno}: sensor {sensor} is not configured")
-        if not 0 <= counts <= full_scale:
-            raise ValueError(f"line {lineno}: counts {counts} outside 0..{full_scale}")
-        previous = last_t_ms.get(sensor)
-        if previous is not None and t_ms <= previous:
-            raise ValueError(f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}")
-        last_t_ms[sensor] = t_ms
-        frames.append((t_ms, sensor, counts))
-    return frames
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    calibration = _calibration_table(config)
+    a = config.filter_coefficient_a
+    # per sensor: [full scale, estimator, last t_ms, last filtered value]
+    sensors = {
+        sensor: [spec.adc_full_scale, _estimator(calibration[sensor]), None, None]
+        for sensor, spec in config.sensors.items()
+    }
     try:
-        frames = _parse_frames(args.log, config)
+        lines = Path(args.log).read_text(encoding="ascii").splitlines()
+        if not lines:
+            raise ValueError("line 1: empty log")
+        if tuple(lines[0].split(",")) != FRAMES_HEADER:
+            raise ValueError(f"line 1: expected header {','.join(FRAMES_HEADER)!r}, got {lines[0]!r}")
+        out_lines = [",".join(REPLAY_HEADER) + "\n"]
+        for lineno, line in enumerate(islice(lines, 1, None), start=2):
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+            try:
+                t_ms, sensor, counts = map(int, parts)
+            except ValueError:
+                raise ValueError(f"line {lineno}: fields must be integers, got {line!r}") from None
+            state = sensors.get(sensor)
+            if state is None:
+                raise ValueError(f"line {lineno}: sensor {sensor} is not configured")
+            full_scale, estimate, previous, filtered = state
+            if not 0 <= counts <= full_scale:
+                raise ValueError(f"line {lineno}: counts {counts} outside 0..{full_scale}")
+            if previous is not None and t_ms <= previous:
+                raise ValueError(f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}")
+            state[2] = t_ms
+            state[3] = filtered = _smooth(a, filtered, counts)
+            p, regime = estimate(filtered)
+            out_lines.append(f"{t_ms},{sensor},{counts},{filtered!r},{p!r},{regime._value_}\n")
     except ValueError as exc:
         raise ValueError(f"{args.log}: {exc}") from None
-    estimators = {sensor: _estimator(cal) for sensor, cal in _calibration_table(config).items()}
-    a = config.filter_coefficient_a
-    filtered_last: dict[int, float | None] = dict.fromkeys(config.sensors)
 
-    def rows() -> Iterator[list[object]]:
-        for t_ms, sensor, counts in frames:
-            filtered = filtered_last[sensor] = _smooth(a, filtered_last[sensor], counts)
-            p, regime = estimators[sensor](filtered)
-            yield [t_ms, sensor, counts, repr(filtered), repr(p), regime.value]
-
-    _write_csv(args.out, REPLAY_HEADER, rows())
-    print(f"wrote {args.out} frames={len(frames)}")
+    # opened only once the whole log is accepted, so a bad line leaves --out as it was
+    with open(args.out, "w", newline="", encoding="ascii") as handle:
+        handle.writelines(out_lines)
+    print(f"wrote {args.out} frames={len(out_lines) - 1}")
     return 0
 
 

@@ -996,6 +996,26 @@ class TestCliSweep:
         assert (repr(mean), repr(variance)) == expected
 
 
+@st.composite
+def drawn_replays(draw):
+    """A filter coefficient and a frame log on sensors 0..3 as (t_ms, sensor, counts), t_ms rising per sensor."""
+    sensors = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    coefficient_a = draw(st.floats(0.0, 1.0, exclude_max=True))
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(sensors), st.integers(1, 50), st.integers(0, 1023)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    last_t_ms = {i: draw(st.integers(-1, 1000)) for i in sensors}
+    frames = []
+    for sensor, gap, counts in steps:
+        last_t_ms[sensor] += gap
+        frames.append((last_t_ms[sensor], sensor, counts))
+    return coefficient_a, frames
+
+
 def _replay_of_regrasp_run(tmp_path, config, skin=()):
     """Trace rows of ``nerveline run`` on scissors_regrasp and the replay.csv path of its counts."""
     trace = tmp_path / "trace.csv"
@@ -1039,26 +1059,18 @@ class TestCliReplay:
         digest = hashlib.sha256(replayed.read_bytes()).hexdigest()
         assert digest == self.REPLAY_SHA256[config_name]
 
-    @given(st.data())
+    @given(drawn_replays())
+    # a = 0: the filter passes each frame through unchanged
+    @example((0.0, [(0, 0, 500), (10, 0, 200), (10, 1, 800), (20, 1, 100)]))
+    # sensor 2 is seeded mid-log, after sensor 0 has run, at an earlier t_ms
+    @example((0.5, [(0, 0, 300), (10, 0, 700), (20, 0, 900), (5, 2, 100), (30, 0, 100), (15, 2, 1000)]))
+    # counts at both ends of the ADC range, 0 and full scale
+    @example((COEFFICIENT_A, [(0, 1, 0), (0, 3, 1023), (10, 1, 1023), (10, 3, 0), (20, 1, 0)]))
     @settings(max_examples=100, deadline=None)
-    def test_matches_filter_step_loop(self, data):
-        sensors = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
-        coefficient_a = data.draw(st.floats(0.0, 1.0, exclude_max=True))
-        steps = data.draw(
-            st.lists(
-                st.tuples(st.sampled_from(sensors), st.integers(1, 50), st.integers(0, 1023)),
-                min_size=1,
-                max_size=60,
-            )
-        )
-        last_t_ms = {i: data.draw(st.integers(-1, 1000)) for i in sensors}
-        frames = []
-        for sensor, gap, counts in steps:
-            last_t_ms[sensor] += gap
-            frames.append((last_t_ms[sensor], sensor, counts))
-
+    def test_matches_filter_step_loop(self, replay):
+        coefficient_a, frames = replay
         calibration = auto_calibration(NerveLineSpec())
-        filters = {i: FilterState(coefficient_a) for i in sensors}
+        filters = {sensor: FilterState(coefficient_a) for _, sensor, _ in frames}
         expected = []
         for t_ms, sensor, counts in frames:
             filters[sensor], filtered = filter_step(filters[sensor], counts)
@@ -1138,6 +1150,33 @@ class TestCliReplay:
         )
         assert code == 2
         assert f"error: {log}: line 2: fields must be integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out_exists", [True, False], ids=["existing_out", "missing_out"])
+    def test_bad_last_line_writes_nothing(self, tmp_path, capsys, out_exists):
+        frames = [f"{10 * (k // 4)},{k % 4},{(37 * k) % 1024}\n" for k in range(5999)]
+        log = tmp_path / "frames.csv"
+        log.write_text("t_ms,sensor,counts\n" + "".join(frames) + "14990,3,1024\n")
+        out = tmp_path / "r.csv"
+        if out_exists:
+            out.write_bytes(b"kept\n")
+        code = main(["replay", "--config", str(DEFAULT_CONFIG), "--log", str(log), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {log}: line 6001: counts 1024 outside 0..1023\n")
+        if out_exists:
+            assert out.read_bytes() == b"kept\n"
+        else:
+            assert not out.exists()
+
+    def test_calibration_error_reported_before_log_error(self, tmp_path, capsys):
+        # the estimators are built before the first frame is read
+        calibration = tmp_path / "calibration.txt"
+        calibration.write_text("sensor=0\nv_max=1023\n\nv_min=93\n")
+        config = write(tmp_path, "c.yaml", f"seed: 1\ncalibration_file: {calibration}\n")
+        log = tmp_path / "frames.csv"
+        log.write_text("t_ms,sensor,counts\n0,0,abc\n")
+        code = main(["replay", "--config", str(config), "--log", str(log), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {calibration}: line 3: blank line not allowed\n"
 
 
 class TestCliCalibrate:
