@@ -12,10 +12,8 @@ from .controller import (
     ControllerState,
     Scenario,
     ScenarioResult,
-    SensorSample,
     StepContext,
     TaskPhase,
-    TraceRecord,
     run_scenario,
     step,
 )
@@ -25,14 +23,12 @@ from .estimation import (
     CalibrationData,
     ContactEstimate,
     FilterState,
-    PositionEstimate,
     Regime,
     auto_calibration,
     calibrate,
     detect_touch,
     estimate_p,
     filter_step,
-    map_p_to_mm,
     position_reached,
     read_calibration,
     smoothing_coefficient,

@@ -173,6 +173,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
             try:
                 t_ms, sensor, counts = map(int, parts)
+                head = f"{t_ms},{sensor},{counts}"
+                if head != line:  # plain decimal, as sweep --frames-out writes it
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"line {lineno}: fields must be integers, got {line!r}") from None
             state = sensors.get(sensor)
@@ -186,7 +189,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             state[2] = t_ms
             state[3] = filtered = _smooth(a, filtered, counts)
             p, regime = estimate(filtered)
-            out_lines.append(f"{t_ms},{sensor},{counts},{filtered!r},{p!r},{regime._value_}\n")
+            out_lines.append(f"{head},{filtered!r},{p!r},{regime._value_}\n")
     except ValueError as exc:
         raise ValueError(f"{args.log}: {exc}") from None
 

@@ -11,9 +11,7 @@ the tool actually touches each line, standing in for the physical world.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -207,57 +205,16 @@ class StepContext:
     open_command: Command
 
 
-@dataclass(frozen=True)
-class SensorSample:
-    """One sensor's values for one tick."""
-
-    raw: int
-    filtered: float
-    estimate: ContactEstimate
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One controller tick: timestamp, phase, all sensor samples, commands issued."""
-
-    t_ms: int
-    phase: TaskPhase
-    samples: Mapping[int, SensorSample]
-    commands: tuple[Command, ...] = ()
-
-
 # One sensor at one tick, as `run` writes it: t_ms, phase, sensor, raw, filtered, p, regime.
 TraceRow = tuple[int, TaskPhase, int, int, float, float, Regime]
 
 
-class _LazyTrace:
-    """``ScenarioResult.trace``: kept when given, else built from the rows on first read."""
-
-    def __get__(self, result: ScenarioResult | None, owner: type | None = None) -> tuple[TraceRecord, ...] | None:
-        if result is None:
-            return None  # the field's default: no trace given
-        if result.__dict__["trace"] is None:
-            trace = []
-            for t_ms, tick in itertools.groupby(result.rows, operator.itemgetter(0)):
-                samples = {}
-                for _, phase, sensor, raw, filtered, p, regime in tick:
-                    samples[sensor] = SensorSample(raw, filtered, ContactEstimate(p, regime))
-                trace.append(TraceRecord(t_ms, phase, samples, result.commands.get(t_ms, ())))
-            result.__dict__["trace"] = tuple(trace)
-        return result.__dict__["trace"]
-
-    def __set__(self, result: ScenarioResult, trace: tuple[TraceRecord, ...] | None) -> None:
-        result.__dict__["trace"] = trace
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Outcome of a scenario run plus its full trace.
+    """Outcome of a scenario run: counters, ``rows`` and ``commands``.
 
-    A run records ``rows``, one per sensor per tick, and ``commands``, what
-    each phase entry issued keyed by its ``t_ms``; ``trace`` is built from
-    them on first read.  A result built with ``trace=`` keeps it and has no
-    rows.  Equality compares every other field, the trace tick by tick.
+    ``rows`` holds one row per sensor per tick; ``commands`` maps the
+    ``t_ms`` of each phase entry to what it issued, ``()`` when nothing.
     """
 
     outcome: str
@@ -266,9 +223,8 @@ class ScenarioResult:
     retries: int
     regrasp_steps: int
     failure_reason: str | None
-    trace: tuple[TraceRecord, ...] = _LazyTrace()
-    rows: tuple[TraceRow, ...] = field(default=(), repr=False, compare=False)
-    commands: Mapping[int, tuple[Command, ...]] = field(default_factory=dict, repr=False, compare=False)
+    rows: tuple[TraceRow, ...] = field(repr=False)
+    commands: Mapping[int, tuple[Command, ...]] = field(repr=False)
 
 
 def _entry_commands(phase: TaskPhase, config: ControllerConfig, context: StepContext) -> tuple[Command, ...]:
@@ -413,8 +369,7 @@ def run_scenario(
         hand: wire actuators to drive; default is the prototype hand.
 
     Returns:
-        The run result with outcome, counters, rows and commands; its
-        ``trace`` is built from the rows when first read.
+        The run result with outcome, counters, rows and commands.
 
     Raises:
         ScenarioError: a rule references an unknown sensor or a position

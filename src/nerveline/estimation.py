@@ -247,28 +247,6 @@ def position_reached(
     return mean_p < threshold_p
 
 
-@dataclass(frozen=True)
-class PositionEstimate:
-    """Ratio converted to millimetres from the base, with the zone it fell in."""
-
-    position_mm: float
-    zone: Regime
-
-
-def map_p_to_mm(p: float, spec: NerveLineSpec) -> PositionEstimate:
-    """Convert a contact-point ratio to a distance along the finger.
-
-    The body branch spans the sensitive region linearly, so p = 80 lands at
-    the insulation point; the fingertip branch continues at the same scale
-    into the folded-out tip band.
-    """
-    if not 0.0 <= p <= 100.0:
-        raise ValueError(f"p must be in [0, 100], got {p}")
-    position = p / BODY_SPLIT_P * spec.effective_length_mm
-    zone = Regime.BODY if p <= BODY_SPLIT_P else Regime.FINGERTIP
-    return PositionEstimate(position_mm=position, zone=zone)
-
-
 _CAL_KEYS = ("sensor", "v_max", "v_mid", "v_min")
 
 
@@ -287,6 +265,8 @@ def write_calibration(path: str | Path, table: Mapping[int, CalibrationData]) ->
 def _parse_int(raw: str, lineno: int) -> int:
     try:
         value = int(raw, 10)
+        if str(value) != raw:  # plain decimal, as write_calibration writes it
+            raise ValueError
     except ValueError:
         raise ValueError(f"line {lineno}: expected an integer, got {raw!r}") from None
     if not is_finite_number(value):

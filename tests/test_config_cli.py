@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nerveline.config
-import nerveline.controller
 from nerveline import (
     ConfigError,
     FilterState,
@@ -552,7 +551,7 @@ class TestCliRun:
 
     @staticmethod
     def assert_run_writes_library_trace(tmp_path, config_path, scenario_path):
-        """`run`'s CSV is the rendering of `run_scenario`'s trace at the library's filter default."""
+        """`run`'s CSV is the rendering of `run_scenario`'s rows at the library's filter default."""
         out = tmp_path / "trace.csv"
         argv = ["run", "--config", str(config_path), "--scenario", str(scenario_path)]
         assert main(argv + ["--out", str(out)]) == 0
@@ -565,10 +564,8 @@ class TestCliRun:
             noise_sd_counts=config.noise_sd_counts,
         )
         expected = "".join(
-            f"{record.t_ms},{record.phase.value},{sensor},{sample.raw},{sample.filtered!r},"
-            f"{sample.estimate.p!r},{sample.estimate.regime.value}\n"
-            for record in result.trace
-            for sensor, sample in sorted(record.samples.items())
+            f"{t_ms},{phase.value},{sensor},{raw},{filtered!r},{p!r},{regime.value}\n"
+            for t_ms, phase, sensor, raw, filtered, p, regime in result.rows
         )
         assert out.read_text() == "t_ms,phase,sensor,raw,filtered,p,regime\n" + expected
 
@@ -595,18 +592,6 @@ class TestCliRun:
         if scenario_text is not None:
             scenario = write(tmp_path, "s.yaml", scenario_text)
         self.assert_run_writes_library_trace(tmp_path, config, scenario)
-
-    def test_run_builds_no_per_tick_records(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("run built a per-tick trace record")
-
-        monkeypatch.setattr(nerveline.controller, "TraceRecord", refuse)
-        monkeypatch.setattr(nerveline.controller, "SensorSample", refuse)
-        out = tmp_path / "trace.csv"
-        scenario = SCENARIOS / "scissors_regrasp.yaml"
-        assert main(["run", "--config", str(DEFAULT_CONFIG), "--scenario", str(scenario), "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == self.RUN_TRACE_SHA256["shipped", "scissors_regrasp"]
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         config = write(tmp_path, "c.yaml", "dt_ms: 10\n")
@@ -1118,6 +1103,9 @@ class TestCliReplay:
             ("t_ms,sensor,counts\n0,0,1.5\n", "line 2: fields must be integers, got '0,0,1.5'"),
             ("t_ms,sensor,counts\n0,0,0x10\n", "line 2: fields must be integers, got '0,0,0x10'"),
             ("t_ms,sensor,counts\n0,0,\n", "line 2: fields must be integers, got '0,0,'"),
+            ("t_ms,sensor,counts\n0, 0 ,1_0\n", "line 2: fields must be integers, got '0, 0 ,1_0'"),
+            ("t_ms,sensor,counts\n+5,0,12\n", "line 2: fields must be integers, got '+5,0,12'"),
+            ("t_ms,sensor,counts\n0,0,012\n", "line 2: fields must be integers, got '0,0,012'"),
             ("t_ms,sensor,counts\n0,9,100\n", "line 2: sensor 9 is not configured"),
             ("t_ms,sensor,counts\n0,-1,100\n", "line 2: sensor -1 is not configured"),
             ("t_ms,sensor,counts\n0,0,1024\n", "line 2: counts 1024 outside 0..1023"),

@@ -27,10 +27,8 @@ from nerveline import (
     Scenario,
     ScenarioError,
     ScenarioResult,
-    SensorSample,
     StepContext,
     TaskPhase,
-    TraceRecord,
     auto_calibration,
     default_hand,
     default_sensors,
@@ -389,7 +387,7 @@ class TestRunScenario:
         assert result.final_phase is TaskPhase.DONE
         assert result.ticks == 50
         assert result.retries == 0
-        phases = [record.phase for record in result.trace]
+        phases = [phase for _, phase, sensor, *_ in result.rows if sensor == 0]
         assert phases == (
             [TaskPhase.APPROACH] * 10
             + [TaskPhase.LOWER] * 10
@@ -400,11 +398,11 @@ class TestRunScenario:
 
     def test_verify_grasp_filter_decay_frozen(self):
         result = run_scenario(SCISSORS_PRESENT, default_sensors(), seed=12345)
-        verify = [r.samples[0] for r in result.trace if r.phase is TaskPhase.VERIFY_GRASP]
-        assert all(sample.raw == 220 for sample in verify)
+        verify = [row for row in result.rows if row[1] is TaskPhase.VERIFY_GRASP and row[2] == 0]
+        assert all(raw == 220 for _, _, _, raw, *_ in verify)
         # smoothing from the saturated open value crosses the touch
         # threshold on the third tick of the verification dwell
-        p_values = [sample.estimate.p for sample in verify]
+        p_values = [p for *_, p, _ in verify]
         assert p_values[0] > 90.0 > p_values[2]
         assert p_values[2] == pytest.approx(88.5848, abs=1e-4)
         assert p_values[-1] == pytest.approx(80.9217, abs=1e-4)
@@ -416,11 +414,7 @@ class TestRunScenario:
         assert result.ticks == 140
         assert result.retries == 2
         assert result.failure_reason == "grasp retries exhausted"
-        assert all(
-            sample.estimate.p >= 90.0
-            for record in result.trace
-            for sample in record.samples.values()
-        )
+        assert all(p >= 90.0 for *_, p, _ in result.rows)
 
     def test_moved_back_lifts_on_second_attempt(self):
         rule = touch_rule(0, 70.0, (TaskPhase.VERIFY_GRASP, TaskPhase.LIFT), attempt=2)
@@ -445,9 +439,9 @@ class TestRunScenario:
         result = run_scenario(REGRASP, default_sensors(), seed=12345)
         means = []
         block: list[float] = []
-        for record in result.trace:
-            if record.phase is TaskPhase.VERIFY_BASE:
-                block.append(record.samples[1].estimate.p)
+        for _, phase, sensor, _, _, p, _ in result.rows:
+            if phase is TaskPhase.VERIFY_BASE and sensor == 1:
+                block.append(p)
                 if len(block) == 10:
                     means.append(statistics.fmean(block))
                     block = []
@@ -467,20 +461,19 @@ class TestRunScenario:
         second = run_scenario(noisy, default_sensors(), seed=7, noise_sd_counts=4.0)
         assert first == second
         third = run_scenario(noisy, default_sensors(), seed=8, noise_sd_counts=4.0)
-        assert third.trace != first.trace
+        assert third.rows != first.rows
 
     def test_timestamps_step_by_dt(self):
         result = run_scenario(NO_SCISSORS, default_sensors(), seed=1)
-        stamps = [record.t_ms for record in result.trace]
+        stamps = [t_ms for t_ms, _, sensor, *_ in result.rows if sensor == 0]
         assert stamps == list(range(0, 1400, 10))
 
     def test_commands_only_on_phase_entry(self):
         result = run_scenario(SCISSORS_PRESENT, default_sensors(), seed=12345)
-        assert result.trace[0].commands == (Command("move_above", (120.0, 40.0)),)
-        assert result.trace[1].commands == ()
-        lift_entry = result.trace[40]
-        assert lift_entry.phase is TaskPhase.LIFT
-        assert lift_entry.commands == (Command("lift"),)
+        assert result.commands[0] == (Command("move_above", (120.0, 40.0)),)
+        assert 10 not in result.commands
+        assert next(row[0] for row in result.rows if row[1] is TaskPhase.LIFT) == 400
+        assert result.commands[400] == (Command("lift"),)
 
     def test_custom_hand_tables_drive_grasp_command(self):
         hand = Hand(
@@ -491,10 +484,8 @@ class TestRunScenario:
             ),
         )
         result = run_scenario(SCISSORS_PRESENT, default_sensors(), seed=12345, hand=hand)
-        close_entry = next(
-            record for record in result.trace if record.phase is TaskPhase.CLOSE_FINGERS
-        )
-        assert close_entry.commands == (Command("close_fingers", (6.5, 3.0)),)
+        close_t_ms = next(row[0] for row in result.rows if row[1] is TaskPhase.CLOSE_FINGERS)
+        assert result.commands[close_t_ms] == (Command("close_fingers", (6.5, 3.0)),)
         assert result.outcome == "lifted"
 
     @pytest.mark.parametrize("coefficient_a", [1.0, -0.1])
@@ -527,11 +518,12 @@ def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes):
     histories = {i: [] for i in specs}
     state = ControllerState()
     commands = (Command("move_above", scenario.object_pose_mm),)
-    trace = []
+    rows = []
+    entered = {}
     t_ms = 0
     while state.phase not in (TaskPhase.DONE, TaskPhase.FAILED):
-        for tick in range(config.dwell_ticks):
-            samples = {}
+        entered[t_ms] = commands
+        for _ in range(config.dwell_ticks):
             for i in sorted(specs):
                 length = specs[i].effective_length_mm
                 contacts = tuple(
@@ -554,8 +546,7 @@ def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes):
                 filters[i], filtered = filter_step(filters[i], reading.counts)
                 estimate = estimate_p(filtered, calibration[i])
                 histories[i].append(estimate)
-                samples[i] = SensorSample(reading.counts, filtered, estimate)
-            trace.append(TraceRecord(t_ms, state.phase, samples, commands if tick == 0 else ()))
+                rows.append((t_ms, state.phase, i, reading.counts, filtered, estimate.p, estimate.regime))
             t_ms += config.dt_ms
         state, commands = step(state, histories, config, context)
     if state.phase is TaskPhase.FAILED:
@@ -567,11 +558,12 @@ def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes):
     return ScenarioResult(
         outcome=outcome,
         final_phase=state.phase,
-        ticks=len(trace),
+        ticks=t_ms // config.dt_ms,
         retries=state.retries_used,
         regrasp_steps=state.regrasp_steps,
         failure_reason=state.failure_reason,
-        trace=tuple(trace),
+        rows=tuple(rows),
+        commands=entered,
     )
 
 

@@ -18,7 +18,6 @@ from nerveline import (
     detect_touch,
     estimate_p,
     filter_step,
-    map_p_to_mm,
     position_reached,
     read_calibration,
     smoothing_coefficient,
@@ -277,26 +276,6 @@ class TestThresholds:
             position_reached([], window_n=0)
 
 
-class TestMapPToMm:
-    def test_anchors(self):
-        spec = NerveLineSpec()
-        assert map_p_to_mm(0.0, spec).position_mm == 0.0
-        assert map_p_to_mm(80.0, spec).position_mm == 80.0
-        assert map_p_to_mm(40.0, spec).position_mm == 40.0
-        assert map_p_to_mm(100.0, spec).position_mm == 100.0
-
-    def test_zones(self):
-        spec = NerveLineSpec()
-        assert map_p_to_mm(80.0, spec).zone is Regime.BODY
-        assert map_p_to_mm(80.1, spec).zone is Regime.FINGERTIP
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError, match="p must be"):
-            map_p_to_mm(-0.1, NerveLineSpec())
-        with pytest.raises(ValueError, match="p must be"):
-            map_p_to_mm(100.1, NerveLineSpec())
-
-
 class TestCalibrationFile:
     TABLE = {
         0: CalibrationData(1023, 236, 93),
@@ -319,6 +298,8 @@ class TestCalibrationFile:
             ("sensor=0\nv_max=1023\nv_mid=236\n", "incomplete sensor group"),
             ("sensor=0\nv_mid=236\nv_max=1023\nv_min=93\n", "line 2: expected key 'v_max'"),
             ("sensor=0\nv_max=10.5\nv_mid=2\nv_min=1\n", "line 2: expected an integer"),
+            ("sensor=0\nv_max=1_023\nv_mid=236\nv_min=93\n", "line 2: expected an integer"),
+            ("sensor=0\nv_max=1023\nv_mid= +220\nv_min=93\n", "line 3: expected an integer"),
             ("sensor=0\n\nv_max=1023\nv_mid=236\nv_min=93\n", "line 2: blank"),
             ("sensor zero\n", "line 1: expected key=value"),
             pytest.param(
