@@ -10,6 +10,7 @@ from .controller import (
     ContactRule,
     ControllerConfig,
     ControllerState,
+    RunConfig,
     Scenario,
     ScenarioResult,
     StepContext,
@@ -17,7 +18,7 @@ from .controller import (
     run_scenario,
     step,
 )
-from .config import RunConfig, default_sensors, load_config, load_scenario
+from .config import default_sensors, load_config, load_scenario
 from .errors import CalibrationError, ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,

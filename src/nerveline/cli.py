@@ -9,14 +9,14 @@ files and stdout.  Exit codes: 0 success, 1 scenario outcome mismatch,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .config import RunConfig, load_config, load_scenario
 from .controller import run_scenario
@@ -36,11 +36,18 @@ SWEEP_HEADER = ("position_mm", "mean_p_spiked", "var_p_spiked", "mean_p_smooth",
 FRAMES_HEADER = ("t_ms", "sensor", "counts")
 REPLAY_HEADER = ("t_ms", "sensor", "raw", "filtered", "p", "regime")
 
-def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[Sequence[object]]) -> None:
+
+def _write_lines(path: str, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """Write ``header`` as a CSV row, then ``lines``, each already ending in a newline."""
     with open(path, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        handle.writelines(lines)
+
+
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` run, with ``--seed`` in place of its seed when given."""
+    config = load_config(args.config)
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _calibration_table(config: RunConfig) -> dict[int, CalibrationData]:
@@ -77,8 +84,7 @@ def _mean_pvariance(tally: Iterable[tuple[float, int]], n: int) -> tuple[float, 
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config.seed
+    config = _load_config(args)
     if args.sensor not in config.sensors:
         raise ConfigError(f"--sensor: sensor {args.sensor} is not configured")
     spec = config.sensors[args.sensor]
@@ -92,54 +98,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             positions,
             jitter_mm=args.jitter_mm,
             repeats=args.repeats,
-            rng=random.Random(seed),
+            rng=random.Random(config.seed),
             noise_sd_counts=config.noise_sd_counts,
             quantize_to_spikes=quantize,
         )
 
     estimate = _estimator(calibration)
-    rows = []
+    lines = []
     for row, position in enumerate(positions):
-        cells: list[str] = [repr(float(position))]
+        line = f"{float(position)!r}"
         for label in ("spiked", "smooth"):
             block = runs[label][row * args.repeats : (row + 1) * args.repeats]
             tally = Counter(block)  # (touched_mm, counts) -> presses
             p_tally = [(estimate(counts)[0], k) for (_, counts), k in tally.items()]
-            cells.extend(map(repr, _mean_pvariance(p_tally, len(block))))
-        rows.append(cells)
-    _write_csv(args.out, SWEEP_HEADER, rows)
+            mean, variance = _mean_pvariance(p_tally, len(block))
+            line += f",{mean!r},{variance!r}"
+        lines.append(line + "\n")
+    _write_lines(args.out, SWEEP_HEADER, lines)
     if args.frames_out is not None:
-        frames = ((t_ms, args.sensor, counts) for t_ms, (_, counts) in enumerate(runs["spiked"]))
-        _write_csv(args.frames_out, FRAMES_HEADER, frames)
+        frames = (f"{t_ms},{args.sensor},{counts}\n" for t_ms, (_, counts) in enumerate(runs["spiked"]))
+        _write_lines(args.frames_out, FRAMES_HEADER, frames)
 
-    print(f"wrote {args.out} rows={len(positions)} repeats={args.repeats} seed={seed}")
+    print(f"wrote {args.out} rows={len(positions)} repeats={args.repeats} seed={config.seed}")
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = _load_config(args)
     scenario = load_scenario(args.scenario, config)
-    seed = args.seed if args.seed is not None else config.seed
-    calibration = _calibration_table(config)
-    quantize = config.quantize_to_spikes and not args.no_spikes
-    result = run_scenario(
-        scenario,
-        config.sensors,
-        config.controller,
-        seed=seed,
-        filter_coefficient_a=config.filter_coefficient_a,
-        noise_sd_counts=config.noise_sd_counts,
-        calibration=calibration,
-        quantize_to_spikes=quantize,
-        hand=config.hand,
-    )
+    if args.no_spikes:
+        config = replace(config, quantize_to_spikes=False)
+    result = run_scenario(scenario, config, _calibration_table(config))
 
     out = args.out if args.out is not None else f"{scenario.name}_trace.csv"
-    rows = (
-        (t_ms, phase._value_, sensor, raw, filtered, p, regime._value_)
+    lines = (
+        f"{t_ms},{phase._value_},{sensor},{raw},{filtered!r},{p!r},{regime._value_}\n"
         for t_ms, phase, sensor, raw, filtered, p, regime in result.rows
     )
-    _write_csv(out, TRACE_HEADER, rows)
+    _write_lines(out, TRACE_HEADER, lines)
 
     print(f"outcome={result.outcome} steps={result.ticks}")
     if result.outcome != scenario.expected_outcome:
@@ -166,7 +162,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             raise ValueError("line 1: empty log")
         if tuple(lines[0].split(",")) != FRAMES_HEADER:
             raise ValueError(f"line 1: expected header {','.join(FRAMES_HEADER)!r}, got {lines[0]!r}")
-        out_lines = [",".join(REPLAY_HEADER) + "\n"]
+        out_lines = []
         for lineno, line in enumerate(islice(lines, 1, None), start=2):
             parts = line.split(",")
             if len(parts) != 3:
@@ -194,16 +190,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.log}: {exc}") from None
 
     # opened only once the whole log is accepted, so a bad line leaves --out as it was
-    with open(args.out, "w", newline="", encoding="ascii") as handle:
-        handle.writelines(out_lines)
-    print(f"wrote {args.out} frames={len(out_lines) - 1}")
+    _write_lines(args.out, REPLAY_HEADER, out_lines)
+    print(f"wrote {args.out} frames={len(out_lines)}")
     return 0
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config.seed
-    rng = random.Random(seed)
+    config = _load_config(args)
+    rng = random.Random(config.seed)
     table = {
         sensor: auto_calibration(
             config.sensors[sensor], noise_sd_counts=config.noise_sd_counts, rng=rng

@@ -11,19 +11,20 @@ a file can break: unknown keys, shapes, names and cross-references.
 from __future__ import annotations
 
 import string
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from .bounds import bounded, check_fields, field_problems, is_finite_number, number_problem
+from .bounds import field_problems, is_finite_number, number_problem
 from .controller import (
     GOALS,
     OUTCOMES,
     TERMINAL_PHASES,
     ContactRule,
     ControllerConfig,
+    RunConfig,
     Scenario,
     TaskPhase,
     rule_problem,
@@ -34,23 +35,6 @@ from .hand import ActuatorSpec, FingerSpec, Hand, default_hand
 from .line import NerveLineSpec
 
 SENSOR_COUNT = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a reproducible run needs besides the scenario itself."""
-
-    seed: int = bounded()
-    sensors: dict[int, NerveLineSpec]
-    controller: ControllerConfig
-    filter_coefficient_a: float
-    noise_sd_counts: float = bounded(0.0, ge=0)
-    quantize_to_spikes: bool = True
-    calibration_file: str | None = None
-    hand: Hand = field(default_factory=default_hand)
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
 
 
 def default_sensors() -> dict[int, NerveLineSpec]:

@@ -17,18 +17,15 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .bounds import bounded, check_fields
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError
 from .estimation import (
-    DEFAULT_CUTOFF_HZ,
     CalibrationData,
     ContactEstimate,
     FilterState,
     Regime,
     _estimator,
     _smooth,
-    auto_calibration,
     detect_touch,
-    smoothing_coefficient,
     position_reached,
 )
 from .hand import Hand, JointState, default_hand, posture_command
@@ -179,6 +176,31 @@ class Scenario:
             raise ScenarioError(
                 f"expected_outcome must be one of {OUTCOMES}, got {self.expected_outcome!r}"
             )
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a reproducible run needs besides the scenario itself.
+
+    ``load_config`` builds one from a file, deriving the filter coefficient
+    from the cutoff at the controller tick; one built in code gets the same
+    checks: bounded fields, at least one sensor, a coefficient in [0, 1).
+    """
+
+    seed: int = bounded()
+    sensors: dict[int, NerveLineSpec]
+    controller: ControllerConfig
+    filter_coefficient_a: float
+    noise_sd_counts: float = bounded(0.0, ge=0)
+    quantize_to_spikes: bool = True
+    calibration_file: str | None = None
+    hand: Hand = field(default_factory=default_hand)
+
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
+        if not self.sensors:
+            raise ConfigError("sensors: must not be empty")
+        FilterState(coefficient_a=self.filter_coefficient_a)
 
 
 @dataclass(frozen=True)
@@ -334,14 +356,8 @@ def _outcome(state: ControllerState, goal: str) -> str:
 
 def run_scenario(
     scenario: Scenario,
-    specs: Mapping[int, NerveLineSpec],
-    config: ControllerConfig = ControllerConfig(),
-    seed: int = 0,
-    filter_coefficient_a: float | None = None,
-    noise_sd_counts: float = 0.0,
-    calibration: Mapping[int, CalibrationData] | None = None,
-    quantize_to_spikes: bool = True,
-    hand: Hand | None = None,
+    run: RunConfig,
+    calibration: Mapping[int, CalibrationData],
 ) -> ScenarioResult:
     """Run one scripted scenario to a terminal phase.
 
@@ -352,21 +368,14 @@ def run_scenario(
     exactly as `sense`, `filter_step` and `estimate_p` would, and records a
     row.  The state machine decides after each phase dwell, reading the
     histories of the two watched sensors.  All randomness comes from one
-    generator seeded with ``seed``, so a run is a pure function of its
+    generator seeded with ``run.seed``, so a run is a pure function of its
     arguments.
 
     Args:
         scenario: world script and expected outcome.
-        specs: line model per sensor index.
-        config: controller thresholds and budgets.
-        seed: seed for spike ties and ADC noise.
-        filter_coefficient_a: smoothing coefficient; default derives it
-            from ``DEFAULT_CUTOFF_HZ`` at the controller tick.
-        noise_sd_counts: ADC noise sigma, in counts.
-        calibration: reference triplets; default derives noise-free ones
-            from the line models.
-        quantize_to_spikes: model the spiked skin (True) or a smooth one.
-        hand: wire actuators to drive; default is the prototype hand.
+        run: the lines, controller, seed, filter coefficient, ADC noise,
+            skin and hand of the run, as ``load_config`` gives them.
+        calibration: reference triplet per configured sensor.
 
     Returns:
         The run result with outcome, counters, rows and commands.
@@ -374,27 +383,19 @@ def run_scenario(
     Raises:
         ScenarioError: a rule references an unknown sensor or a position
             beyond its line.
-        ValueError: ``filter_coefficient_a`` outside [0, 1) or a negative
-            ``noise_sd_counts``.
     """
-    if not specs:
-        raise ScenarioError("specs must contain at least one sensor")
+    specs = run.sensors
+    config = run.controller
     for i, rule in enumerate(scenario.rules):
         problem = rule_problem(rule, specs)
         if problem is not None:
             raise ScenarioError(f"rules[{i}].{problem}")
-    if filter_coefficient_a is None:
-        filter_coefficient_a = smoothing_coefficient(DEFAULT_CUTOFF_HZ, config.dt_ms)
-    if calibration is None:
-        calibration = {i: auto_calibration(spec) for i, spec in specs.items()}
 
-    if hand is None:
-        hand = default_hand()
-    finger_names = tuple(f.name for f in hand.fingers)
+    finger_names = tuple(f.name for f in run.hand.fingers)
     grasp_state = JointState(flexion_rad={name: GRASP_FLEXION_RAD for name in finger_names})
     open_state = JointState(flexion_rad={name: 0.0 for name in finger_names})
-    grasp_map = posture_command("grasp", hand.actuators, grasp_state)
-    open_map = posture_command("open", hand.actuators, open_state)
+    grasp_map = posture_command("grasp", run.hand.actuators, grasp_state)
+    open_map = posture_command("open", run.hand.actuators, open_state)
     context = StepContext(
         goal=scenario.goal,
         object_pose_mm=scenario.object_pose_mm,
@@ -402,11 +403,10 @@ def run_scenario(
         open_command=Command("open_fingers", tuple(open_map[k] for k in sorted(open_map))),
     )
 
-    rng = random.Random(seed)
+    rng = random.Random(run.seed)
     sensor_ids = sorted(specs)
-    a = FilterState(coefficient_a=filter_coefficient_a).coefficient_a
-    if noise_sd_counts < 0:
-        raise ValueError(f"noise_sd_counts must be non-negative, got {noise_sd_counts}")
+    a = run.filter_coefficient_a
+    noise_sd_counts = run.noise_sd_counts
     noisy = noise_sd_counts > 0
     filtered_last: dict[int, float | None] = dict.fromkeys(sensor_ids)
     estimators = {i: _estimator(calibration[i]) for i in sensor_ids}
@@ -422,7 +422,7 @@ def run_scenario(
         entered[t_ms] = commands
         lines = []
         for i in sensor_ids:
-            contact_set = ContactSet(_active_contacts(scenario, i, state, specs[i]), quantize_to_spikes)
+            contact_set = ContactSet(_active_contacts(scenario, i, state, specs[i]), run.quantize_to_spikes)
             count = _phase_count(specs[i], contact_set)
             lines.append((i, specs[i], contact_set, count, estimators[i], histories.get(i)))
         for _ in range(config.dwell_ticks):

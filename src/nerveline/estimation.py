@@ -278,23 +278,23 @@ def read_calibration(path: str | Path) -> dict[int, CalibrationData]:
     """Read calibration triplets written by write_calibration.
 
     The format is strict: groups of exactly four ``key=value`` lines in the
-    order sensor, v_max, v_mid, v_min, with integer values and no blanks.
+    order sensor, v_max, v_mid, v_min, with plain decimal integer values,
+    no blank lines and no whitespace around a key or a value.
 
     Raises:
         ValueError: malformed line, wrong key order, duplicate sensor, or
             a triplet that fails the ordering check; messages carry the
             line number.
     """
-    text = Path(path).read_text(encoding="ascii")
+    lines = Path(path).read_text(encoding="ascii").splitlines()
     table: dict[int, CalibrationData] = {}
     fields: dict[str, int] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.isspace():
             raise ValueError(f"line {lineno}: blank line not allowed")
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw_line!r}")
+            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         expected = _CAL_KEYS[len(fields)]
         if key != expected:
             raise ValueError(f"line {lineno}: expected key {expected!r}, got {key!r}")
@@ -311,5 +311,5 @@ def read_calibration(path: str | Path) -> dict[int, CalibrationData]:
                 raise ValueError(f"line {lineno}: {exc}") from None
             fields = {}
     if fields:
-        raise ValueError(f"line {len(text.splitlines())}: incomplete sensor group")
+        raise ValueError(f"line {len(lines)}: incomplete sensor group")
     return table

@@ -1,11 +1,15 @@
 """Configuration loading and command line harness tests."""
 
 import hashlib
+import os
 import statistics
 import string
+import subprocess
+import sys
 import tempfile
 import textwrap
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,12 @@ NOISY = "seed: 7\nnoise_sd_counts: 3.0\n"
 
 # the controller ticks every 40 ms while the top-level tick says 10 ms
 CONTROLLER_TICK = "seed: 1\ndt_ms: 10\ncontroller:\n  dt_ms: 40\n"
+
+# 72.5 mm lies halfway between the spikes at 70 and 75 mm, so every tick flips a coin
+MIDPOINT_SCENARIO = (
+    "name: midpoint\ngoal: lift\nexpected_outcome: lifted\n"
+    "rules: [{sensor: 0, position_mm: 72.5, phases: [VerifyGrasp, Lift]}]\n"
+)
 
 
 SHIPPED_YAML = sorted([DEFAULT_CONFIG, *SCENARIOS.glob("*.yaml")])
@@ -550,19 +560,14 @@ class TestCliRun:
         assert "expected failed, got lifted" in captured.err
 
     @staticmethod
-    def assert_run_writes_library_trace(tmp_path, config_path, scenario_path):
-        """`run`'s CSV is the rendering of `run_scenario`'s rows at the library's filter default."""
+    def assert_run_writes_library_trace(tmp_path, config_path, scenario_path, flags=(), **overrides):
+        """`run`'s CSV, given ``flags``, renders `run_scenario`'s rows on the loaded config with ``overrides``."""
         out = tmp_path / "trace.csv"
-        argv = ["run", "--config", str(config_path), "--scenario", str(scenario_path)]
+        argv = ["run", "--config", str(config_path), "--scenario", str(scenario_path), *flags]
         assert main(argv + ["--out", str(out)]) == 0
-        config = load_config(config_path)
-        result = run_scenario(
-            load_scenario(scenario_path, config),
-            config.sensors,
-            config.controller,
-            seed=config.seed,
-            noise_sd_counts=config.noise_sd_counts,
-        )
+        config = replace(load_config(config_path), **overrides)
+        table = {i: auto_calibration(spec) for i, spec in config.sensors.items()}
+        result = run_scenario(load_scenario(scenario_path, config), config, table)
         expected = "".join(
             f"{t_ms},{phase.value},{sensor},{raw},{filtered!r},{p!r},{regime.value}\n"
             for t_ms, phase, sensor, raw, filtered, p, regime in result.rows
@@ -577,12 +582,7 @@ class TestCliRun:
         "config_text,scenario_text",
         [
             (NOISY, None),
-            # 72.5 mm lies halfway between the spikes at 70 and 75 mm, so every tick flips a coin
-            (
-                None,
-                "name: midpoint\ngoal: lift\nexpected_outcome: lifted\n"
-                "rules: [{sensor: 0, position_mm: 72.5, phases: [VerifyGrasp, Lift]}]\n",
-            ),
+            (None, MIDPOINT_SCENARIO),
         ],
         ids=["noisy", "spike_midpoint"],
     )
@@ -592,6 +592,15 @@ class TestCliRun:
         if scenario_text is not None:
             scenario = write(tmp_path, "s.yaml", scenario_text)
         self.assert_run_writes_library_trace(tmp_path, config, scenario)
+
+    def test_seed_and_no_spikes_flags_override_the_config(self, tmp_path):
+        # noise makes the seed matter, and the midpoint contact the skin
+        config = write(tmp_path, "c.yaml", NOISY)
+        scenario = write(tmp_path, "s.yaml", MIDPOINT_SCENARIO)
+        flags = ["--seed", "9", "--no-spikes"]
+        self.assert_run_writes_library_trace(
+            tmp_path, config, scenario, flags, seed=9, quantize_to_spikes=False
+        )
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         config = write(tmp_path, "c.yaml", "dt_ms: 10\n")
@@ -842,6 +851,37 @@ class TestCliOneProcess:
         assert _build_parser.cache_info()[:2] == (3, 1)  # in turn, one parser served all four calls
 
 
+class TestCliEntryPoint:
+    MISMATCH = (
+        "name: wrong_expectation\ngoal: lift\nexpected_outcome: failed\n"
+        "rules: [{sensor: 0, position_mm: 70.0, phases: [VerifyGrasp, Lift]}]\n"
+    )
+    RUN = ["run", "--config", str(DEFAULT_CONFIG), "--scenario"]
+    PRESENT = str(SCENARIOS / "scissors_present.yaml")
+
+    @pytest.mark.parametrize(
+        "argv,code,stream,text",
+        [
+            (RUN + [PRESENT], 0, "stdout", "outcome=lifted steps=50\n"),
+            (RUN + ["mismatch.yaml"], 1, "stderr", "outcome mismatch: expected failed, got lifted"),
+            (["run", "--config", "missing.yaml", "--scenario", PRESENT], 2, "stderr", "error: [Errno 2]"),
+            (RUN + [PRESENT, "--speed", "2"], 2, "stderr", "unrecognized arguments: --speed 2"),
+        ],
+        ids=["ok", "outcome_mismatch", "missing_config", "unknown_flag"],
+    )
+    def test_module_exit_codes(self, tmp_path, argv, code, stream, text):
+        """``python -m nerveline.cli`` exits with what ``main`` returns, without a traceback."""
+        (tmp_path / "mismatch.yaml").write_text(self.MISMATCH)
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "nerveline.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code, done.stderr
+        assert text in getattr(done, stream)
+        assert "Traceback" not in done.stderr
+
+
 class TestCliSweep:
     def test_writes_seventeen_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -874,6 +914,13 @@ class TestCliSweep:
         )
         assert code == 2
         assert "sensor 9" in capsys.readouterr().err
+
+    def test_seed_beyond_float_range_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--config", str(DEFAULT_CONFIG), "--seed", "1" + "0" * 400, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: seed: must be a finite number, got 1000")
+        assert not out.exists()
 
     # sha256 of sweep.csv and the --frames-out log as produced by sensing
     # every press on its own; the sweep's voltage table must reproduce them.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nerveline import (
     ActuatorSpec,
     Command,
+    ConfigError,
     ContactEstimate,
     ContactPoint,
     ContactRule,
@@ -24,6 +25,7 @@ from nerveline import (
     JointState,
     NerveLineSpec,
     Regime,
+    RunConfig,
     Scenario,
     ScenarioError,
     ScenarioResult,
@@ -58,6 +60,19 @@ OPERATE_CONTEXT = StepContext(
     grasp_command=CONTEXT.grasp_command,
     open_command=CONTEXT.open_command,
 )
+# what load_config gives a file holding only ``seed: 0``
+BASE_RUN = RunConfig(
+    seed=0,
+    sensors=default_sensors(),
+    controller=CONFIG,
+    filter_coefficient_a=smoothing_coefficient(DEFAULT_CUTOFF_HZ, CONFIG.dt_ms),
+)
+
+
+def simulate(scenario, **fields):
+    """run_scenario on BASE_RUN with ``fields`` replaced, calibrated noise-free per line."""
+    run = replace(BASE_RUN, **fields)
+    return run_scenario(scenario, run, {i: auto_calibration(spec) for i, spec in run.sensors.items()})
 
 
 def estimates(p, n=10):
@@ -320,13 +335,13 @@ class TestScenarioValidation:
         rule = ContactRule(sensor=9, position_mm=10.0, phases=frozenset({TaskPhase.LIFT}))
         scenario = Scenario(name="x", goal="lift", expected_outcome="lifted", rules=(rule,))
         with pytest.raises(ScenarioError, match=r"rules\[0\].sensor"):
-            run_scenario(scenario, default_sensors())
+            simulate(scenario)
 
     def test_run_rejects_position_beyond_line(self):
         rule = ContactRule(sensor=0, position_mm=90.0, phases=frozenset({TaskPhase.LIFT}))
         scenario = Scenario(name="x", goal="lift", expected_outcome="lifted", rules=(rule,))
         with pytest.raises(ScenarioError, match=r"rules\[0\].position_mm"):
-            run_scenario(scenario, default_sensors())
+            simulate(scenario)
 
 
 def touch_rule(sensor, position, phases, **kwargs):
@@ -382,7 +397,7 @@ REGRASP = Scenario(
 
 class TestRunScenario:
     def test_scissors_present_lifted(self):
-        result = run_scenario(SCISSORS_PRESENT, default_sensors(), seed=12345)
+        result = simulate(SCISSORS_PRESENT, seed=12345)
         assert result.outcome == "lifted"
         assert result.final_phase is TaskPhase.DONE
         assert result.ticks == 50
@@ -397,7 +412,7 @@ class TestRunScenario:
         )
 
     def test_verify_grasp_filter_decay_frozen(self):
-        result = run_scenario(SCISSORS_PRESENT, default_sensors(), seed=12345)
+        result = simulate(SCISSORS_PRESENT, seed=12345)
         verify = [row for row in result.rows if row[1] is TaskPhase.VERIFY_GRASP and row[2] == 0]
         assert all(raw == 220 for _, _, _, raw, *_ in verify)
         # smoothing from the saturated open value crosses the touch
@@ -408,7 +423,7 @@ class TestRunScenario:
         assert p_values[-1] == pytest.approx(80.9217, abs=1e-4)
 
     def test_no_scissors_fails_after_retries(self):
-        result = run_scenario(NO_SCISSORS, default_sensors(), seed=12345)
+        result = simulate(NO_SCISSORS, seed=12345)
         assert result.outcome == "failed"
         assert result.final_phase is TaskPhase.FAILED
         assert result.ticks == 140
@@ -424,19 +439,19 @@ class TestRunScenario:
             expected_outcome="retried_then_lifted",
             rules=(rule,),
         )
-        result = run_scenario(scenario, default_sensors(), seed=12345)
+        result = simulate(scenario, seed=12345)
         assert result.outcome == "retried_then_lifted"
         assert result.ticks == 100
         assert result.retries == 1
 
     def test_regrasp_walks_five_steps(self):
-        result = run_scenario(REGRASP, default_sensors(), seed=12345)
+        result = simulate(REGRASP, seed=12345)
         assert result.outcome == "operated"
         assert result.ticks == 190
         assert result.regrasp_steps == 5
 
     def test_regrasp_window_means_frozen(self):
-        result = run_scenario(REGRASP, default_sensors(), seed=12345)
+        result = simulate(REGRASP, seed=12345)
         means = []
         block: list[float] = []
         for _, phase, sensor, _, _, p, _ in result.rows:
@@ -457,19 +472,19 @@ class TestRunScenario:
             expected_outcome="lifted",
             rules=SCISSORS_PRESENT.rules,
         )
-        first = run_scenario(noisy, default_sensors(), seed=7, noise_sd_counts=4.0)
-        second = run_scenario(noisy, default_sensors(), seed=7, noise_sd_counts=4.0)
+        first = simulate(noisy, seed=7, noise_sd_counts=4.0)
+        second = simulate(noisy, seed=7, noise_sd_counts=4.0)
         assert first == second
-        third = run_scenario(noisy, default_sensors(), seed=8, noise_sd_counts=4.0)
+        third = simulate(noisy, seed=8, noise_sd_counts=4.0)
         assert third.rows != first.rows
 
     def test_timestamps_step_by_dt(self):
-        result = run_scenario(NO_SCISSORS, default_sensors(), seed=1)
+        result = simulate(NO_SCISSORS, seed=1)
         stamps = [t_ms for t_ms, _, sensor, *_ in result.rows if sensor == 0]
         assert stamps == list(range(0, 1400, 10))
 
     def test_commands_only_on_phase_entry(self):
-        result = run_scenario(SCISSORS_PRESENT, default_sensors(), seed=12345)
+        result = simulate(SCISSORS_PRESENT, seed=12345)
         assert result.commands[0] == (Command("move_above", (120.0, 40.0)),)
         assert 10 not in result.commands
         assert next(row[0] for row in result.rows if row[1] is TaskPhase.LIFT) == 400
@@ -483,7 +498,7 @@ class TestRunScenario:
                 ActuatorSpec(id=1, role="extend", displacement_table={"grasp": 3.0, "open": 0.0}),
             ),
         )
-        result = run_scenario(SCISSORS_PRESENT, default_sensors(), seed=12345, hand=hand)
+        result = simulate(SCISSORS_PRESENT, seed=12345, hand=hand)
         close_t_ms = next(row[0] for row in result.rows if row[1] is TaskPhase.CLOSE_FINGERS)
         assert result.commands[close_t_ms] == (Command("close_fingers", (6.5, 3.0)),)
         assert result.outcome == "lifted"
@@ -491,9 +506,13 @@ class TestRunScenario:
     @pytest.mark.parametrize("coefficient_a", [1.0, -0.1])
     def test_rejects_coefficient_outside_unit_interval(self, coefficient_a):
         with pytest.raises(ValueError, match="coefficient_a"):
-            run_scenario(
-                SCISSORS_PRESENT, default_sensors(), seed=1, filter_coefficient_a=coefficient_a
+            RunConfig(
+                seed=1, sensors=default_sensors(), controller=CONFIG, filter_coefficient_a=coefficient_a
             )
+
+    def test_rejects_empty_sensor_map(self):
+        with pytest.raises(ConfigError, match="sensors: must not be empty"):
+            RunConfig(seed=1, sensors={}, controller=CONFIG, filter_coefficient_a=0.5)
 
 
 def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes):
@@ -622,7 +641,5 @@ class TestRunScenarioMatchesTickLoop:
     @settings(max_examples=100, deadline=None)
     def test_matches_per_tick_sense_loop(self, run):
         scenario, specs, seed, noise, quantize = run
-        result = run_scenario(
-            scenario, specs, seed=seed, noise_sd_counts=noise, quantize_to_spikes=quantize
-        )
+        result = simulate(scenario, sensors=specs, seed=seed, noise_sd_counts=noise, quantize_to_spikes=quantize)
         assert result == reference_run(scenario, specs, seed, noise, quantize)

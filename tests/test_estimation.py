@@ -302,6 +302,11 @@ class TestCalibrationFile:
             ("sensor=0\nv_max=1023\nv_mid= +220\nv_min=93\n", "line 3: expected an integer"),
             ("sensor=0\n\nv_max=1023\nv_mid=236\nv_min=93\n", "line 2: blank"),
             ("sensor zero\n", "line 1: expected key=value"),
+            ("   \nsensor=0\nv_max=1023\nv_mid=236\nv_min=93\n", "line 1: blank"),
+            # whitespace around a key or a value is not stripped
+            ("  sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n", "line 1: expected key 'sensor'"),
+            ("sensor=0\nv_max=1023  \nv_mid=236\nv_min=93\n", "line 2: expected an integer"),
+            ("sensor=0\n\tv_max=1023\nv_mid=236\nv_min=93\n", "line 2: expected key 'v_max'"),
             pytest.param(
                 "sensor=0\nv_max=1" + "0" * 400 + "\n",
                 "line 2: integer beyond the float range",
