@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
+import stat
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -38,10 +40,21 @@ REPLAY_HEADER = ("t_ms", "sensor", "raw", "filtered", "p", "regime")
 
 
 def _write_lines(path: str, header: tuple[str, ...], lines: Iterable[str]) -> None:
-    """Write ``header`` as a CSV row, then ``lines``, each already ending in a newline."""
-    with open(path, "w", newline="", encoding="ascii") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(lines)
+    """Write ``header`` as a CSV row, then ``lines``, each already ending in a newline.
+
+    A regular file is overwritten in place and then cut to the bytes written,
+    also when a write fails part-way; cutting it to zero on open frees blocks
+    that the write allocates again.  Devices and pipes are only written.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="", encoding="ascii") as handle:
+        try:
+            handle.write(",".join(header) + "\n")
+            handle.writelines(lines)
+            handle.flush()  # so a successful write is cut at its end, never to zero
+        finally:
+            fd = handle.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:

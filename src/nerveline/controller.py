@@ -383,6 +383,7 @@ def run_scenario(
     Raises:
         ScenarioError: a rule references an unknown sensor or a position
             beyond its line.
+        ConfigError: ``calibration`` lacks a configured sensor.
     """
     specs = run.sensors
     config = run.controller
@@ -390,6 +391,9 @@ def run_scenario(
         problem = rule_problem(rule, specs)
         if problem is not None:
             raise ScenarioError(f"rules[{i}].{problem}")
+    missing = sorted(set(specs) - set(calibration))
+    if missing:
+        raise ConfigError(f"calibration: no calibration for sensors {missing}")
 
     finger_names = tuple(f.name for f in run.hand.fingers)
     grasp_state = JointState(flexion_rad={name: GRASP_FLEXION_RAD for name in finger_names})

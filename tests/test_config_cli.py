@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -33,7 +34,7 @@ from nerveline import (
     run_scenario,
     smoothing_coefficient,
 )
-from nerveline.cli import _build_parser, _mean_pvariance, main
+from nerveline.cli import _build_parser, _mean_pvariance, _write_lines, main
 from nerveline.config import _load_yaml_mapping
 
 REPO = Path(__file__).resolve().parent.parent
@@ -880,6 +881,67 @@ class TestCliEntryPoint:
         assert done.returncode == code, done.stderr
         assert text in getattr(done, stream)
         assert "Traceback" not in done.stderr
+
+
+class TestCliOutputFile:
+    """Every CSV output is overwritten in place and cut to the bytes written."""
+
+    SWEEP = ["sweep", "--config", str(DEFAULT_CONFIG), "--repeats", "3", "--out"]
+
+    def sweep_bytes(self, tmp_path):
+        fresh = tmp_path / "fresh.csv"
+        assert main(self.SWEEP + [str(fresh)]) == 0
+        return fresh.read_bytes()
+
+    def test_short_output_over_longer_file_keeps_its_mode(self, tmp_path):
+        expected = self.sweep_bytes(tmp_path)
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"x" * 100_000)
+        out.chmod(0o600)
+        assert main(self.SWEEP + [str(out)]) == 0
+        assert out.read_bytes() == expected
+        assert out.stat().st_mode & 0o777 == 0o600
+
+    def test_writes_through_symlink(self, tmp_path):
+        expected = self.sweep_bytes(tmp_path)
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"x" * 100_000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(self.SWEEP + [str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+
+    def test_dev_null(self):
+        assert main(self.SWEEP + [os.devnull]) == 0
+
+    def test_fifo(self, tmp_path):
+        expected = self.sweep_bytes(tmp_path)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(self.SWEEP + [str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [expected]
+
+    @pytest.mark.parametrize("width", [10, 20_000], ids=["buffered", "past_buffer"])
+    def test_failed_write_leaves_only_what_was_written(self, tmp_path, width):
+        def lines():
+            yield "1" * width + "\n"
+            raise OSError("disk gone")
+
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"x" * 100_000)
+        with pytest.raises(OSError, match="disk gone"):
+            _write_lines(str(out), ("a", "b"), lines())
+        assert out.read_text() == "a,b\n" + "1" * width + "\n"
+
+    def test_directory_exits_two(self, tmp_path, capsys):
+        assert main(self.SWEEP + [str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 class TestCliSweep:

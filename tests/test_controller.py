@@ -514,6 +514,15 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="sensors: must not be empty"):
             RunConfig(seed=1, sensors={}, controller=CONFIG, filter_coefficient_a=0.5)
 
+    @pytest.mark.parametrize(
+        "present,missing", [((), "[0, 1, 2, 3]"), ((2, 0), "[1, 3]")], ids=["empty", "partial"]
+    )
+    def test_rejects_missing_calibration(self, present, missing):
+        calibration = {i: auto_calibration(BASE_RUN.sensors[i]) for i in present}
+        with pytest.raises(ConfigError) as info:
+            run_scenario(SCISSORS_PRESENT, BASE_RUN, calibration)
+        assert str(info.value) == f"calibration: no calibration for sensors {missing}"
+
 
 def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes):
     """run_scenario with default arguments, sensed, filtered and estimated tick by tick."""

@@ -188,7 +188,10 @@ def _nudged(v, steps):
 def _triplet_and_value(draw):
     """An ordered (v_min, v_mid, v_max) and a value, often within a few ulps of a breakpoint."""
     bound = draw(st.sampled_from([4095, 2**20, 2**53]))
-    triplet = tuple(sorted(draw(st.lists(st.integers(-bound, bound), min_size=3, max_size=3, unique=True))))
+    # any strictly increasing triplet in [-bound, bound]: a base, then two positive gaps that fit
+    v_min = draw(st.integers(-bound, bound - 2))
+    v_mid = v_min + draw(st.integers(1, bound - 1 - v_min))
+    triplet = (v_min, v_mid, v_mid + draw(st.integers(1, bound - v_mid)))
     breakpoint = float(draw(st.sampled_from(triplet)))
     v = draw(
         st.one_of(
