@@ -31,7 +31,7 @@ from .estimation import (
     read_calibration,
     write_calibration,
 )
-from .line import simulate_sweep
+from .line import NerveLineSpec, simulate_sweep
 
 TRACE_HEADER = ("t_ms", "phase", "sensor", "raw", "filtered", "p", "regime")
 SWEEP_HEADER = ("position_mm", "mean_p_spiked", "var_p_spiked", "mean_p_smooth", "var_p_smooth")
@@ -75,7 +75,11 @@ def _calibration_table(config: RunConfig) -> dict[int, CalibrationData]:
                 f"calibration_file: no calibration for sensors {missing} in {config.calibration_file}"
             )
         return table
-    return {i: auto_calibration(spec) for i, spec in config.sensors.items()}
+    by_spec: dict[NerveLineSpec, CalibrationData] = {}  # identical lines calibrate once
+    for spec in config.sensors.values():
+        if spec not in by_spec:
+            by_spec[spec] = auto_calibration(spec)
+    return {i: by_spec[spec] for i, spec in config.sensors.items()}
 
 
 def _position_grid(length_mm: float, pitch_mm: float) -> list[float]:

@@ -10,10 +10,11 @@ a file can break: unknown keys, shapes, names and cross-references.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any
+from typing import AbstractSet, Any
 
 import yaml
 
@@ -90,11 +91,16 @@ def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any
     return raw
 
 
-def _field_names(cls: type) -> set[str]:
-    return {f.name for f in fields(cls)}
+@functools.cache
+def _field_names(cls: type) -> tuple[frozenset[str], tuple[str, ...]]:
+    """The field names of dataclass ``cls`` and, in order, those without a default."""
+    return (
+        frozenset(f.name for f in fields(cls)),
+        tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING),
+    )
 
 
-def _check_unknown_keys(data: dict[str, Any], allowed: set[str], path: str, errors: list[str]) -> None:
+def _check_unknown_keys(data: dict[str, Any], allowed: AbstractSet[str], path: str, errors: list[str]) -> None:
     for key in data:
         if key not in allowed:
             errors.append(f"{path}{key}: unknown key")
@@ -119,23 +125,23 @@ def _build(
     Reports unknown keys, missing required fields, out-of-bounds numbers
     and the constructor's own objection under ``path`` (``"sensors[0]."``).
     Returns None when any of these, or anything else recorded in ``errors``
-    after position ``since``, went wrong.
+    after position ``since``, went wrong.  The constructor checks the
+    bounds of a clean block; they are checked here, with their paths, only
+    once something is wrong.
     """
-    names = _field_names(cls)
+    names, required = _field_names(cls)
     _check_unknown_keys(data, names, path, errors)
     values = {key: value for key, value in data.items() if key in names}
     values.update(parsed)
-    for f in fields(cls):
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            errors.append(f"{path}{f.name}: required")
-    errors.extend(path + problem for problem in field_problems(cls, values))
-    if len(errors) > since:
-        return None
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        errors.append(f"{path[:-1]}: {exc}")
-        return None
+    errors.extend(f"{path}{name}: required" for name in required if name not in values)
+    objection = []
+    if len(errors) == since:
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            objection = [f"{path[:-1]}: {exc}"]
+    errors.extend([path + problem for problem in field_problems(cls, values)] or objection)
+    return None
 
 
 def _parse_sensor(data: Any, path: str, errors: list[str]) -> tuple[int, NerveLineSpec] | None:
@@ -229,7 +235,7 @@ def _parse_hand(data: Any, errors: list[str]) -> Hand | None:
         return default
     if not _is_mapping(data, "hand.", errors):
         return None
-    _check_unknown_keys(data, _field_names(Hand), "hand.", errors)
+    _check_unknown_keys(data, _field_names(Hand)[0], "hand.", errors)
     parts = {}
     for key, parse in (("fingers", _parse_finger), ("actuators", _parse_actuator)):
         raw = data.get(key)
@@ -259,7 +265,7 @@ def load_config(path: str | Path) -> RunConfig:
     """
     data = _load_yaml_mapping(path, ConfigError)
     errors: list[str] = []
-    top_keys = _field_names(RunConfig) - {"filter_coefficient_a"} | {"filter", "dt_ms"}
+    top_keys = _field_names(RunConfig)[0] - {"filter_coefficient_a"} | {"filter", "dt_ms"}
     _check_unknown_keys(data, top_keys, "", errors)
     if "seed" not in data:
         errors.append("seed: required; runs must not fall back to wall-clock entropy")

@@ -361,12 +361,12 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one scripted scenario to a terminal phase.
 
-    Each phase resolves every line's contacts to a noise-free ADC count
-    once, on entry.  Every tick then samples all lines (in sensor order),
-    adding the ADC noise to that count, or through `sense` when a contact
-    on a spike midpoint flips its tie coin, then filters and estimates it
-    exactly as `sense`, `filter_step` and `estimate_p` would, and records a
-    row.  The state machine decides after each phase dwell, reading the
+    A phase entry resolves each line's contacts to a noise-free ADC count
+    whenever a line's contacts change.  Every tick then samples all lines
+    (in sensor order), adding the ADC noise to that count, or through
+    `sense` when a contact on a spike midpoint flips its tie coin, then
+    filters and estimates it exactly as `sense`, `filter_step` and
+    `estimate_p` would, and records a row.  The state machine decides after each phase dwell, reading the
     histories of the two watched sensors.  All randomness comes from one
     generator seeded with ``run.seed``, so a run is a pure function of its
     arguments.
@@ -416,6 +416,8 @@ def run_scenario(
     estimators = {i: _estimator(calibration[i]) for i in sensor_ids}
     watched = (config.watched_sensor_grasp, config.watched_sensor_regrasp)
     histories: dict[int, list[ContactEstimate]] = {i: [] for i in sensor_ids if i in watched}
+    # per sensor: its last active contacts and the (ContactSet, count) they give
+    counted: dict[int, tuple[tuple[ContactPoint, ...], ContactSet, int | None]] = {}
     state = ControllerState()
     commands = _entry_commands(state.phase, config, context)
     rows: list[TraceRow] = []
@@ -426,8 +428,12 @@ def run_scenario(
         entered[t_ms] = commands
         lines = []
         for i in sensor_ids:
-            contact_set = ContactSet(_active_contacts(scenario, i, state, specs[i]), run.quantize_to_spikes)
-            count = _phase_count(specs[i], contact_set)
+            contacts = _active_contacts(scenario, i, state, specs[i])
+            last = counted.get(i)
+            if last is None or last[0] != contacts:
+                contact_set = ContactSet(contacts, run.quantize_to_spikes)
+                last = counted[i] = (contacts, contact_set, _phase_count(specs[i], contact_set))
+            _, contact_set, count = last
             lines.append((i, specs[i], contact_set, count, estimators[i], histories.get(i)))
         for _ in range(config.dwell_ticks):
             for i, spec, contact_set, count, estimate, history in lines:

@@ -140,10 +140,10 @@ def posture_command(
     return command
 
 
-def default_hand() -> Hand:
-    """The prototype hand: five fingers and seven wires."""
-    fingers = tuple(FingerSpec(name=name) for name in FINGER_NAMES)
-    actuators = (
+# Frozen, so one instance serves every config without a hand block.
+_DEFAULT_HAND = Hand(
+    fingers=tuple(FingerSpec(name=name) for name in FINGER_NAMES),
+    actuators=(
         ActuatorSpec(id=0, role="bend", joint_ref="thumb_flexion"),
         ActuatorSpec(id=1, role="bend", joint_ref="index_flexion"),
         ActuatorSpec(id=2, role="bend", joint_ref="middle_flexion"),
@@ -151,5 +151,10 @@ def default_hand() -> Hand:
         ActuatorSpec(id=4, role="extend", joint_ref="index_flexion"),
         ActuatorSpec(id=5, role="extend", joint_ref="middle_flexion"),
         ActuatorSpec(id=6, role="internal_rotation", joint_ref="thumb_internal_rotation"),
-    )
-    return Hand(fingers=fingers, actuators=actuators)
+    ),
+)
+
+
+def default_hand() -> Hand:
+    """The prototype hand: five fingers and seven wires."""
+    return _DEFAULT_HAND

@@ -18,6 +18,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nerveline.cli
 import nerveline.config
 from nerveline import (
     ConfigError,
@@ -34,7 +35,7 @@ from nerveline import (
     run_scenario,
     smoothing_coefficient,
 )
-from nerveline.cli import _build_parser, _mean_pvariance, _write_lines, main
+from nerveline.cli import _build_parser, _calibration_table, _mean_pvariance, _write_lines, main
 from nerveline.config import _load_yaml_mapping
 
 REPO = Path(__file__).resolve().parent.parent
@@ -133,6 +134,32 @@ class TestLoadConfig:
         assert "seed: required" in message
         assert "noise_sd_counts" in message
         assert r"sensors[0].supply_volts" in message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "seed: 1\nsensors: [{index: 0, bogus: 1, pullup_ohm: 0, supply_volts: 0}]\n",
+                "sensors[0].bogus: unknown key\n"
+                "sensors[0].pullup_ohm: must be > 0, got 0\n"
+                "sensors[0].supply_volts: must be > 0, got 0",
+            ),
+            (
+                "seed: 1\ncontroller: {window_n: 20, dwell_ticks: 10}\n",
+                "controller: dwell_ticks (10) must cover window_n (20)",
+            ),
+            # a bound is reported in place of the constructor's own objection
+            (
+                "seed: 1\ncontroller: {window_n: 20, dwell_ticks: 10, max_retries: -1}\n",
+                "controller.max_retries: must be >= 0, got -1",
+            ),
+        ],
+        ids=["unknown_key_then_bounds", "dwell_objection", "bound_over_objection"],
+    )
+    def test_whole_error_texts_pinned(self, tmp_path, text, message):
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write(tmp_path, "c.yaml", text))
+        assert str(excinfo.value) == message
 
     def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="sede: unknown key"):
@@ -313,6 +340,27 @@ class TestLoadScenario:
         )
         with pytest.raises(ScenarioError, match=r"rules\[0\].phases\[1\]: unknown phase 'Liftt'"):
             load_scenario(path, config)
+
+    def test_rule_error_text_pinned(self, tmp_path):
+        config = load_config(DEFAULT_CONFIG)
+        path = write(
+            tmp_path,
+            "s.yaml",
+            """\
+            name: x
+            goal: lift
+            expected_outcome: lifted
+            rules:
+              - {sensor: 0, position_mm: 10.0, bridge_ohm: -1, phases: [Lift, Nope], extra: 1}
+            """,
+        )
+        with pytest.raises(ScenarioError) as excinfo:
+            load_scenario(path, config)
+        assert str(excinfo.value) == (
+            "rules[0].phases[1]: unknown phase 'Nope'\n"
+            "rules[0].extra: unknown key\n"
+            "rules[0].bridge_ohm: must be >= 0, got -1"
+        )
 
     def test_rule_sensor_cross_checked(self, tmp_path):
         config = load_config(DEFAULT_CONFIG)
@@ -1274,6 +1322,31 @@ class TestCliReplay:
         code = main(["replay", "--config", str(config), "--log", str(log), "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {calibration}: line 3: blank line not allowed\n"
+
+
+class TestCalibrationTable:
+    """Without a calibration file each distinct line spec is calibrated once per call."""
+
+    @pytest.mark.parametrize(
+        "text,calls",
+        [
+            (None, 1),
+            ("seed: 1\nsensors: [{index: 0}, {index: 1, pullup_ohm: 50000}, {index: 2}, {index: 3}]\n", 2),
+        ],
+        ids=["shipped", "two_specs"],
+    )
+    def test_one_calibration_per_spec(self, tmp_path, monkeypatch, text, calls):
+        config = load_config(DEFAULT_CONFIG if text is None else write(tmp_path, "c.yaml", text))
+        calibrated = []
+
+        def counting(spec):
+            calibrated.append(spec)
+            return auto_calibration(spec)
+
+        monkeypatch.setattr(nerveline.cli, "auto_calibration", counting)
+        table = _calibration_table(config)
+        assert len(calibrated) == calls
+        assert table == {i: auto_calibration(spec) for i, spec in config.sensors.items()}
 
 
 class TestCliCalibrate:

@@ -4,11 +4,13 @@ import itertools
 import random
 import statistics
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nerveline.controller
 from nerveline import (
     ActuatorSpec,
     Command,
@@ -37,6 +39,8 @@ from nerveline import (
     detect_touch,
     estimate_p,
     filter_step,
+    load_config,
+    load_scenario,
     position_reached,
     posture_command,
     run_scenario,
@@ -46,6 +50,8 @@ from nerveline import (
 )
 from nerveline.controller import GRASP_FLEXION_RAD
 from nerveline.estimation import DEFAULT_CUTOFF_HZ
+
+REPO = Path(__file__).resolve().parent.parent
 
 CONFIG = ControllerConfig()
 CONTEXT = StepContext(
@@ -647,8 +653,68 @@ class TestRunScenarioMatchesTickLoop:
     @example(pinned_run([2, 3], 0.0, touch_rule(2, 70.0, LIVE_PHASES)))
     # the watched regrasp sensor is configured but no rule touches it
     @example(pinned_run([0, 1, 2], 0.0, touch_rule(0, 70.0, LIVE_PHASES)))
+    # sensor 0's contacts go 40 mm, 60 mm, 40 mm: a set seen before is counted again
+    @example(
+        pinned_run(
+            [0, 1],
+            0.0,
+            touch_rule(0, 40.0, {TaskPhase.CLOSE_FINGERS, TaskPhase.HANDOVER}),
+            touch_rule(0, 60.0, {TaskPhase.VERIFY_GRASP, TaskPhase.LIFT}),
+        )
+    )
     @settings(max_examples=100, deadline=None)
     def test_matches_per_tick_sense_loop(self, run):
         scenario, specs, seed, noise, quantize = run
         result = simulate(scenario, sensors=specs, seed=seed, noise_sd_counts=noise, quantize_to_spikes=quantize)
         assert result == reference_run(scenario, specs, seed, noise, quantize)
+
+
+# bench/generate.py's multi_contact scenario: two presses and a light fingertip touch on sensor 0
+MULTI_CONTACT = Scenario(
+    name="multi_contact",
+    goal="lift",
+    expected_outcome="lifted",
+    object_pose_mm=(120.0, 40.0),
+    rules=(
+        touch_rule(0, 31.0, (TaskPhase.VERIFY_GRASP, TaskPhase.LIFT), bridge_ohm=5000.0),
+        touch_rule(0, 50.0, (TaskPhase.CLOSE_FINGERS, TaskPhase.VERIFY_GRASP, TaskPhase.LIFT)),
+        touch_rule(
+            0,
+            72.0,
+            (TaskPhase.LOWER, TaskPhase.CLOSE_FINGERS, TaskPhase.VERIFY_GRASP, TaskPhase.LIFT),
+            bridge_ohm=40000.0,
+        ),
+    ),
+)
+
+
+class TestPhaseCountCalls:
+    """run_scenario counts a line on the first phase and then only when its contacts change."""
+
+    @pytest.mark.parametrize(
+        "name,calls",
+        [
+            ("no_scissors", 4),
+            ("scissors_moved_back", 5),
+            ("scissors_present", 5),
+            ("scissors_regrasp", 10),
+            ("multi_contact", 7),
+        ],
+    )
+    def test_shipped_config_call_counts(self, monkeypatch, name, calls):
+        config = load_config(REPO / "configs" / "default.yaml")
+        if name == "multi_contact":
+            scenario = MULTI_CONTACT
+        else:
+            scenario = load_scenario(REPO / "scenarios" / f"{name}.yaml", config)
+        counted = []
+        original = nerveline.controller._phase_count
+
+        def counting(spec, contact_set):
+            counted.append(contact_set)
+            return original(spec, contact_set)
+
+        monkeypatch.setattr(nerveline.controller, "_phase_count", counting)
+        result = run_scenario(scenario, config, {i: auto_calibration(spec) for i, spec in config.sensors.items()})
+        assert result.outcome == scenario.expected_outcome
+        assert len(counted) == calls
