@@ -17,7 +17,6 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import islice
-from pathlib import Path
 from typing import Iterable
 
 from .config import RunConfig, load_config, load_scenario
@@ -26,6 +25,7 @@ from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
     _estimator,
+    _read_lines,
     _smooth,
     auto_calibration,
     read_calibration,
@@ -164,45 +164,66 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _frame_problem(lineno: int, line: str, sensors: dict[str, list]) -> str:
+    """Why ``cmd_replay`` rejects frame ``line``: the first of its checks that fails, in order."""
+    parts = line.split(",")
+    if len(parts) != 3:
+        return f"line {lineno}: expected 3 fields, got {len(parts)}"
+    try:
+        t_ms, sensor, counts = map(int, parts)
+        plain = f"{t_ms},{sensor},{counts}" == line  # plain decimal, as sweep --frames-out writes it
+    except ValueError:
+        plain = False
+    if not plain:
+        return f"line {lineno}: fields must be integers, got {line!r}"
+    state = sensors.get(parts[1])
+    if state is None:
+        return f"line {lineno}: sensor {sensor} is not configured"
+    full_scale, _, previous, _ = state
+    if not 0 <= counts <= full_scale:
+        return f"line {lineno}: counts {counts} outside 0..{full_scale}"
+    return f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}"  # the one check left
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     calibration = _calibration_table(config)
     a = config.filter_coefficient_a
-    # per sensor: [full scale, estimator, last t_ms, last filtered value]
+    # per sensor, keyed by its decimal spelling: [full scale, estimator, last t_ms, last filtered value]
     sensors = {
-        sensor: [spec.adc_full_scale, _estimator(calibration[sensor]), None, None]
+        str(sensor): [spec.adc_full_scale, _estimator(calibration[sensor]), None, None]
         for sensor, spec in config.sensors.items()
     }
+    known_counts: dict[str, int] = {}  # each plain non-negative counts field met in this log
     try:
-        lines = Path(args.log).read_text(encoding="ascii").splitlines()
+        lines = _read_lines(args.log)
         if not lines:
             raise ValueError("line 1: empty log")
         if tuple(lines[0].split(",")) != FRAMES_HEADER:
             raise ValueError(f"line 1: expected header {','.join(FRAMES_HEADER)!r}, got {lines[0]!r}")
         out_lines = []
         for lineno, line in enumerate(islice(lines, 1, None), start=2):
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+            # a line passes only as the text of three plain decimal integers, so it
+            # is its own head; any failure goes to _frame_problem for the message
             try:
-                t_ms, sensor, counts = map(int, parts)
-                head = f"{t_ms},{sensor},{counts}"
-                if head != line:  # plain decimal, as sweep --frames-out writes it
+                t_text, sensor_text, counts_text = line.split(",")
+                state = sensors[sensor_text]
+                full_scale, estimate, previous, filtered = state
+                counts = known_counts.get(counts_text)
+                if counts is None:
+                    counts = int(counts_text)
+                    if counts < 0 or str(counts) != counts_text:
+                        raise ValueError
+                    known_counts[counts_text] = counts
+                t_ms = int(t_text)
+                if counts > full_scale or str(t_ms) != t_text or (previous is not None and t_ms <= previous):
                     raise ValueError
-            except ValueError:
-                raise ValueError(f"line {lineno}: fields must be integers, got {line!r}") from None
-            state = sensors.get(sensor)
-            if state is None:
-                raise ValueError(f"line {lineno}: sensor {sensor} is not configured")
-            full_scale, estimate, previous, filtered = state
-            if not 0 <= counts <= full_scale:
-                raise ValueError(f"line {lineno}: counts {counts} outside 0..{full_scale}")
-            if previous is not None and t_ms <= previous:
-                raise ValueError(f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}")
+            except (KeyError, ValueError):
+                raise ValueError(_frame_problem(lineno, line, sensors)) from None
             state[2] = t_ms
             state[3] = filtered = _smooth(a, filtered, counts)
             p, regime = estimate(filtered)
-            out_lines.append(f"{head},{filtered!r},{p!r},{regime._value_}\n")
+            out_lines.append(f"{line},{filtered!r},{p!r},{regime._value_}\n")
     except ValueError as exc:
         raise ValueError(f"{args.log}: {exc}") from None
 

@@ -144,7 +144,10 @@ def _build(
     return None
 
 
-def _parse_sensor(data: Any, path: str, errors: list[str]) -> tuple[int, NerveLineSpec] | None:
+def _parse_sensor(
+    data: Any, path: str, errors: list[str], built: dict[frozenset, NerveLineSpec]
+) -> tuple[int, NerveLineSpec] | None:
+    """One sensor block; the spec of an earlier block with the same fields is reused from ``built``."""
     if not _is_mapping(data, path, errors):
         return None
     since = len(errors)
@@ -152,8 +155,16 @@ def _parse_sensor(data: Any, path: str, errors: list[str]) -> tuple[int, NerveLi
     if type(index) is not int or index not in range(SENSOR_COUNT):
         errors.append(f"{path}index: must be an integer in 0..{SENSOR_COUNT - 1}, got {index!r}")
     fields_only = {key: value for key, value in data.items() if key != "index"}
-    spec = _build(NerveLineSpec, fields_only, path, errors, since)
-    return None if spec is None else (index, spec)
+    try:  # typed, so that 1, 1.0 and true stay different blocks
+        block = frozenset((key, type(value), value) for key, value in fields_only.items())
+    except TypeError:  # an unhashable value: built on its own
+        block = None
+    spec = built.get(block)
+    if spec is None:
+        spec = _build(NerveLineSpec, fields_only, path, errors, since)
+        if spec is not None and block is not None:
+            built[block] = spec
+    return None if spec is None or len(errors) > since else (index, spec)
 
 
 def _parse_sensors(data: Any, errors: list[str]) -> dict[int, NerveLineSpec]:
@@ -161,8 +172,9 @@ def _parse_sensors(data: Any, errors: list[str]) -> dict[int, NerveLineSpec]:
         errors.append(f"sensors: must be a list, got {type(data).__name__}")
         return {}
     sensors: dict[int, NerveLineSpec] = {}
+    built: dict[frozenset, NerveLineSpec] = {}  # only blocks that built cleanly
     for k, item in enumerate(data):
-        parsed = _parse_sensor(item, f"sensors[{k}].", errors)
+        parsed = _parse_sensor(item, f"sensors[{k}].", errors, built)
         if parsed is None:
             continue
         index, spec = parsed

@@ -274,6 +274,14 @@ def _parse_int(raw: str, lineno: int) -> int:
     return value
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The lines of an ASCII text file, broken only at ``\\n``; ``\\r\\n`` and ``\\r`` are read as ``\\n``."""
+    lines = Path(path).read_text(encoding="ascii").split("\n")
+    if not lines[-1]:  # a final newline ends the last line and opens none
+        lines.pop()
+    return lines
+
+
 def read_calibration(path: str | Path) -> dict[int, CalibrationData]:
     """Read calibration triplets written by write_calibration.
 
@@ -286,7 +294,7 @@ def read_calibration(path: str | Path) -> dict[int, CalibrationData]:
             a triplet that fails the ordering check; messages carry the
             line number.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = _read_lines(path)
     table: dict[int, CalibrationData] = {}
     fields: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):

@@ -1,6 +1,8 @@
 """Independent oracles used by the test suite.
 
-The nodal solver here shares no code with the series-parallel fold it
+``replay_reference`` is the frame-by-frame replay loop as it stood before
+``cmd_replay`` accepted frames by lookup: three ``int()`` calls and a
+re-formatted copy of each line.  The nodal solver here shares no code with the series-parallel fold it
 checks: it builds the full two-rail ladder as a resistor graph, contracts
 zero-resistance edges, and solves the conductance Laplacian by Gaussian
 elimination over exact rationals.  Floats are exact rationals, so the
@@ -12,8 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
-from nerveline import NerveLineSpec
+from nerveline import NerveLineSpec, RunConfig
+from nerveline.cli import FRAMES_HEADER, REPLAY_HEADER, _calibration_table
+from nerveline.estimation import _estimator, _smooth
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -119,3 +125,52 @@ def chain_counts(spec: NerveLineSpec, position_mm: float) -> int:
     resistance = spec.lead_offset_ohm + spec.rail_ohm_per_mm * position_mm
     volts = spec.supply_volts * resistance / (resistance + spec.pullup_ohm)
     return math.floor(volts / spec.supply_volts * spec.adc_full_scale)
+
+
+def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, str | None]:
+    """``(replay.csv text, None)`` for an accepted frame log, ``(None, message)`` for a rejected one.
+
+    The message is what ``nerveline replay`` reports after the log's path.
+    Lines are broken only at newlines, as ``cmd_replay`` reads them.
+    """
+    calibration = _calibration_table(config)
+    a = config.filter_coefficient_a
+    sensors = {
+        sensor: [spec.adc_full_scale, _estimator(calibration[sensor]), None, None]
+        for sensor, spec in config.sensors.items()
+    }
+    try:
+        lines = Path(log).read_text(encoding="ascii").split("\n")
+        if not lines[-1]:
+            lines.pop()
+        if not lines:
+            raise ValueError("line 1: empty log")
+        if tuple(lines[0].split(",")) != FRAMES_HEADER:
+            raise ValueError(f"line 1: expected header {','.join(FRAMES_HEADER)!r}, got {lines[0]!r}")
+        out_lines = []
+        for lineno, line in enumerate(islice(lines, 1, None), start=2):
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+            try:
+                t_ms, sensor, counts = map(int, parts)
+                head = f"{t_ms},{sensor},{counts}"
+                if head != line:  # plain decimal, as sweep --frames-out writes it
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"line {lineno}: fields must be integers, got {line!r}") from None
+            state = sensors.get(sensor)
+            if state is None:
+                raise ValueError(f"line {lineno}: sensor {sensor} is not configured")
+            full_scale, estimate, previous, filtered = state
+            if not 0 <= counts <= full_scale:
+                raise ValueError(f"line {lineno}: counts {counts} outside 0..{full_scale}")
+            if previous is not None and t_ms <= previous:
+                raise ValueError(f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}")
+            state[2] = t_ms
+            state[3] = filtered = _smooth(a, filtered, counts)
+            p, regime = estimate(filtered)
+            out_lines.append(f"{head},{filtered!r},{p!r},{regime._value_}\n")
+    except ValueError as exc:
+        return None, str(exc)
+    return ",".join(REPLAY_HEADER) + "\n" + "".join(out_lines), None

@@ -1,6 +1,7 @@
 """Configuration loading and command line harness tests."""
 
 import hashlib
+import io
 import os
 import statistics
 import string
@@ -10,6 +11,7 @@ import tempfile
 import textwrap
 import threading
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nerveline.bounds
 import nerveline.cli
 import nerveline.config
 from nerveline import (
@@ -37,6 +40,7 @@ from nerveline import (
 )
 from nerveline.cli import _build_parser, _calibration_table, _mean_pvariance, _write_lines, main
 from nerveline.config import _load_yaml_mapping
+from oracles import replay_reference
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default.yaml"
@@ -48,6 +52,9 @@ NOISY = "seed: 7\nnoise_sd_counts: 3.0\n"
 
 # the controller ticks every 40 ms while the top-level tick says 10 ms
 CONTROLLER_TICK = "seed: 1\ndt_ms: 10\ncontroller:\n  dt_ms: 40\n"
+
+# sensor 1 differs from the other three lines in its pull-up
+TWO_SPECS = "seed: 1\nsensors: [{index: 0}, {index: 1, pullup_ohm: 50000}, {index: 2}, {index: 3}]\n"
 
 # 72.5 mm lies halfway between the spikes at 70 and 75 mm, so every tick flips a coin
 MIDPOINT_SCENARIO = (
@@ -153,13 +160,51 @@ class TestLoadConfig:
                 "seed: 1\ncontroller: {window_n: 20, dwell_ticks: 10, max_retries: -1}\n",
                 "controller.max_retries: must be >= 0, got -1",
             ),
+            # a bad block that repeats is reported again, under its own path
+            (
+                "seed: 1\nsensors: [{index: 0, pullup_ohm: 0}, {index: 1, pullup_ohm: 0}]\n",
+                "sensors[0].pullup_ohm: must be > 0, got 0\n"
+                "sensors[1].pullup_ohm: must be > 0, got 0",
+            ),
+            # true equals 1, but a block with true does not reuse the spec of a block with 1
+            (
+                "seed: 1\nsensors: [{index: 0, pullup_ohm: 1}, {index: 1, pullup_ohm: true}]\n",
+                "sensors[1].pullup_ohm: must be a finite number, got True",
+            ),
         ],
-        ids=["unknown_key_then_bounds", "dwell_objection", "bound_over_objection"],
+        ids=[
+            "unknown_key_then_bounds", "dwell_objection", "bound_over_objection",
+            "identical_bad_blocks", "true_after_one",
+        ],
     )
     def test_whole_error_texts_pinned(self, tmp_path, text, message):
         with pytest.raises(ConfigError) as excinfo:
             load_config(write(tmp_path, "c.yaml", text))
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "text,specs,checks",
+        [(None, 1, 26), (TWO_SPECS, 2, 34)],
+        ids=["shipped", "two_specs"],
+    )
+    def test_one_spec_per_distinct_block(self, tmp_path, monkeypatch, text, specs, checks):
+        """Equal sensor blocks share one spec: built, and its bounds checked, once per load."""
+        counts = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        number_problem = counted("number_problem", nerveline.bounds.number_problem)
+        monkeypatch.setattr(nerveline.bounds, "number_problem", number_problem)
+        monkeypatch.setattr(nerveline.config, "number_problem", number_problem)
+        monkeypatch.setattr(NerveLineSpec, "__post_init__", counted("spec", NerveLineSpec.__post_init__))
+        config = load_config(DEFAULT_CONFIG if text is None else write(tmp_path, "c.yaml", text))
+        assert counts == {"spec": specs, "number_problem": checks}
+        assert len(set(map(id, config.sensors.values()))) == specs
 
     def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="sede: unknown key"):
@@ -931,6 +976,53 @@ class TestCliEntryPoint:
         assert "Traceback" not in done.stderr
 
 
+class TestCliAcrossHashSeeds:
+    """The same argv gives the same bytes under different string hash seeds.
+
+    Each command runs through ``nerveline.cli.main`` in a fresh interpreter
+    per ``PYTHONHASHSEED``; the child prints the sha256 of each command's
+    stdout and of every file the commands wrote.
+    """
+
+    SCRIPT = textwrap.dedent(
+        """\
+        import hashlib, io, pathlib, sys
+        from contextlib import redirect_stdout
+        from nerveline.cli import main
+        config, scenario = sys.argv[1:]
+        for argv in (
+            ["sweep", "--config", config, "--frames-out", "frames.csv"],
+            ["run", "--config", config, "--scenario", scenario, "--out", "trace.csv"],
+            ["replay", "--config", config, "--log", "frames.csv", "--out", "replay.csv"],
+            ["calibrate", "--config", config, "--out", "calibration.txt"],
+        ):
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                code = main(argv)
+            print(argv[0], code, hashlib.sha256(stdout.getvalue().encode()).hexdigest())
+        for path in sorted(pathlib.Path().iterdir()):
+            print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+        """
+    )
+
+    def test_outputs_agree(self, tmp_path):
+        outputs = []
+        for seed in ("0", "1"):
+            workdir = tmp_path / f"hash_seed_{seed}"
+            workdir.mkdir()
+            env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONHASHSEED": seed}
+            argv = [sys.executable, "-c", self.SCRIPT, str(DEFAULT_CONFIG), str(SCENARIOS / "scissors_regrasp.yaml")]
+            done = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+            outputs.append(done.stdout.splitlines())
+        assert outputs[0] == outputs[1]
+        assert [line.split()[:2] for line in outputs[0][:4]] == [
+            ["sweep", "0"], ["run", "0"], ["replay", "0"], ["calibrate", "0"]
+        ]
+        files = ["calibration.txt", "frames.csv", "replay.csv", "sweep.csv", "trace.csv"]
+        assert [line.split()[0] for line in outputs[0][4:]] == files
+
+
 class TestCliOutputFile:
     """Every CSV output is overwritten in place and cut to the bytes written."""
 
@@ -1158,6 +1250,34 @@ def drawn_replays(draw):
     return coefficient_a, frames
 
 
+# what a mutated frame-log field becomes: spellings int() takes but the log
+# does not, spellings int() refuses, values out of range, an unconfigured
+# sensor, and a number past the interpreter's 4,300-digit limit for int()
+FIELD_MUTATIONS = [
+    "+5", "05", "-0", " 5", "5_0", "0x5", "", "--5", "-5", "1024", "-1", "9", "00", "1.5", "1" * 5000,
+]
+
+
+@st.composite
+def mutated_frame_lines(draw):
+    """The lines of a valid frame log (as ``drawn_replays``) with 0 to 2 of them mutated."""
+    _, frames = draw(drawn_replays())
+    lines = [[str(t_ms), str(sensor), str(counts)] for t_ms, sensor, counts in frames]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k]
+        kind = draw(st.sampled_from(["replace", "add", "drop", "move_back"]))
+        if kind == "replace":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELD_MUTATIONS))
+        elif kind == "add":
+            fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["5", *FIELD_MUTATIONS])))
+        elif kind == "drop":
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        else:  # a line keeps at least one field after two drops
+            fields[0] = str(frames[k][0] - draw(st.integers(0, 60)))
+    return [",".join(fields) for fields in lines]
+
+
 def _replay_of_regrasp_run(tmp_path, config, skin=()):
     """Trace rows of ``nerveline run`` on scissors_regrasp and the replay.csv path of its counts."""
     trace = tmp_path / "trace.csv"
@@ -1228,6 +1348,27 @@ class TestCliReplay:
             assert main(["replay", "--config", str(config), "--log", str(log), "--out", str(out)]) == 0
             assert out.read_text().splitlines()[1:] == expected
 
+    @given(mutated_frame_lines())
+    # int() raises on both; the message must still carry the line number
+    @example(["--5,0,5"])
+    @example(["1" * 5000 + ",0,5"])
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_loop(self, lines):
+        """Exit code, stderr and --out bytes are those of the per-line int() loop (``oracles.py``)."""
+        config = load_config(DEFAULT_CONFIG)
+        with tempfile.TemporaryDirectory() as tmp:
+            log, out = Path(tmp) / "frames.csv", Path(tmp) / "replay.csv"
+            log.write_text("t_ms,sensor,counts\n" + "".join(line + "\n" for line in lines))
+            out.write_bytes(b"kept\n")
+            expected_out, message = replay_reference(config, log)
+            stderr = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                code = main(["replay", "--config", str(DEFAULT_CONFIG), "--log", str(log), "--out", str(out)])
+            if message is None:
+                assert (code, stderr.getvalue(), out.read_bytes()) == (0, "", expected_out.encode())
+            else:
+                assert (code, stderr.getvalue(), out.read_bytes()) == (2, f"error: {log}: {message}\n", b"kept\n")
+
     @pytest.mark.parametrize(
         "frame_lines,message",
         [
@@ -1276,6 +1417,41 @@ class TestCliReplay:
                 "bad,header,now\n0,0,1\n",
                 "line 1: expected header 't_ms,sensor,counts', got 'bad,header,now'",
             ),
+            ("t_ms,sensor,counts\n--5,0,5\n", "line 2: fields must be integers, got '--5,0,5'"),
+            ("t_ms,sensor,counts\n-0,0,5\n", "line 2: fields must be integers, got '-0,0,5'"),
+            ("t_ms,sensor,counts\n0,00,5\n", "line 2: fields must be integers, got '0,00,5'"),
+            ("t_ms,sensor,counts\n0,0,-0\n", "line 2: fields must be integers, got '0,0,-0'"),
+            pytest.param(
+                "t_ms,sensor,counts\n" + "1" * 5000 + ",0,5\n",
+                "line 2: fields must be integers, got '" + "1" * 5000 + ",0,5'",
+                id="t_ms_of_5000_digits",
+            ),
+            (
+                "t_ms,sensor,counts\n10,0,5\n10,0,6\n",
+                "line 3: t_ms 10 not after t_ms 10 of sensor 0",
+            ),
+            # lines break only at newlines: other line breaks of str.splitlines() are field text
+            *(
+                pytest.param(
+                    f"t_ms,sensor,counts\n0,0,5{sep}10,0,6\n",
+                    "line 2: expected 3 fields, got 5",
+                    id=f"line_break_{ord(sep):#04x}",
+                )
+                for sep in "\x0b\x0c\x1c\x1d\x1e"
+            ),
+            pytest.param(
+                "t_ms,sensor,counts\n0,0,5\x0c\n",
+                "line 2: fields must be integers, got '0,0,5\\x0c'",
+                id="form_feed_at_line_end",
+            ),
+            pytest.param(
+                "t_ms,sensor,counts\x0c0,0,5\n",
+                "line 1: expected header 't_ms,sensor,counts', got 't_ms,sensor,counts\\x0c0,0,5'",
+                id="form_feed_after_header",
+            ),
+            pytest.param(
+                "t_ms,sensor,counts\n0,0,5\n\n", "line 3: expected 3 fields, got 1", id="trailing_blank_line"
+            ),
         ],
     )
     def test_malformed_log_messages_pinned(self, tmp_path, capsys, frame_lines, message):
@@ -1286,6 +1462,19 @@ class TestCliReplay:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: {log}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["t_ms,sensor,counts\r\n0,0,5\r\n10,0,6\r\n", "t_ms,sensor,counts\r0,0,5\r10,0,6\r", "t_ms,sensor,counts\n0,0,5\n10,0,6"],
+        ids=["crlf", "cr", "no_final_newline"],
+    )
+    def test_accepted_line_endings(self, tmp_path, text):
+        log, out = tmp_path / "frames.csv", tmp_path / "r.csv"
+        log.write_bytes(text.encode())
+        assert main(["replay", "--config", str(DEFAULT_CONFIG), "--log", str(log), "--out", str(out)]) == 0
+        log.write_bytes(b"t_ms,sensor,counts\n0,0,5\n10,0,6\n")
+        assert main(["replay", "--config", str(DEFAULT_CONFIG), "--log", str(log), "--out", str(tmp_path / "lf.csv")]) == 0
+        assert out.read_bytes() == (tmp_path / "lf.csv").read_bytes()
 
     def test_malformed_log_names_the_file(self, tmp_path, capsys):
         log = tmp_path / "frames.csv"
@@ -1331,7 +1520,7 @@ class TestCalibrationTable:
         "text,calls",
         [
             (None, 1),
-            ("seed: 1\nsensors: [{index: 0}, {index: 1, pullup_ohm: 50000}, {index: 2}, {index: 3}]\n", 2),
+            (TWO_SPECS, 2),
         ],
         ids=["shipped", "two_specs"],
     )

@@ -324,6 +324,25 @@ class TestCalibrationFile:
                 "sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n",
                 "line 8: duplicate sensor 0",
             ),
+            # lines break only at newlines: other line breaks of str.splitlines() are value text
+            pytest.param(
+                "sensor=0\x0cv_max=1023\x0bv_mid=236\x1cv_min=93\n",
+                "line 1: expected an integer",
+                id="line_breaks_inside_a_line",
+            ),
+            *(
+                pytest.param(
+                    f"sensor=0\nv_max=1023{sep}\nv_mid=236\nv_min=93\n",
+                    "line 2: expected an integer",
+                    id=f"line_break_{ord(sep):#04x}",
+                )
+                for sep in "\x0b\x0c\x1c\x1d\x1e"
+            ),
+            pytest.param(
+                "sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n\n",
+                "line 5: blank line not allowed",
+                id="trailing_blank_line",
+            ),
         ],
     )
     def test_malformed_files_name_the_line(self, tmp_path, content, message):
@@ -331,3 +350,17 @@ class TestCalibrationFile:
         path.write_text(content)
         with pytest.raises(ValueError, match=message):
             read_calibration(path)
+
+    @pytest.mark.parametrize(
+        "content,table",
+        [
+            (b"sensor=0\r\nv_max=1023\r\nv_mid=236\r\nv_min=93\r\n", {0: TABLE[0]}),
+            (b"sensor=0\nv_max=1023\nv_mid=236\nv_min=93", {0: TABLE[0]}),
+            (b"", {}),
+        ],
+        ids=["crlf", "no_final_newline", "empty"],
+    )
+    def test_accepted_line_endings(self, tmp_path, content, table):
+        path = tmp_path / "calibration.txt"
+        path.write_bytes(content)
+        assert read_calibration(path) == table
