@@ -31,7 +31,7 @@ from .estimation import (
     read_calibration,
     write_calibration,
 )
-from .line import NerveLineSpec, simulate_sweep
+from .line import NerveLineSpec, _in_press_order, _sweep_presses
 
 TRACE_HEADER = ("t_ms", "phase", "sensor", "raw", "filtered", "p", "regime")
 SWEEP_HEADER = ("position_mm", "mean_p_spiked", "var_p_spiked", "mean_p_smooth", "var_p_smooth")
@@ -92,11 +92,18 @@ def _position_grid(length_mm: float, pitch_mm: float) -> list[float]:
 
 def _mean_pvariance(tally: Iterable[tuple[float, int]], n: int) -> tuple[float, float]:
     """`statistics.fmean` and `pvariance` of n values given as (value, times) pairs, to the same bits."""
-    ratios = [(p.as_integer_ratio(), k) for p, k in tally]
-    den = max(d for (_, d), _ in ratios)  # every denominator is a power of two, so divides this one
-    scaled = [(num * (den // d), k) for (num, d), k in ratios]
-    total = sum(m * k for m, k in scaled)
-    squares = sum(m * m * k for m, k in scaled)
+    den = 1  # every float's denominator is a power of two, so the largest one is a common one
+    total = squares = 0  # of the values times den
+    for p, k in tally:
+        num, d = p.as_integer_ratio()
+        if d > den:
+            scale, den = d // den, d
+            total *= scale
+            squares *= scale * scale
+        else:
+            num *= den // d
+        total += num * k
+        squares += num * num * k
     return total / den / n, (squares * n - total * total) / (den * den * n * n)
 
 
@@ -108,32 +115,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     calibration = _calibration_table(config)[args.sensor]
     positions = _position_grid(spec.effective_length_mm, spec.spike_pitch_mm)
 
-    runs = {}
-    for label, quantize in (("spiked", True), ("smooth", False)):
-        runs[label] = simulate_sweep(
+    runs = [  # spiked skin, then smooth
+        _sweep_presses(
             spec,
             positions,
-            jitter_mm=args.jitter_mm,
-            repeats=args.repeats,
-            rng=random.Random(config.seed),
-            noise_sd_counts=config.noise_sd_counts,
-            quantize_to_spikes=quantize,
+            args.jitter_mm,
+            args.repeats,
+            random.Random(config.seed),
+            config.noise_sd_counts,
+            quantize,
         )
+        for quantize in (True, False)
+    ]
 
     estimate = _estimator(calibration)
     lines = []
-    for row, position in enumerate(positions):
+    for position, *rows in zip(positions, *runs):
         line = f"{float(position)!r}"
-        for label in ("spiked", "smooth"):
-            block = runs[label][row * args.repeats : (row + 1) * args.repeats]
-            tally = Counter(block)  # (touched_mm, counts) -> presses
-            p_tally = [(estimate(counts)[0], k) for (_, counts), k in tally.items()]
-            mean, variance = _mean_pvariance(p_tally, len(block))
+        for samples, codes in rows:
+            if codes is None:
+                tally = Counter(samples).items()  # (touched_mm, counts) -> presses
+            else:
+                tally = [(sample, codes.count(code)) for code, sample in enumerate(samples)]
+            p_tally = [(estimate(counts)[0], k) for (_, counts), k in tally if k]
+            mean, variance = _mean_pvariance(p_tally, args.repeats)
             line += f",{mean!r},{variance!r}"
         lines.append(line + "\n")
     _write_lines(args.out, SWEEP_HEADER, lines)
     if args.frames_out is not None:
-        frames = (f"{t_ms},{args.sensor},{counts}\n" for t_ms, (_, counts) in enumerate(runs["spiked"]))
+        spiked = _in_press_order(runs[0])
+        frames = (f"{t_ms},{args.sensor},{counts}\n" for t_ms, (_, counts) in enumerate(spiked))
         _write_lines(args.frames_out, FRAMES_HEADER, frames)
 
     print(f"wrote {args.out} rows={len(positions)} repeats={args.repeats} seed={config.seed}")

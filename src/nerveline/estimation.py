@@ -275,8 +275,18 @@ def _parse_int(raw: str, lineno: int) -> int:
 
 
 def _read_lines(path: str | Path) -> list[str]:
-    """The lines of an ASCII text file, broken only at ``\\n``; ``\\r\\n`` and ``\\r`` are read as ``\\n``."""
-    lines = Path(path).read_text(encoding="ascii").split("\n")
+    """The lines of an ASCII text file, broken only at ``\\n``; ``\\r\\n`` and ``\\r`` are read as ``\\n``.
+
+    Raises:
+        ValueError: a byte outside ASCII, named by its line number.
+    """
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start]  # read_text decodes the whole file in one call
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValueError(f"line {lineno}: byte {exc.object[exc.start]:#04x} is not ASCII") from None
+    lines = text.split("\n")
     if not lines[-1]:  # a final newline ends the last line and opens none
         lines.pop()
     return lines

@@ -16,9 +16,11 @@ from the most distal contact back to the base.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bounds import bounded, check_fields
 
@@ -337,6 +339,108 @@ def _pin_volts(
     return min(candidates) if candidates else spec.supply_volts
 
 
+# a byte's top bit, as the byte 0 or 1
+_TOP_BIT = bytes(byte >> 7 for byte in range(256))
+
+
+def _coins(rng: random.Random, n: int) -> bytes:
+    """``n`` coins as bytes of 0 or 1, drawn as ``n`` calls of ``rng.random() >= 0.5`` would be.
+
+    Only for an exact ``random.Random``, whose methods are CPython's own.
+    There ``random()`` takes two 32-bit words and is ``>= 0.5`` exactly
+    when the first word's top bit is set, and ``getrandbits`` fills its
+    result from the least significant word up.  So coin i is the top bit
+    of byte ``8i + 3`` of ``64n`` bits, and the generator ends where ``n``
+    calls of ``random()`` would leave it.
+    """
+    return rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8].translate(_TOP_BIT)
+
+
+def _sweep_presses(
+    spec: NerveLineSpec,
+    positions: list[float] | tuple[float, ...],
+    jitter_mm: float,
+    repeats: int,
+    rng: random.Random | None,
+    noise_sd_counts: float,
+    quantize_to_spikes: bool,
+) -> list[tuple[list[tuple[float, int]], bytes | None]]:
+    """The presses of `simulate_sweep`, per position, as ``(samples, codes)``.
+
+    Noise-free, press i reads ``samples[codes[i]]``: a table of at most
+    four samples indexed by ``2 * jitter coin + tie coin``.  With noise,
+    ``codes`` is None and press i reads ``samples[i]``.  A position whose
+    presses all draw the same number of coins from an exact
+    ``random.Random`` draws them at once with `_coins`; any other position
+    draws press by press.  Either way the generator ends in the same state.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if not 0.0 <= jitter_mm < math.inf:
+        raise ValueError(f"jitter_mm must be finite and non-negative, got {jitter_mm}")
+    if jitter_mm > 0 and rng is None:
+        raise ValueError("jitter_mm > 0 requires an rng")
+    length, pitch, full_scale = spec.effective_length_mm, spec.spike_pitch_mm, spec.adc_full_scale
+    jittered, noisy = jitter_mm > 0, noise_sd_counts > 0
+    bulk = not noisy and type(rng) is random.Random  # a subclass may override random()
+
+    @functools.cache  # once per pressed position
+    def counts(pressed: float) -> int:
+        return adc_quantize(spec, _pin_volts(spec, (ContactPoint(pressed),)))
+
+    presses: list[tuple[list[tuple[float, int]], bytes | None]] = []
+    for position in positions:
+        if not 0.0 <= position <= length:
+            raise ValueError(f"position {position} outside [0, {length}]")
+        offsets = (-jitter_mm, jitter_mm) if jittered else ()
+        touched_at = [min(max(position + offset, 0.0), length) for offset in offsets] or [position]
+        table = []  # per jitter coin, the samples at the lower and at the upper spike
+        ties = []  # per jitter coin, whether a tie coin follows it
+        for touched in touched_at:
+            tie = quantize_to_spikes and _is_spike_midpoint(spec, touched)
+            if tie:
+                if rng is None:
+                    raise ValueError("midpoint tie requires an rng to break it")
+                lower = math.floor(touched / pitch) * pitch
+                upper = min(lower + pitch, length)
+            else:
+                lower = upper = snap_to_spike(spec, touched) if quantize_to_spikes else touched
+            table += (touched, counts(lower)), (touched, counts(upper))
+            ties.append(tie)
+        if noise_sd_counts < 0 or (noisy and rng is None):
+            adc_quantize(spec, 0.0, noise_sd_counts)  # raises its own error, as at a press
+        if bulk and ties[0] == ties[-1]:  # every press draws the same number of coins
+            draws = jittered + ties[0]
+            coins = _coins(rng, draws * repeats)
+            jitter_coins, tie_coins = (
+                (coins[::2], coins[1::2]) if draws == 2 else (coins, b"") if jittered else (b"", coins)
+            )
+            code_bits = int.from_bytes(jitter_coins, "little") << 1 | int.from_bytes(tie_coins, "little")
+            presses.append((table, code_bits.to_bytes(repeats, "little")))
+            continue
+        codes = bytearray()
+        samples = []
+        for _ in range(repeats):
+            jitter = jittered and rng.random() >= 0.5
+            code = 2 * jitter + (ties[jitter] and rng.random() >= 0.5)
+            if noisy:
+                touched, clean = table[code]
+                samples.append((touched, _add_noise(clean, noise_sd_counts, full_scale, rng)))
+            else:
+                codes.append(code)
+        presses.append((samples, None) if noisy else (table, bytes(codes)))
+    return presses
+
+
+def _in_press_order(
+    presses: list[tuple[list[tuple[float, int]], bytes | None]],
+) -> Iterator[tuple[float, int]]:
+    """Every sample of `_sweep_presses`' result, in press order."""
+    return itertools.chain.from_iterable(
+        samples if codes is None else map(samples.__getitem__, codes) for samples, codes in presses
+    )
+
+
 def simulate_sweep(
     spec: NerveLineSpec,
     positions: list[float] | tuple[float, ...],
@@ -355,7 +459,9 @@ def simulate_sweep(
     tables its jitter outcomes: the touched position, whether it is a spike
     midpoint, and the noise-free counts of the spikes it can snap to.  A
     press then draws jitter coin, tie coin (midpoints only) and noise in
-    that order, as `sense` would, and appends the tabled sample.
+    that order, as `sense` would, and reads the tabled sample.  A
+    noise-free position whose presses all draw the same number of coins
+    draws them all at once, leaving ``rng`` as press-by-press draws would.
 
     Args:
         positions: commanded press positions, each within the line.
@@ -370,42 +476,5 @@ def simulate_sweep(
         ``(touched_mm, counts)`` per press, in press order: where the probe
         actually pressed, and the ADC value.  The index is the sample time.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if not 0.0 <= jitter_mm < math.inf:
-        raise ValueError(f"jitter_mm must be finite and non-negative, got {jitter_mm}")
-    if jitter_mm > 0 and rng is None:
-        raise ValueError("jitter_mm > 0 requires an rng")
-    length, pitch, full_scale = spec.effective_length_mm, spec.spike_pitch_mm, spec.adc_full_scale
-    jittered, noisy = jitter_mm > 0, noise_sd_counts > 0
-
-    @functools.cache  # once per pressed position
-    def counts(pressed: float) -> int:
-        return adc_quantize(spec, _pin_volts(spec, (ContactPoint(pressed),)))
-
-    samples: list[tuple[float, int]] = []
-    for position in positions:
-        if not 0.0 <= position <= length:
-            raise ValueError(f"position {position} outside [0, {length}]")
-        offsets = (-jitter_mm, jitter_mm) if jittered else ()
-        touched_at = [min(max(position + offset, 0.0), length) for offset in offsets] or [position]
-        outcomes = []  # per jitter coin, minus first: (tie, sample at lower spike, at upper spike)
-        for touched in touched_at:
-            tie = quantize_to_spikes and _is_spike_midpoint(spec, touched)
-            if tie:
-                if rng is None:
-                    raise ValueError("midpoint tie requires an rng to break it")
-                lower = math.floor(touched / pitch) * pitch
-                upper = min(lower + pitch, length)
-            else:
-                lower = upper = snap_to_spike(spec, touched) if quantize_to_spikes else touched
-            outcomes.append((tie, (touched, counts(lower)), (touched, counts(upper))))
-        if noise_sd_counts < 0 or (noisy and rng is None):
-            adc_quantize(spec, 0.0, noise_sd_counts)  # raises its own error, as at a press
-        for _ in range(repeats):
-            tie, at_lower, at_upper = outcomes[jittered and rng.random() >= 0.5]
-            sample = at_upper if tie and rng.random() >= 0.5 else at_lower
-            if noisy:
-                sample = (sample[0], _add_noise(sample[1], noise_sd_counts, full_scale, rng))
-            samples.append(sample)
-    return samples
+    presses = _sweep_presses(spec, positions, jitter_mm, repeats, rng, noise_sd_counts, quantize_to_spikes)
+    return list(_in_press_order(presses))

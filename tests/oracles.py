@@ -1,6 +1,8 @@
 """Independent oracles used by the test suite.
 
-``replay_reference`` is the frame-by-frame replay loop as it stood before
+``sweep_csv_reference`` builds ``sweep.csv`` from the public
+``simulate_sweep`` and ``estimate_p`` and the ``statistics`` module, one
+``p`` value per press.  ``replay_reference`` is the frame-by-frame replay loop as it stood before
 ``cmd_replay`` accepted frames by lookup: three ``int()`` calls and a
 re-formatted copy of each line.  The nodal solver here shares no code with the series-parallel fold it
 checks: it builds the full two-rail ladder as a resistor graph, contracts
@@ -13,12 +15,15 @@ bridge resistances.
 from __future__ import annotations
 
 import math
+import random
+import statistics
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
-from nerveline import NerveLineSpec, RunConfig
-from nerveline.cli import FRAMES_HEADER, REPLAY_HEADER, _calibration_table
+from nerveline import NerveLineSpec, RunConfig, estimate_p, simulate_sweep
+from nerveline.cli import FRAMES_HEADER, REPLAY_HEADER, SWEEP_HEADER, _calibration_table, _position_grid
 from nerveline.estimation import _estimator, _smooth
 
 
@@ -174,3 +179,22 @@ def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, st
     except ValueError as exc:
         return None, str(exc)
     return ",".join(REPLAY_HEADER) + "\n" + "".join(out_lines), None
+
+
+def sweep_csv_reference(config: RunConfig, sensor: int, jitter_mm: float, repeats: int) -> str:
+    """The sweep.csv text of ``nerveline sweep`` on ``config`` with these arguments."""
+    spec = config.sensors[sensor]
+    calibration = _calibration_table(config)[sensor]
+    positions = _position_grid(spec.effective_length_mm, spec.spike_pitch_mm)
+    columns = []
+    for quantize in (True, False):
+        rng = random.Random(config.seed)
+        samples = simulate_sweep(spec, positions, jitter_mm, repeats, rng, config.noise_sd_counts, quantize)
+        column = []
+        for row in range(len(positions)):
+            tally = Counter(counts for _, counts in samples[row * repeats : (row + 1) * repeats])
+            p_values = [estimate_p(counts, calibration).p for counts, k in tally.items() for _ in range(k)]
+            column.append(f"{statistics.fmean(p_values)!r},{statistics.pvariance(p_values)!r}")
+        columns.append(column)
+    rows = (f"{float(position)!r},{spiked},{smooth}\n" for position, spiked, smooth in zip(positions, *columns))
+    return ",".join(SWEEP_HEADER) + "\n" + "".join(rows)

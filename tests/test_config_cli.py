@@ -40,7 +40,7 @@ from nerveline import (
 )
 from nerveline.cli import _build_parser, _calibration_table, _mean_pvariance, _write_lines, main
 from nerveline.config import _load_yaml_mapping
-from oracles import replay_reference
+from oracles import replay_reference, sweep_csv_reference
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO / "configs" / "default.yaml"
@@ -1203,6 +1203,30 @@ class TestCliSweep:
         assert "Traceback" not in err
 
     @given(
+        seed=st.integers(0, 2**32 - 1),
+        repeats=st.integers(1, 40),
+        jitter_mm=st.one_of(
+            st.integers(0, 4).map(lambda k: k * 2.5),  # on the half-pitch lattice: every press a midpoint
+            st.tuples(st.integers(0, 4), st.floats(0.01, 0.99)).map(lambda t: (t[0] + t[1]) * 2.5),
+            st.floats(80.0, 200.0),  # both offsets clamp, one at each end of the line
+        ),
+        noise_sd_counts=st.one_of(st.just(0.0), st.floats(0.1, 20.0)),
+    )
+    @example(seed=12345, repeats=100, jitter_mm=2.5, noise_sd_counts=0.0)
+    @example(seed=7, repeats=30, jitter_mm=1.3, noise_sd_counts=3.0)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference(self, seed, repeats, jitter_mm, noise_sd_counts):
+        """sweep.csv is what simulate_sweep, Counter and the statistics module give (``oracles.py``)."""
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "c.yaml", Path(tmp) / "sweep.csv"
+            config.write_text(f"seed: {seed}\nnoise_sd_counts: {noise_sd_counts!r}\n")
+            argv = ["sweep", "--config", str(config), "--repeats", str(repeats), f"--jitter-mm={jitter_mm!r}"]
+            with redirect_stdout(io.StringIO()):
+                assert main(argv + ["--out", str(out)]) == 0
+            expected = sweep_csv_reference(load_config(config), 0, jitter_mm, repeats)
+            assert out.read_text(encoding="ascii") == expected
+
+    @given(
         st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5, unique=True).flatmap(
             lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=400)
         )
@@ -1475,6 +1499,43 @@ class TestCliReplay:
         log.write_bytes(b"t_ms,sensor,counts\n0,0,5\n10,0,6\n")
         assert main(["replay", "--config", str(DEFAULT_CONFIG), "--log", str(log), "--out", str(tmp_path / "lf.csv")]) == 0
         assert out.read_bytes() == (tmp_path / "lf.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"t_ms,sensor,counts\n0,0,5\n1,0,\xff\n", "line 3: byte 0xff is not ASCII"),
+            (b"t_ms,sensor,counts\r\n0,0,5\r\n1,0,\x80\r\n", "line 3: byte 0x80 is not ASCII"),
+            (b"t_ms,sensor,counts\r0,0,5\r\xe9", "line 3: byte 0xe9 is not ASCII"),
+            (b"t_ms,sensor,c\xc3\xb6unts\n0,0,5\n", "line 1: byte 0xc3 is not ASCII"),
+            # the byte is named even after a malformed line: the whole log is read first
+            (b"t_ms,sensor,counts\n0,0\n1,0,5\xff\n", "line 3: byte 0xff is not ASCII"),
+            (
+                b"t_ms,sensor,counts\n"
+                + b"".join(b"%d,0,%d\n" % (k, k % 1024) for k in range(20_000))
+                + b"20000,0,5\xa0\n",
+                "line 20002: byte 0xa0 is not ASCII",
+            ),
+        ],
+        ids=["lf", "crlf", "cr", "in_header", "after_malformed_line", "far_into_a_long_log"],
+    )
+    def test_non_ascii_byte_names_the_line(self, tmp_path, capsys, content, message):
+        log = tmp_path / "frames.csv"
+        log.write_bytes(content)
+        code = main(
+            ["replay", "--config", str(DEFAULT_CONFIG), "--log", str(log), "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {log}: {message}\n"
+
+    def test_non_ascii_calibration_byte_names_the_line(self, tmp_path, capsys):
+        calibration = tmp_path / "calibration.txt"
+        calibration.write_bytes(b"sensor=0\r\nv_max=1023\r\nv_mid=2\xb36\r\nv_min=93\r\n")
+        config = write(tmp_path, "c.yaml", f"seed: 1\ncalibration_file: {calibration}\n")
+        log = tmp_path / "frames.csv"
+        log.write_text("t_ms,sensor,counts\n0,0,5\n")
+        code = main(["replay", "--config", str(config), "--log", str(log), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {calibration}: line 3: byte 0xb3 is not ASCII\n"
 
     def test_malformed_log_names_the_file(self, tmp_path, capsys):
         log = tmp_path / "frames.csv"

@@ -352,6 +352,22 @@ class TestCalibrationFile:
             read_calibration(path)
 
     @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"sensor=0\nv_max=1023\nv_mid=2\xb36\nv_min=93\n", "line 3: byte 0xb3 is not ASCII"),
+            (b"sensor=0\r\nv_max=1023\r\n\xff", "line 3: byte 0xff is not ASCII"),
+            (b"\x80sensor=0\n", "line 1: byte 0x80 is not ASCII"),
+        ],
+        ids=["lf", "crlf", "first_byte"],
+    )
+    def test_non_ascii_byte_names_the_line(self, tmp_path, content, message):
+        path = tmp_path / "calibration.txt"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as raised:
+            read_calibration(path)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
         "content,table",
         [
             (b"sensor=0\r\nv_max=1023\r\nv_mid=236\r\nv_min=93\r\n", {0: TABLE[0]}),

@@ -1,5 +1,6 @@
 """Circuit and sampling model tests for a single nerve line."""
 
+import itertools
 import math
 import random
 
@@ -21,6 +22,7 @@ from nerveline import (
     snap_to_spike,
     solve_line_resistance,
 )
+from nerveline.line import _coins
 from oracles import chain_counts, nodal_line_resistance
 
 SPEC = NerveLineSpec()
@@ -60,6 +62,17 @@ def per_press_sweep(
             reading = sense(spec, contact_set, noise_sd_counts=noise_sd_counts, rng=rng)
             samples.append((touched, reading.counts))
     return samples
+
+
+class CyclingRandom(random.Random):
+    """``random()`` cycles through fixed values; ``getrandbits`` is still the Mersenne Twister's."""
+
+    def __init__(self):
+        super().__init__(0)
+        self._values = itertools.cycle((0.75, 0.25, 0.5, 0.1, 0.9, 0.3, 0.6, 0.4, 0.45))
+
+    def random(self):
+        return next(self._values)
 
 
 @st.composite
@@ -383,6 +396,32 @@ class TestSweep:
         ref_rng = random.Random(seed)
         assert samples == per_press_sweep(spec, grid, rng=ref_rng, **kwargs)
         assert rng.getstate() == ref_rng.getstate()
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 300))
+    @example(0, 1)
+    @settings(max_examples=100)
+    def test_bulk_coins_are_per_press_coins(self, seed, n):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert list(_coins(rng, n)) == [ref.random() >= 0.5 for _ in range(n)]
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(jitter_mm=2.5, repeats=20),
+            dict(jitter_mm=1.3, repeats=20),
+            dict(jitter_mm=2.5, repeats=20, quantize_to_spikes=False),
+            dict(repeats=20),
+            dict(jitter_mm=2.5, repeats=20, noise_sd_counts=4.0),
+        ],
+        ids=["both_midpoints", "no_midpoints", "smooth", "no_jitter", "noisy"],
+    )
+    def test_subclass_draws_press_by_press(self, kwargs):
+        # a subclass may override random(), so the sweep must not read getrandbits in its place
+        grid = GRID_5MM + [2.5, 77.5]
+        assert simulate_sweep(SPEC, grid, rng=CyclingRandom(), **kwargs) == per_press_sweep(
+            SPEC, grid, rng=CyclingRandom(), **kwargs
+        )
 
     @pytest.mark.parametrize(
         "grid,kwargs,with_rng",
