@@ -1,11 +1,14 @@
-"""Numeric bounds declared once, on the dataclass field they constrain.
+"""Field checks declared once, on the dataclass that holds the field.
 
-``bounded`` stores a field's limits in its metadata.  ``check_fields``
-enforces them from a dataclass's ``__post_init__``, naming the bare field;
-the config loader calls ``field_problems`` on raw YAML values and prefixes
-the same messages with the field's path.  A bounded value is a finite
-number, an ``int`` where the field is annotated ``int``, or ``None`` where
-``None`` is the field's default.
+A field's type comes from its annotation: an ``int`` or ``float`` field
+holds a finite number, a ``bool`` or ``str`` field its type, a
+``Mapping[str, float]`` field names mapped to finite numbers, and a field
+annotated with a dataclass, or a tuple of one, such records; ``X | None``
+also admits None.  ``bounded`` adds numeric limits.  A record's rules
+across fields are its ``cross_problems(values)``, run on the fields whose
+values are good.  ``check_fields`` enforces all of it from ``__post_init__``, naming
+the bare field; the config loader calls ``field_problems`` on the values
+it read and prefixes the same messages with the field's path.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import MISSING, field, fields
-from typing import Any, Mapping
+import sys
+from collections.abc import Mapping
+from dataclasses import MISSING, field, fields, is_dataclass
+from typing import Any
 
 Limits = tuple[tuple[str, float], ...]
 
@@ -50,47 +55,109 @@ def is_finite_number(value: Any) -> bool:
 
 def number_problem(value: Any, integer: bool = False, limits: Limits = ()) -> str | None:
     """Why ``value`` is not an acceptable number, or None when it is."""
-    if integer and (isinstance(value, bool) or not isinstance(value, int)):
-        return f"must be an integer, got {value!r}"
-    if not is_finite_number(value):
-        return f"must be a finite number, got {value!r}"
+    if type(value) is float and not integer:  # the common case, first
+        finite = math.isfinite(value)
+    else:
+        if integer and (isinstance(value, bool) or not isinstance(value, int)):
+            return f"must be an integer, got {value!r}"
+        finite = is_finite_number(value)
+    if not finite:
+        return f"must be a finite number, got {_number_text(value)}"
     for symbol, bound in limits:
         if not _COMPARISONS[symbol](value, bound):
             return f"must be {symbol} {bound}, got {value}"
     return None
 
 
-def field_problems(cls: type, values: Mapping[str, Any]) -> list[str]:
-    """``name: problem`` for each bounded field of ``cls`` given a bad value in ``values``."""
-    problems = []
-    for name, integer, optional, limits in _bounded_fields(cls):
-        if name not in values:
-            continue
-        value = values[name]
-        if value is None and optional:
-            continue
-        problem = number_problem(value, integer, limits)
-        if problem is not None:
-            problems.append(f"{name}: {problem}")
-    return problems
+def _number_text(value: Any) -> str:
+    """``repr(value)``; for a string that reads as a finite number, also how YAML 1.1 spells that number."""
+    try:
+        spelling = repr(float(value)) if isinstance(value, str) else "nan"
+    except ValueError:
+        spelling = "nan"
+    if spelling in ("nan", "inf", "-inf"):
+        return repr(value)
+    if "." not in spelling:  # a YAML 1.1 float has a dot and a signed exponent, as PyYAML writes it
+        spelling = spelling.replace("e", ".0e", 1)
+    return f"the string {value!r} (YAML reads {spelling} as a number)"
+
+
+_KINDS = {"int": int, "float": float, "bool": bool, "str": str, "Mapping[str, float]": Mapping}
+_KIND_NAMES = {bool: "a boolean", str: "a string", Mapping: "a mapping of strings to finite numbers"}
 
 
 @functools.cache
-def _bounded_fields(cls: type) -> tuple[tuple[str, bool, bool, Limits], ...]:
-    """Name, int annotation, None default and limits of each bounded field of ``cls``."""
-    # f.type is source text: the declaring modules use ``from __future__ import annotations``.
-    return tuple(
-        (f.name, f.type.startswith("int"), f.default is None, f.metadata["limits"])
-        for f in fields(cls)
-        if "limits" in f.metadata
+def _fields(cls: type) -> tuple[tuple[str, Any, bool, bool, Limits], ...]:
+    """Name, kind, whether a tuple of them, whether None is allowed, and limits of each checked field."""
+    namespace = vars(sys.modules[cls.__module__])
+    checked = []
+    for f in fields(cls):
+        # f.type is source text: the declaring modules use ``from __future__ import annotations``
+        text = f.type.removesuffix(" | None")
+        many = text.startswith("tuple[") and text.endswith(", ...]")
+        kind = _KINDS.get(text) or namespace.get(text[6:-6] if many else text)
+        if kind in _KINDS.values() and not many or is_dataclass(kind):
+            checked.append((f.name, kind, many, text != f.type, f.metadata.get("limits", ())))
+    return tuple(checked)
+
+
+@functools.cache
+def nested_fields(cls: type) -> tuple[tuple[str, type, bool], ...]:
+    """Name, record type and whether a tuple of them, of each field of ``cls`` holding records."""
+    return tuple((name, kind, many) for name, kind, many, _, _ in _fields(cls) if is_dataclass(kind))
+
+
+def _has_kind(value: Any, kind: Any, many: bool) -> bool:
+    if many:
+        return isinstance(value, tuple) and all(isinstance(item, kind) for item in value)
+    if kind is Mapping:
+        return isinstance(value, Mapping) and all(
+            isinstance(key, str) and is_finite_number(number) for key, number in value.items()
+        )
+    return isinstance(value, kind)
+
+
+def field_problems(cls: type, values: Mapping[str, Any]) -> list[str]:
+    """``name: problem`` for each field of ``cls`` given a bad value in ``values``.
+
+    Then come the problems the record's ``cross_problems`` finds among the
+    good values; a rule that reads a missing or bad field is skipped.
+    """
+    problems: dict[str, str] = {}
+    for name, kind, many, optional, limits in _fields(cls):
+        value = values.get(name, MISSING)
+        if value is MISSING or value is None and optional:
+            continue
+        if kind is int or kind is float:
+            problem = number_problem(value, kind is int, limits)
+        elif _has_kind(value, kind, many):
+            continue
+        else:
+            expected = f"a tuple of {kind.__name__}" if many else _KIND_NAMES.get(kind, f"a {kind.__name__}")
+            problem = f"must be {expected}{' or null' if optional else ''}, got {value!r}"
+        if problem is not None:
+            problems[name] = problem
+    found = [f"{name}: {problem}" for name, problem in problems.items()]
+    if hasattr(cls, "cross_problems"):
+        good = {name: value for name, value in values.items() if name not in problems} if problems else values
+        found += cls.cross_problems(good)
+    return found
+
+
+@functools.cache
+def field_names(cls: type) -> tuple[dict[str, None], tuple[str, ...]]:
+    """The field names of dataclass ``cls`` (ordered, for fast lookup) and, in order, those without a default."""
+    return (
+        dict.fromkeys(f.name for f in fields(cls)),
+        tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING),
     )
 
 
 def check_fields(obj: Any, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` listing every bounded field of dataclass ``obj`` that is out of bounds."""
+    """Raise ``error`` listing every problem ``field_problems`` finds in dataclass ``obj``."""
     # getattr, not vars(obj): building an instance's __dict__ slows every later
     # attribute read on it, and line specs are read on every sample.
-    values = {name: getattr(obj, name) for name, *_ in _bounded_fields(type(obj))}
+    values = {name: getattr(obj, name) for name in field_names(type(obj))[0]}
     problems = field_problems(type(obj), values)
     if problems:
         raise error("\n".join(problems))

@@ -44,16 +44,27 @@ def _write_lines(path: str, header: tuple[str, ...], lines: Iterable[str]) -> No
 
     A regular file is overwritten in place and then cut to the bytes written,
     also when a write fails part-way; cutting it to zero on open frees blocks
-    that the write allocates again.  Devices and pipes are only written.
+    that the write allocates again.  Devices and pipes are only written.  The
+    file that stdout goes to (``--out /dev/stdout > file``) is written at
+    stdout's offset, so that what the command prints next follows the rows.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="", encoding="ascii") as handle:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    try:
+        to_stdout = regular and os.path.samestat(os.fstat(fd), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # stdout is closed, or has no descriptor (captured in process)
+        to_stdout = False
+    if to_stdout:
+        os.close(fd)
+        sys.stdout.flush()
+        fd, regular = os.dup(sys.stdout.fileno()), False
+    with open(fd, "w", newline="", encoding="ascii") as handle:
         try:
             handle.write(",".join(header) + "\n")
             handle.writelines(lines)
             handle.flush()  # so a successful write is cut at its end, never to zero
         finally:
-            fd = handle.fileno()
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            if regular:
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 

@@ -2,40 +2,39 @@
 
 Every violation is reported with the path of the offending field, for
 example ``sensors[0].pullup_ohm``, and all violations in a file are
-collected into a single error rather than stopping at the first.  Numeric
-bounds are declared once, on the dataclass fields (``bounds.bounded``);
-this module prefixes their messages with the path and adds the rules only
-a file can break: unknown keys, shapes, names and cross-references.
+collected into a single error rather than stopping at the first.  Each
+record checks itself: a field's type comes from its annotation, its
+bounds from ``bounds.bounded`` and its cross-field rules from the
+record's ``cross_problems`` (see ``bounds``).  This module maps file
+shapes onto those records, prefixes their messages with the path, and
+adds the rules only a file can break: unknown keys, a missing seed, the
+filter block, the top-level tick, duplicate sensors, phase names and a
+rule's reference to the configured lines.
 """
 
 from __future__ import annotations
 
-import functools
+import re
 import string
-from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import AbstractSet, Any
 
 import yaml
 
-from .bounds import field_problems, is_finite_number, number_problem
+from .bounds import field_names, field_problems, nested_fields, number_problem
 from .controller import (
-    GOALS,
-    OUTCOMES,
-    TERMINAL_PHASES,
+    SENSOR_COUNT,
     ContactRule,
     ControllerConfig,
     RunConfig,
     Scenario,
     TaskPhase,
     rule_problem,
+    sensor_index_problem,
 )
 from .errors import ConfigError, ScenarioError
-from .estimation import DEFAULT_CUTOFF_HZ, FilterState, smoothing_coefficient
-from .hand import ActuatorSpec, FingerSpec, Hand, default_hand
+from .estimation import DEFAULT_CUTOFF_HZ, smoothing_coefficient
 from .line import NerveLineSpec
-
-SENSOR_COUNT = 4
 
 
 def default_sensors() -> dict[int, NerveLineSpec]:
@@ -46,38 +45,33 @@ def default_sensors() -> dict[int, NerveLineSpec]:
 # libyaml reads a few texts differently from the pure loader (a tab in a
 # plain key, ``?`` in a flow scalar, a bare ``!`` tag), so it only gets texts
 # of at most 16 KiB in these characters, which keep out anchors and aliases
-# too; what it fails on or nests deeper than 64 goes to the pure loader.
+# too.  In them each mapping or list opens with one of ``- : [ {``, so a text
+# with fewer than 64 of those nests less deeply than that (real files nest 4
+# deep, the pure loader fails near 500); what libyaml fails on, or any other
+# text, goes to the pure loader.
 _FAST_LOADER = getattr(yaml, "CSafeLoader", None)
-_FAST_CHARS = frozenset(string.ascii_letters + string.digits + " \n#:-_.,[]{}()'\"+/=;`")
-
-
-def _nests_deeper_than(value: Any, limit: int) -> bool:
-    stack = [(value, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, (dict, list)):
-            if depth > limit:
-                return True
-            stack.extend((child, depth + 1) for child in (node.values() if isinstance(node, dict) else node))
-    return False
+_FAST_TEXT = re.compile("[" + re.escape(string.ascii_letters + string.digits + " \n#:-_.,[]{}()'\"+/=;`") + "]*")
 
 
 def _parse_yaml(text: str) -> Any:
     """``yaml.safe_load(text)``: the same object or the same exception."""
-    if _FAST_LOADER is not None and len(text) <= 16 * 1024 and _FAST_CHARS.issuperset(text):
+    if (
+        _FAST_LOADER is not None
+        and len(text) <= 16 * 1024
+        and _FAST_TEXT.fullmatch(text)
+        and sum(map(text.count, "-:[{")) < 64
+    ):
         try:
-            raw = yaml.load(text, Loader=_FAST_LOADER)
+            return yaml.load(text, Loader=_FAST_LOADER)
         except Exception:  # the pure loader's result or error is the one reported
             pass
-        else:
-            if not _nests_deeper_than(raw, 64):  # real files nest 4 deep, the pure loader fails near 500
-                return raw
     return yaml.safe_load(text)
 
 
 def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any]:
     try:
-        raw = _parse_yaml(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            raw = _parse_yaml(handle.read())
     except OSError:  # a missing or unreadable file keeps its own message
         raise
     except Exception as err:
@@ -91,19 +85,8 @@ def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any
     return raw
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple[frozenset[str], tuple[str, ...]]:
-    """The field names of dataclass ``cls`` and, in order, those without a default."""
-    return (
-        frozenset(f.name for f in fields(cls)),
-        tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING),
-    )
-
-
-def _check_unknown_keys(data: dict[str, Any], allowed: AbstractSet[str], path: str, errors: list[str]) -> None:
-    for key in data:
-        if key not in allowed:
-            errors.append(f"{path}{key}: unknown key")
+def _unknown_keys(data: dict[str, Any], allowed: AbstractSet[str], path: str) -> list[str]:
+    return [f"{path}{key}: unknown key" for key in data if key not in allowed]
 
 
 def _is_mapping(data: Any, path: str, errors: list[str]) -> bool:
@@ -112,79 +95,101 @@ def _is_mapping(data: Any, path: str, errors: list[str]) -> bool:
     return isinstance(data, dict)
 
 
+def _build_part(cls: type, many: bool, data: Any, path: str, errors: list[str]) -> Any:
+    """A ``cls`` record from block ``data``, or with ``many`` a tuple of them from a list; None on failure."""
+    if not many:
+        return _build(cls, data, path + ".", errors) if _is_mapping(data, path + ".", errors) else None
+    if not isinstance(data, list):
+        errors.append(f"{path}: must be a list, got {type(data).__name__}")
+        return None
+    parts = [_build_part(cls, False, item, f"{path}[{k}]", errors) for k, item in enumerate(data)]
+    return None if None in parts else tuple(parts)
+
+
 def _build(
     cls: type,
     data: dict[str, Any],
     path: str,
     errors: list[str],
-    since: int,
+    since: int | None = None,
     **parsed: Any,
 ) -> Any:
-    """``cls`` from the keys of ``data`` and the already ``parsed`` values.
+    """``cls`` from the keys of ``data`` and the values the caller ``parsed`` from them.
 
-    Reports unknown keys, missing required fields, out-of-bounds numbers
-    and the constructor's own objection under ``path`` (``"sensors[0]."``).
-    Returns None when any of these, or anything else recorded in ``errors``
-    after position ``since``, went wrong.  The constructor checks the
-    bounds of a clean block; they are checked here, with their paths, only
-    once something is wrong.
+    A nested record, or a tuple of them, is built from its own block under
+    ``path`` plus the field's name; a null block means the field's default.
+    A parsed value of None is a part that failed, its problems reported.
+    The record's own problems (unknown keys, missing fields, bad values)
+    are reported under ``path`` (``"sensors[0]."``) at position ``since``
+    of ``errors``, the end by default, ahead of its nested records'.
+    Returns None when any of these, or anything else recorded in
+    ``errors`` after ``since``, went wrong.  The constructor checks a clean
+    record; its problems are worked out here, with their paths, only once
+    something is wrong.
     """
-    names, required = _field_names(cls)
-    _check_unknown_keys(data, names, path, errors)
+    since = len(errors) if since is None else since
+    names, required = field_names(cls)
     values = {key: value for key, value in data.items() if key in names}
+    own = _unknown_keys(data, names.keys(), path)
     values.update(parsed)
-    errors.extend(f"{path}{name}: required" for name in required if name not in values)
-    objection = []
-    if len(errors) == since:
+    failed = [name for name, value in parsed.items() if value is None]
+    for name, record, many in nested_fields(cls):
+        if name in parsed or name not in values:
+            continue
+        block = values.pop(name)
+        if block is not None:
+            part = values[name] = _build_part(record, many, block, path + name, errors)
+            if part is None:
+                failed.append(name)
+    for name in failed:
+        del values[name]
+    own += [f"{path}{name}: required" for name in required if name not in values and name not in failed]
+    if not own and not failed and len(errors) == since:
         try:
             return cls(**values)
         except ValueError as exc:
-            objection = [f"{path[:-1]}: {exc}"]
-    errors.extend([path + problem for problem in field_problems(cls, values)] or objection)
+            own = [path + problem for problem in str(exc).split("\n")]
+    else:
+        own += [path + problem for problem in field_problems(cls, values)]
+    errors[since:since] = own
     return None
 
 
-def _parse_sensor(
-    data: Any, path: str, errors: list[str], built: dict[frozenset, NerveLineSpec]
-) -> tuple[int, NerveLineSpec] | None:
-    """One sensor block; the spec of an earlier block with the same fields is reused from ``built``."""
-    if not _is_mapping(data, path, errors):
-        return None
-    since = len(errors)
-    index = data.get("index")
-    if type(index) is not int or index not in range(SENSOR_COUNT):
-        errors.append(f"{path}index: must be an integer in 0..{SENSOR_COUNT - 1}, got {index!r}")
-    fields_only = {key: value for key, value in data.items() if key != "index"}
-    try:  # typed, so that 1, 1.0 and true stay different blocks
-        block = frozenset((key, type(value), value) for key, value in fields_only.items())
-    except TypeError:  # an unhashable value: built on its own
-        block = None
-    spec = built.get(block)
-    if spec is None:
-        spec = _build(NerveLineSpec, fields_only, path, errors, since)
-        if spec is not None and block is not None:
-            built[block] = spec
-    return None if spec is None or len(errors) > since else (index, spec)
+def _parse_sensors(data: Any, errors: list[str]) -> dict[int, NerveLineSpec] | None:
+    """The sensor list as ``RunConfig.sensors``, or None when a block fails.
 
-
-def _parse_sensors(data: Any, errors: list[str]) -> dict[int, NerveLineSpec]:
+    A block with the same fields as an earlier one that built reuses its spec.
+    """
     if not isinstance(data, list):
         errors.append(f"sensors: must be a list, got {type(data).__name__}")
-        return {}
+        return None
+    since = len(errors)
     sensors: dict[int, NerveLineSpec] = {}
     built: dict[frozenset, NerveLineSpec] = {}  # only blocks that built cleanly
     for k, item in enumerate(data):
-        parsed = _parse_sensor(item, f"sensors[{k}].", errors, built)
-        if parsed is None:
+        path = f"sensors[{k}]."
+        if not _is_mapping(item, path, errors):
             continue
-        index, spec = parsed
+        index = item.get("index")
+        problem = sensor_index_problem(index)
+        if problem is not None:
+            errors.append(f"{path}index: {problem}")
+        fields_only = {key: value for key, value in item.items() if key != "index"}
+        try:  # typed, so that 1, 1.0 and true stay different blocks
+            block = frozenset((key, type(value), value) for key, value in fields_only.items())
+        except TypeError:  # an unhashable value: built on its own
+            block = None
+        spec = built.get(block)
+        if spec is None:
+            spec = _build(NerveLineSpec, fields_only, path, errors)
+            if spec is not None and block is not None:
+                built[block] = spec
+        if spec is None or problem is not None:
+            continue
         if index in sensors:
-            errors.append(f"sensors[{k}].index: duplicate sensor {index}")
-            continue
+            errors.append(f"{path}index: duplicate sensor {index}")
         sensors[index] = spec
-    if not sensors and not errors:
-        errors.append("sensors: must not be empty")
-    return sensors
+    return sensors if len(errors) == since else None
 
 
 def _parse_filter(data: Any, dt_ms: int, errors: list[str]) -> float | None:
@@ -193,7 +198,7 @@ def _parse_filter(data: Any, dt_ms: int, errors: list[str]) -> float | None:
         data = {}
     if not _is_mapping(data, "filter.", errors):
         return None
-    _check_unknown_keys(data, {"cutoff_hz", "coefficient_a"}, "filter.", errors)
+    errors.extend(_unknown_keys(data, {"cutoff_hz", "coefficient_a"}, "filter."))
     if "cutoff_hz" in data and "coefficient_a" in data:
         errors.append("filter: give either cutoff_hz or coefficient_a, not both")
         return None
@@ -203,69 +208,19 @@ def _parse_filter(data: Any, dt_ms: int, errors: list[str]) -> float | None:
     if problem is not None:
         errors.append(f"filter.{key}: {problem}")
         return None
+    if key == "coefficient_a":
+        return value  # RunConfig checks its range
     try:
-        coefficient = value if key == "coefficient_a" else smoothing_coefficient(value, dt_ms)
-        return FilterState(coefficient_a=coefficient).coefficient_a
+        return smoothing_coefficient(value, dt_ms)
     except ValueError as exc:
         errors.append(f"filter.{exc}")
         return None
 
 
-def _parse_controller(data: Any, dt_ms: int, errors: list[str]) -> ControllerConfig | None:
-    if data is None:
-        data = {}
-    if not _is_mapping(data, "controller.", errors):
-        return None
-    return _build(ControllerConfig, {"dt_ms": dt_ms, **data}, "controller.", errors, len(errors))
-
-
-def _parse_finger(data: Any, path: str, errors: list[str]) -> FingerSpec | None:
-    if not _is_mapping(data, path, errors):
-        return None
-    return _build(FingerSpec, data, path, errors, len(errors))
-
-
-def _parse_actuator(data: Any, path: str, errors: list[str]) -> ActuatorSpec | None:
-    if not _is_mapping(data, path, errors):
-        return None
-    since = len(errors)
-    joint_ref = data.get("joint_ref")
-    if joint_ref is not None and not isinstance(joint_ref, str):
-        errors.append(f"{path}joint_ref: must be a string or null, got {joint_ref!r}")
-    table = data.get("displacement_table")
-    if table is not None and (
-        not isinstance(table, dict)
-        or not all(isinstance(k, str) and is_finite_number(v) for k, v in table.items())
-    ):
-        errors.append(f"{path}displacement_table: must map posture names to numbers, got {table!r}")
-    return _build(ActuatorSpec, data, path, errors, since)
-
-
-def _parse_hand(data: Any, errors: list[str]) -> Hand | None:
-    default = default_hand()
-    if data is None:
-        return default
-    if not _is_mapping(data, "hand.", errors):
-        return None
-    _check_unknown_keys(data, _field_names(Hand)[0], "hand.", errors)
-    parts = {}
-    for key, parse in (("fingers", _parse_finger), ("actuators", _parse_actuator)):
-        raw = data.get(key)
-        if raw is None:
-            parts[key] = getattr(default, key)
-        elif not isinstance(raw, list) or not raw:
-            errors.append(f"hand.{key}: must be a non-empty list")
-        else:
-            parsed = [parse(item, f"hand.{key}[{k}].", errors) for k, item in enumerate(raw)]
-            if all(part is not None for part in parsed):
-                parts[key] = tuple(parsed)
-    if len(parts) < 2:
-        return None
-    try:
-        return Hand(**parts)
-    except ConfigError as exc:
-        errors.append(f"hand.actuators: {exc}")
-        return None
+# the file spells filter_coefficient_a as a filter block, and adds the controller's tick
+_TOP_KEYS = field_names(RunConfig)[0].keys() - {"filter_coefficient_a"} | {"filter", "dt_ms"}
+_OWN_KEYS = _TOP_KEYS - {"sensors", "controller", "filter", "dt_ms"}
+_SEED_REQUIRED = "seed: required; runs must not fall back to wall-clock entropy"
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -276,12 +231,8 @@ def load_config(path: str | Path) -> RunConfig:
             violation with its field path.
     """
     data = _load_yaml_mapping(path, ConfigError)
-    errors: list[str] = []
-    top_keys = _field_names(RunConfig)[0] - {"filter_coefficient_a"} | {"filter", "dt_ms"}
-    _check_unknown_keys(data, top_keys, "", errors)
-    if "seed" not in data:
-        errors.append("seed: required; runs must not fall back to wall-clock entropy")
-    errors.extend(field_problems(RunConfig, data))
+    errors = _unknown_keys(data, _TOP_KEYS, "")
+    since = len(errors)  # the run's own problems go here, ahead of its blocks'
     # the top-level tick is the controller's unless its block sets its own
     dt_ms = data.get("dt_ms", ControllerConfig.dt_ms)
     dt_problems = field_problems(ControllerConfig, {"dt_ms": dt_ms})
@@ -289,42 +240,26 @@ def load_config(path: str | Path) -> RunConfig:
         errors.extend(dt_problems)
         dt_ms = ControllerConfig.dt_ms  # reported; keep checking the rest
 
-    quantize = data.get("quantize_to_spikes", True)
-    if not isinstance(quantize, bool):
-        errors.append(f"quantize_to_spikes: must be a boolean, got {quantize!r}")
-
     # the controller's tick is the filter's; its errors are reported after the sensors'
     controller_errors: list[str] = []
-    controller = _parse_controller(data.get("controller"), dt_ms, controller_errors)
-    tick_ms = dt_ms if controller is None else controller.dt_ms
-    coefficient = _parse_filter(data.get("filter"), tick_ms, errors)
-    since = len(errors)
+    block = data.get("controller")
+    if block is None:
+        block = {}
+    if isinstance(block, dict):
+        block = {"dt_ms": dt_ms, **block}
+    controller = _build_part(ControllerConfig, False, block, "controller", controller_errors)
+    coefficient = _parse_filter(data.get("filter"), dt_ms if controller is None else controller.dt_ms, errors)
     sensors = _parse_sensors(data["sensors"], errors) if "sensors" in data else default_sensors()
-    sensors_valid = len(errors) == since
     errors.extend(controller_errors)
-    for key in ("watched_sensor_grasp", "watched_sensor_regrasp"):
-        watched = getattr(controller, key, None)
-        if controller is not None and sensors_valid and watched not in sensors:
-            errors.append(f"controller.{key}: sensor {watched} is not configured")
 
-    calibration_file = data.get("calibration_file")
-    if calibration_file is not None and not isinstance(calibration_file, str):
-        errors.append(f"calibration_file: must be a string path, got {calibration_file!r}")
-
-    hand = _parse_hand(data.get("hand"), errors)
-
-    if errors:
-        raise ConfigError("\n".join(errors))
-    return RunConfig(
-        seed=data["seed"],
-        sensors=sensors,
-        controller=controller,
-        filter_coefficient_a=coefficient,
-        noise_sd_counts=data.get("noise_sd_counts", RunConfig.noise_sd_counts),
-        quantize_to_spikes=quantize,
-        calibration_file=calibration_file,
-        hand=hand,
+    own = {key: value for key, value in data.items() if key in _OWN_KEYS}
+    config = _build(
+        RunConfig, own, "", errors, since,
+        sensors=sensors, controller=controller, filter_coefficient_a=coefficient,
     )
+    if errors:
+        raise ConfigError("\n".join(_SEED_REQUIRED if error == "seed: required" else error for error in errors))
+    return config
 
 
 _PHASES_BY_NAME = {phase.value: phase for phase in TaskPhase}
@@ -334,21 +269,18 @@ def _parse_rule(data: Any, path: str, config: RunConfig, errors: list[str]) -> C
     if not _is_mapping(data, path, errors):
         return None
     since = len(errors)
-    phases: set[TaskPhase] = set()
-    raw_phases = data.get("phases")
-    if not isinstance(raw_phases, list) or not raw_phases:
-        errors.append(f"{path}phases: must be a non-empty list of phase names")
-    else:
-        for j, name in enumerate(raw_phases):
-            phase = _PHASES_BY_NAME.get(name) if isinstance(name, str) else None
-            if phase is None:
-                errors.append(f"{path}phases[{j}]: unknown phase {name!r}")
-            elif phase in TERMINAL_PHASES:
-                errors.append(f"{path}phases[{j}]: terminal phase {name!r} not allowed")
-            else:
-                phases.add(phase)
+    parsed = {}
+    if "phases" in data:
+        raw_phases = data["phases"]
+        if not isinstance(raw_phases, list):
+            errors.append(f"{path}phases: must be a list of phase names, got {type(raw_phases).__name__}")
+        else:
+            for j, name in enumerate(raw_phases):
+                if not isinstance(name, str) or name not in _PHASES_BY_NAME:
+                    errors.append(f"{path}phases[{j}]: unknown phase {name!r}")
+        parsed["phases"] = None if len(errors) > since else frozenset(map(_PHASES_BY_NAME.get, raw_phases))
 
-    rule = _build(ContactRule, data, path, errors, since, phases=frozenset(phases))
+    rule = _build(ContactRule, data, path, errors, **parsed)
     problem = None if rule is None else rule_problem(rule, config.sensors)
     if problem is not None:
         errors.append(path + problem)
@@ -365,39 +297,25 @@ def load_scenario(path: str | Path, config: RunConfig) -> Scenario:
     """
     data = _load_yaml_mapping(path, ScenarioError)
     errors: list[str] = []
+    parsed: dict[str, Any] = {}
 
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append(f"name: must be a non-empty string, got {name!r}")
-    for key, allowed in (("goal", GOALS), ("expected_outcome", OUTCOMES)):
-        if data.get(key) not in allowed:
-            errors.append(f"{key}: must be one of {', '.join(allowed)}, got {data.get(key)!r}")
-
-    pose = (0.0, 0.0)
     raw_pose = data.get("object_pose_mm")
     if raw_pose is not None:
-        if not isinstance(raw_pose, dict) or set(raw_pose) != {"x", "y"}:
-            errors.append(f"object_pose_mm: must be a mapping with keys x and y, got {raw_pose!r}")
-        elif not (is_finite_number(raw_pose["x"]) and is_finite_number(raw_pose["y"])):
-            errors.append(f"object_pose_mm: x and y must be finite numbers, got {raw_pose!r}")
+        if isinstance(raw_pose, dict) and set(raw_pose) == {"x", "y"}:
+            parsed["object_pose_mm"] = (raw_pose["x"], raw_pose["y"])
         else:
-            pose = (float(raw_pose["x"]), float(raw_pose["y"]))
+            errors.append(f"object_pose_mm: must be a mapping with keys x and y, got {raw_pose!r}")
+            parsed["object_pose_mm"] = None
 
-    rules: list[ContactRule] = []
     raw_rules = data.get("rules", [])
     if not isinstance(raw_rules, list):
         errors.append(f"rules: must be a list, got {type(raw_rules).__name__}")
+        parsed["rules"] = None
     else:
-        for k, item in enumerate(raw_rules):
-            rule = _parse_rule(item, f"rules[{k}].", config, errors)
-            if rule is not None:
-                rules.append(rule)
+        rules = [_parse_rule(item, f"rules[{k}].", config, errors) for k, item in enumerate(raw_rules)]
+        parsed["rules"] = None if None in rules else tuple(rules)
 
-    scenario = _build(
-        Scenario, data, "", errors, 0,
-        name=name, goal=data.get("goal"), expected_outcome=data.get("expected_outcome"),
-        object_pose_mm=pose, rules=tuple(rules),
-    )
+    scenario = _build(Scenario, data, "", errors, 0, **parsed)
     if errors:
         raise ScenarioError("\n".join(errors))
     return scenario

@@ -14,9 +14,9 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from .bounds import bounded, check_fields
+from .bounds import bounded, check_fields, is_finite_number
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
@@ -43,6 +43,7 @@ from .line import (
 
 GOALS = ("lift", "operate")
 OUTCOMES = ("lifted", "retried_then_lifted", "operated", "failed")
+SENSOR_COUNT = 4
 
 GRASP_FLEXION_RAD = math.pi / 3
 
@@ -111,10 +112,13 @@ class ControllerConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.dwell_ticks < self.window_n:
-            raise ValueError(
-                f"dwell_ticks ({self.dwell_ticks}) must cover window_n ({self.window_n})"
-            )
+
+    @staticmethod
+    def cross_problems(values: Mapping[str, Any]) -> list[str]:
+        dwell, window = values.get("dwell_ticks"), values.get("window_n")
+        if dwell is not None and window is not None and dwell < window:
+            return [f"dwell_ticks: must cover window_n ({window}), got {dwell}"]
+        return []
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,16 @@ class ContactRule:
 
     def __post_init__(self) -> None:
         check_fields(self, ScenarioError)
-        if not self.phases:
-            raise ScenarioError("phases must not be empty")
-        if self.phases & TERMINAL_PHASES:
-            raise ScenarioError("rules cannot apply to terminal phases")
+
+    @staticmethod
+    def cross_problems(values: Mapping[str, Any]) -> list[str]:
+        phases = values.get("phases")
+        if phases is None:
+            return []
+        if not phases:
+            return ["phases: must not be empty"]
+        terminal = sorted(phase.value for phase in phases & TERMINAL_PHASES)
+        return [f"phases: terminal phase {name!r} not allowed" for name in terminal]
 
 
 def rule_problem(rule: ContactRule, specs: Mapping[int, NerveLineSpec]) -> str | None:
@@ -170,12 +180,20 @@ class Scenario:
     rules: tuple[ContactRule, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.goal not in GOALS:
-            raise ScenarioError(f"goal must be one of {GOALS}, got {self.goal!r}")
-        if self.expected_outcome not in OUTCOMES:
-            raise ScenarioError(
-                f"expected_outcome must be one of {OUTCOMES}, got {self.expected_outcome!r}"
-            )
+        check_fields(self, ScenarioError)
+
+    @staticmethod
+    def cross_problems(values: Mapping[str, Any]) -> list[str]:
+        problems = []
+        if values.get("name") == "":
+            problems.append("name: must be a non-empty string, got ''")
+        for key, allowed in (("goal", GOALS), ("expected_outcome", OUTCOMES)):
+            if key in values and values[key] not in allowed:
+                problems.append(f"{key}: must be one of {', '.join(allowed)}, got {values[key]!r}")
+        pose = values.get("object_pose_mm", (0.0, 0.0))
+        if not (isinstance(pose, tuple) and len(pose) == 2 and all(map(is_finite_number, pose))):
+            problems.append(f"object_pose_mm: x and y must be finite numbers, got {pose!r}")
+        return problems
 
 
 @dataclass(frozen=True)
@@ -184,7 +202,9 @@ class RunConfig:
 
     ``load_config`` builds one from a file, deriving the filter coefficient
     from the cutoff at the controller tick; one built in code gets the same
-    checks: bounded fields, at least one sensor, a coefficient in [0, 1).
+    checks: typed and bounded fields, at least one sensor, each keyed by
+    its index in 0..3, a coefficient in [0, 1), and both watched sensors
+    configured.  The specs in ``sensors`` checked themselves when built.
     """
 
     seed: int = bounded()
@@ -198,9 +218,39 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
-        if not self.sensors:
-            raise ConfigError("sensors: must not be empty")
-        FilterState(coefficient_a=self.filter_coefficient_a)
+
+    @staticmethod
+    def cross_problems(values: Mapping[str, Any]) -> list[str]:
+        problems = []
+        sensors = values.get("sensors")
+        if sensors is not None and not isinstance(sensors, Mapping):
+            return [f"sensors: must map sensor indices to NerveLineSpec, got {sensors!r}"]
+        if sensors == {}:
+            problems.append("sensors: must not be empty")
+        for index, spec in (sensors or {}).items():
+            problem = sensor_index_problem(index)
+            if problem is None and not isinstance(spec, NerveLineSpec):
+                problem = f"must be a NerveLineSpec, got {spec!r}"
+            if problem is not None:
+                problems.append(f"sensors[{index!r}]: {problem}")
+        controller = values.get("controller")
+        if sensors and controller is not None and not problems:
+            for key in ("watched_sensor_grasp", "watched_sensor_regrasp"):
+                watched = getattr(controller, key)
+                if watched not in sensors:
+                    problems.append(f"controller.{key}: sensor {watched} is not configured")
+        try:
+            FilterState(coefficient_a=values.get("filter_coefficient_a", 0.0))
+        except ValueError as exc:
+            problems.append(f"filter.{exc}")
+        return problems
+
+
+def sensor_index_problem(index: Any) -> str | None:
+    """Why ``index`` cannot key a line in ``RunConfig.sensors``, or None when it can."""
+    if type(index) is not int or not 0 <= index < SENSOR_COUNT:
+        return f"must be an integer in 0..{SENSOR_COUNT - 1}, got {index!r}"
+    return None
 
 
 @dataclass(frozen=True)

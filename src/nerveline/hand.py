@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
 from .bounds import bounded, check_fields
 from .errors import ConfigError
@@ -28,8 +28,12 @@ class FingerSpec:
     name: str
 
     def __post_init__(self) -> None:
-        if self.name not in FINGER_NAMES:
-            raise ConfigError(f"unknown finger name {self.name!r}")
+        check_fields(self, ConfigError)
+
+    @staticmethod
+    def cross_problems(values: Mapping[str, Any]) -> list[str]:
+        name = values.get("name", FINGER_NAMES[0])
+        return [] if name in FINGER_NAMES else [f"name: unknown finger name {name!r}"]
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,11 @@ class ActuatorSpec:
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
-        if self.role not in ACTUATOR_ROLES:
-            raise ConfigError(f"actuator {self.id}: unknown role {self.role!r}")
+
+    @staticmethod
+    def cross_problems(values: Mapping[str, Any]) -> list[str]:
+        role = values.get("role", ACTUATOR_ROLES[0])
+        return [] if role in ACTUATOR_ROLES else [f"role: unknown role {role!r}"]
 
 
 @dataclass
@@ -56,17 +63,36 @@ class JointState:
     thumb_internal_rotation_rad: float = 0.0
 
 
+# The prototype hand: five fingers and seven wires.
+_DEFAULT_FINGERS = tuple(FingerSpec(name=name) for name in FINGER_NAMES)
+_DEFAULT_ACTUATORS = (
+    ActuatorSpec(id=0, role="bend", joint_ref="thumb_flexion"),
+    ActuatorSpec(id=1, role="bend", joint_ref="index_flexion"),
+    ActuatorSpec(id=2, role="bend", joint_ref="middle_flexion"),
+    ActuatorSpec(id=3, role="extend", joint_ref="thumb_flexion"),
+    ActuatorSpec(id=4, role="extend", joint_ref="index_flexion"),
+    ActuatorSpec(id=5, role="extend", joint_ref="middle_flexion"),
+    ActuatorSpec(id=6, role="internal_rotation", joint_ref="thumb_internal_rotation"),
+)
+
+
 @dataclass(frozen=True)
 class Hand:
-    """A finger set plus its wire actuators."""
+    """A finger set plus its wire actuators; each defaults to the prototype's."""
 
-    fingers: tuple[FingerSpec, ...]
-    actuators: tuple[ActuatorSpec, ...]
+    fingers: tuple[FingerSpec, ...] = _DEFAULT_FINGERS
+    actuators: tuple[ActuatorSpec, ...] = _DEFAULT_ACTUATORS
 
     def __post_init__(self) -> None:
-        ids = [a.id for a in self.actuators]
+        check_fields(self, ConfigError)
+
+    @staticmethod
+    def cross_problems(values: Mapping[str, Any]) -> list[str]:
+        problems = [f"{name}: must not be empty" for name in ("fingers", "actuators") if values.get(name) == ()]
+        ids = [a.id for a in values.get("actuators", ())]
         if len(set(ids)) != len(ids):
-            raise ConfigError(f"actuator ids must be unique, got {ids}")
+            problems.append(f"actuators: actuator ids must be unique, got {ids}")
+        return problems
 
 
 def wire_displacement(theta_rad: float, pulley_radius_mm: float) -> float:
@@ -141,18 +167,7 @@ def posture_command(
 
 
 # Frozen, so one instance serves every config without a hand block.
-_DEFAULT_HAND = Hand(
-    fingers=tuple(FingerSpec(name=name) for name in FINGER_NAMES),
-    actuators=(
-        ActuatorSpec(id=0, role="bend", joint_ref="thumb_flexion"),
-        ActuatorSpec(id=1, role="bend", joint_ref="index_flexion"),
-        ActuatorSpec(id=2, role="bend", joint_ref="middle_flexion"),
-        ActuatorSpec(id=3, role="extend", joint_ref="thumb_flexion"),
-        ActuatorSpec(id=4, role="extend", joint_ref="index_flexion"),
-        ActuatorSpec(id=5, role="extend", joint_ref="middle_flexion"),
-        ActuatorSpec(id=6, role="internal_rotation", joint_ref="thumb_internal_rotation"),
-    ),
-)
+_DEFAULT_HAND = Hand()
 
 
 def default_hand() -> Hand:

@@ -153,12 +153,13 @@ class TestLoadConfig:
             ),
             (
                 "seed: 1\ncontroller: {window_n: 20, dwell_ticks: 10}\n",
-                "controller: dwell_ticks (10) must cover window_n (20)",
+                "controller.dwell_ticks: must cover window_n (20), got 10",
             ),
-            # a bound is reported in place of the constructor's own objection
+            # a bound is reported, and so is a cross-field rule of fields that are valid
             (
                 "seed: 1\ncontroller: {window_n: 20, dwell_ticks: 10, max_retries: -1}\n",
-                "controller.max_retries: must be >= 0, got -1",
+                "controller.max_retries: must be >= 0, got -1\n"
+                "controller.dwell_ticks: must cover window_n (20), got 10",
             ),
             # a bad block that repeats is reported again, under its own path
             (
@@ -184,7 +185,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "text,specs,checks",
-        [(None, 1, 26), (TWO_SPECS, 2, 34)],
+        [(None, 1, 25), (TWO_SPECS, 2, 34)],
         ids=["shipped", "two_specs"],
     )
     def test_one_spec_per_distinct_block(self, tmp_path, monkeypatch, text, specs, checks):
@@ -287,8 +288,8 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as excinfo:
             load_config(path)
         message = str(excinfo.value)
-        assert "hand.fingers[0]: unknown finger name 'pinky'" in message
-        assert "hand.actuators[0]: actuator 0: unknown role 'twist'" in message
+        assert "hand.fingers[0].name: unknown finger name 'pinky'" in message
+        assert "hand.actuators[0].role: unknown role 'twist'" in message
 
     @pytest.mark.parametrize(
         "key,value", [("sensor_length_mm", 80.0), ("joint_width_range_mm", [9.0, 14.0])]
@@ -792,23 +793,34 @@ class TestCliRun:
             ("filter: {coefficient_a: 1.5}\n", "filter.coefficient_a: must be in [0, 1), got 1.5"),
             ("controller: 3\n", "controller: must be a mapping, got int"),
             ("quantize_to_spikes: 1\n", "quantize_to_spikes: must be a boolean, got 1"),
-            ("calibration_file: 3\n", "calibration_file: must be a string path, got 3"),
-            ("hand: {fingers: []}\n", "hand.fingers: must be a non-empty list"),
+            ("calibration_file: 3\n", "calibration_file: must be a string or null, got 3"),
+            ("hand: {fingers: []}\n", "hand.fingers: must not be empty"),
             (
                 "hand: {actuators: [{id: 0, role: bend, joint_ref: 3}]}\n",
                 "hand.actuators[0].joint_ref: must be a string or null, got 3",
             ),
             (
                 "hand: {actuators: [{id: 0, role: bend, displacement_table: [1]}]}\n",
-                "hand.actuators[0].displacement_table: must map posture names to numbers, got [1]",
+                "hand.actuators[0].displacement_table: "
+                "must be a mapping of strings to finite numbers or null, got [1]",
             ),
             ("hand: {actuators: [{role: bend}]}\n", "hand.actuators[0].id: required"),
+            # YAML 1.1 reads a float only with a dot and a signed exponent
+            (
+                "sensors: [{index: 0, effective_length_mm: 1e300}]\n",
+                "sensors[0].effective_length_mm: must be a finite number, "
+                "got the string '1e300' (YAML reads 1.0e+300 as a number)",
+            ),
+            (
+                "filter: {cutoff_hz: 5.0e0}\n",
+                "filter.cutoff_hz: must be a finite number, got the string '5.0e0' (YAML reads 5.0 as a number)",
+            ),
         ],
         ids=[
             "sensors_not_list", "sensors_empty", "sensor_index", "cutoff_not_number",
             "coefficient_out_of_range", "controller_not_mapping", "quantize_not_bool",
             "calibration_file_not_string", "fingers_empty", "joint_ref_not_string",
-            "table_not_mapping", "actuator_id_missing",
+            "table_not_mapping", "actuator_id_missing", "length_yaml_1_1_string", "cutoff_yaml_1_1_string",
         ],
     )
     def test_config_shape_errors_name_the_field(self, tmp_path, capsys, text, message):
@@ -824,16 +836,16 @@ class TestCliRun:
             ("rules: [3]\n", "rules[0]: must be a mapping, got int"),
             (
                 "rules: [{sensor: 0, position_mm: 1.0, phases: []}]\n",
-                "rules[0].phases: must be a non-empty list of phase names",
+                "rules[0].phases: must not be empty",
             ),
             (
                 "rules: [{sensor: 0, position_mm: 1.0, phases: [Done]}]\n",
-                "rules[0].phases[0]: terminal phase 'Done' not allowed",
+                "rules[0].phases: terminal phase 'Done' not allowed",
             ),
             ("rules: [{position_mm: 1.0, phases: [Lower]}]\n", "rules[0].sensor: required"),
             (
                 "object_pose_mm: {x: .inf, y: 0}\n",
-                "object_pose_mm: x and y must be finite numbers, got {'x': inf, 'y': 0}",
+                "object_pose_mm: x and y must be finite numbers, got (inf, 0)",
             ),
             # ADC noise is a config setting; a scenario does not override it
             ("noise_sd_counts: 1.0\n", "noise_sd_counts: unknown key"),
@@ -1078,6 +1090,21 @@ class TestCliOutputFile:
         with pytest.raises(OSError, match="disk gone"):
             _write_lines(str(out), ("a", "b"), lines())
         assert out.read_text() == "a,b\n" + "1" * width + "\n"
+
+    @pytest.mark.parametrize("mode,before", [("wb", b""), ("ab", b"kept\n")], ids=["truncated", "appended"])
+    def test_stdout_redirected_to_a_file(self, tmp_path, mode, before):
+        """``--out /dev/stdout > file`` keeps the rows and then the ``wrote`` line; ``>>`` keeps what was there."""
+        expected = self.sweep_bytes(tmp_path)
+        out = tmp_path / "stdout.txt"
+        out.write_bytes(b"x" * 100_000 if mode == "wb" else before)
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        with open(out, mode) as stdout:
+            done = subprocess.run(
+                [sys.executable, "-m", "nerveline.cli", *self.SWEEP, "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.read_bytes() == before + expected + b"wrote /dev/stdout rows=17 repeats=3 seed=12345\n"
 
     def test_directory_exits_two(self, tmp_path, capsys):
         assert main(self.SWEEP + [str(tmp_path)]) == 2

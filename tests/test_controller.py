@@ -520,6 +520,10 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="sensors: must not be empty"):
             RunConfig(seed=1, sensors={}, controller=CONFIG, filter_coefficient_a=0.5)
 
+    def test_rejects_unconfigured_watched_sensor(self):
+        with pytest.raises(ConfigError, match="watched_sensor_grasp: sensor 0 is not configured"):
+            RunConfig(seed=1, sensors={1: NerveLineSpec()}, controller=CONFIG, filter_coefficient_a=0.5)
+
     @pytest.mark.parametrize(
         "present,missing", [((), "[0, 1, 2, 3]"), ((2, 0), "[1, 3]")], ids=["empty", "partial"]
     )
@@ -530,9 +534,8 @@ class TestRunScenario:
         assert str(info.value) == f"calibration: no calibration for sensors {missing}"
 
 
-def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes):
-    """run_scenario with default arguments, sensed, filtered and estimated tick by tick."""
-    config = ControllerConfig()
+def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes, config):
+    """run_scenario with default arguments and controller ``config``, sensed, filtered and estimated tick by tick."""
     coefficient_a = smoothing_coefficient(DEFAULT_CUTOFF_HZ, config.dt_ms)
     calibration = {i: auto_calibration(spec) for i, spec in specs.items()}
     hand = default_hand()
@@ -625,9 +628,16 @@ def rules_on(draw, sensors, spec):
 
 @st.composite
 def drawn_runs(draw):
-    """Arguments of one run: scenario, specs, seed, noise_sd_counts, quantize_to_spikes."""
+    """Arguments of one run: scenario, specs, seed, noise_sd_counts, quantize_to_spikes, controller.
+
+    The controller watches two of the drawn sensors, as a run must.
+    """
     spec = NerveLineSpec(spike_pitch_mm=draw(st.sampled_from([2.5, 5.0, 7.0])))
     sensors = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    controller = ControllerConfig(
+        watched_sensor_grasp=draw(st.sampled_from(sensors)),
+        watched_sensor_regrasp=draw(st.sampled_from(sensors)),
+    )
     scenario = Scenario(
         name="drawn",
         goal=draw(st.sampled_from(["lift", "operate"])),
@@ -636,21 +646,22 @@ def drawn_runs(draw):
     )
     seed = draw(st.integers(0, 2**32 - 1))
     noise = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
-    return scenario, {i: spec for i in sensors}, seed, noise, draw(st.booleans())
+    return scenario, {i: spec for i in sensors}, seed, noise, draw(st.booleans()), controller
 
 
-def pinned_run(sensors, noise, *rules):
+def pinned_run(sensors, noise, *rules, watched=(0, 1)):
     """A drawn_runs value: an operate goal, default lines, seed 3, the spiked skin."""
     scenario = Scenario("pinned", "operate", "failed", rules=rules)
-    return scenario, dict.fromkeys(sensors, NerveLineSpec()), 3, noise, True
+    controller = ControllerConfig(watched_sensor_grasp=watched[0], watched_sensor_regrasp=watched[1])
+    return scenario, dict.fromkeys(sensors, NerveLineSpec()), 3, noise, True, controller
 
 
 class TestRunScenarioMatchesTickLoop:
     @given(drawn_runs())
     # ADC noise on top of a spike-midpoint coin, sensed anew every tick
     @example(pinned_run([0, 1], 3.0, touch_rule(0, 72.5, LIVE_PHASES), touch_rule(1, 40.0, LIVE_PHASES)))
-    # neither watched sensor is configured, so step reads empty histories
-    @example(pinned_run([2, 3], 0.0, touch_rule(2, 70.0, LIVE_PHASES)))
+    # both watched sensors are configured, but no rule touches either
+    @example(pinned_run([2, 3], 0.0, touch_rule(2, 70.0, LIVE_PHASES), watched=(3, 3)))
     # the watched regrasp sensor is configured but no rule touches it
     @example(pinned_run([0, 1, 2], 0.0, touch_rule(0, 70.0, LIVE_PHASES)))
     # sensor 0's contacts go 40 mm, 60 mm, 40 mm: a set seen before is counted again
@@ -664,9 +675,11 @@ class TestRunScenarioMatchesTickLoop:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_per_tick_sense_loop(self, run):
-        scenario, specs, seed, noise, quantize = run
-        result = simulate(scenario, sensors=specs, seed=seed, noise_sd_counts=noise, quantize_to_spikes=quantize)
-        assert result == reference_run(scenario, specs, seed, noise, quantize)
+        scenario, specs, seed, noise, quantize, controller = run
+        result = simulate(
+            scenario, sensors=specs, seed=seed, noise_sd_counts=noise, quantize_to_spikes=quantize, controller=controller
+        )
+        assert result == reference_run(scenario, specs, seed, noise, quantize, controller)
 
 
 # bench/generate.py's multi_contact scenario: two presses and a light fingertip touch on sensor 0
