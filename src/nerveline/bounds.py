@@ -1,14 +1,17 @@
 """Field checks declared once, on the dataclass that holds the field.
 
 A field's type comes from its annotation: an ``int`` or ``float`` field
-holds a finite number, a ``bool`` or ``str`` field its type, a
-``Mapping[str, float]`` field names mapped to finite numbers, and a field
-annotated with a dataclass, or a tuple of one, such records; ``X | None``
-also admits None.  ``bounded`` adds numeric limits.  A record's rules
-across fields are its ``cross_problems(values)``, run on the fields whose
-values are good.  ``check_fields`` enforces all of it from ``__post_init__``, naming
-the bare field; the config loader calls ``field_problems`` on the values
-it read and prefixes the same messages with the field's path.
+holds a finite number, a ``bool`` or ``str`` field its type, a field
+annotated with a class an instance of it, and a ``tuple[X, ...]``,
+``tuple[X, X]``, ``frozenset[X]`` or ``Mapping[K, V]`` field such a
+container of such values; ``X | None`` also admits None.  An annotation
+the reader cannot read raises TypeError, unless the field's metadata says
+``checked_by_record``: the record's rules then check it whole.
+``bounded`` adds numeric limits.  A record's rules across fields are its
+``cross_problems(values)``, run on the fields whose values are good.
+``check_fields`` enforces all of it from ``__post_init__``, naming the bare
+field; the config loader calls ``field_problems`` on the values it read
+and prefixes the same messages with the field's path.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import functools
 import math
 import operator
 import sys
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import MISSING, field, fields, is_dataclass
 from typing import Any
 
@@ -55,13 +58,9 @@ def is_finite_number(value: Any) -> bool:
 
 def number_problem(value: Any, integer: bool = False, limits: Limits = ()) -> str | None:
     """Why ``value`` is not an acceptable number, or None when it is."""
-    if type(value) is float and not integer:  # the common case, first
-        finite = math.isfinite(value)
-    else:
-        if integer and (isinstance(value, bool) or not isinstance(value, int)):
-            return f"must be an integer, got {value!r}"
-        finite = is_finite_number(value)
-    if not finite:
+    if integer and (isinstance(value, bool) or not isinstance(value, int)):
+        return f"must be an integer, got {value!r}"
+    if not is_finite_number(value):
         return f"must be a finite number, got {_number_text(value)}"
     for symbol, bound in limits:
         if not _COMPARISONS[symbol](value, bound):
@@ -82,39 +81,77 @@ def _number_text(value: Any) -> str:
     return f"the string {value!r} (YAML reads {spelling} as a number)"
 
 
-_KINDS = {"int": int, "float": float, "bool": bool, "str": str, "Mapping[str, float]": Mapping}
-_KIND_NAMES = {bool: "a boolean", str: "a string", Mapping: "a mapping of strings to finite numbers"}
+Reader = tuple[Callable[[Any], bool], str, str]
+
+_PLAIN: dict[str, Reader] = {
+    "int": (lambda value: isinstance(value, int) and not isinstance(value, bool), "an integer", "integers"),
+    "float": (is_finite_number, "a finite number", "finite numbers"),
+    "bool": (bool.__instancecheck__, "a boolean", "booleans"),
+    "str": (str.__instancecheck__, "a string", "strings"),
+}
+
+
+def _reader(text: str, namespace: Mapping[str, Any]) -> Reader:
+    """A test for the values of annotation ``text``, and how a message names one of them and several."""
+    if text in _PLAIN:
+        return _PLAIN[text]
+    kind = namespace.get(text)
+    if isinstance(kind, type):
+        return kind.__instancecheck__, f"a {text}", text
+    head, _, rest = text.partition("[")
+    args = rest.removesuffix("]").split(", ")
+    if head == "Mapping" and len(args) == 2:
+        (key, _, keys), (item, _, items) = (_reader(arg, namespace) for arg in args)
+        return (
+            (lambda value: isinstance(value, Mapping) and all(key(k) and item(v) for k, v in value.items())),
+            f"a mapping of {keys} to {items}",
+            f"mappings of {keys} to {items}",
+        )
+    if head == "frozenset" and len(args) == 1 or head == "tuple" and args[1:] == ["..."]:
+        size = None
+    elif head == "tuple" and len(set(args)) == 1:
+        size = len(args)
+    else:
+        raise TypeError(f"cannot read the annotation {text!r}")
+    item, _, items = _reader(args[0], namespace)
+    container = tuple if head == "tuple" else frozenset
+    noun = f"of {items}" if size is None else f"of {size} {items}"
+    return (
+        (lambda value: isinstance(value, container) and size in (None, len(value)) and all(map(item, value))),
+        f"a {head} {noun}",
+        f"{head}s {noun}",
+    )
 
 
 @functools.cache
-def _fields(cls: type) -> tuple[tuple[str, Any, bool, bool, Limits], ...]:
-    """Name, kind, whether a tuple of them, whether None is allowed, and limits of each checked field."""
+def _fields(cls: type) -> tuple[tuple[tuple[Any, ...], ...], tuple[tuple[str, type, bool], ...]]:
+    """The checks of ``cls``'s fields and the fields of it that hold records.
+
+    A check is a field's name, whether None is allowed, for a number whether
+    an int, its limits, its reader's test and what a message says it must be;
+    a field its record checks whole has none.
+    """
     namespace = vars(sys.modules[cls.__module__])
-    checked = []
+    checks, nested = [], []
     for f in fields(cls):
         # f.type is source text: the declaring modules use ``from __future__ import annotations``
         text = f.type.removesuffix(" | None")
+        optional = text != f.type
         many = text.startswith("tuple[") and text.endswith(", ...]")
-        kind = _KINDS.get(text) or namespace.get(text[6:-6] if many else text)
-        if kind in _KINDS.values() and not many or is_dataclass(kind):
-            checked.append((f.name, kind, many, text != f.type, f.metadata.get("limits", ())))
-    return tuple(checked)
+        record = namespace.get(text[6:-6] if many else text)
+        if is_dataclass(record):
+            nested.append((f.name, record, many))
+        if not f.metadata.get("checked_by_record"):
+            test, expected, _ = _reader(text, namespace)
+            integer = {"int": True, "float": False}.get(text)
+            expected += " or null" if optional else ""
+            checks.append((f.name, optional, integer, f.metadata.get("limits", ()), test, expected))
+    return tuple(checks), tuple(nested)
 
 
-@functools.cache
 def nested_fields(cls: type) -> tuple[tuple[str, type, bool], ...]:
     """Name, record type and whether a tuple of them, of each field of ``cls`` holding records."""
-    return tuple((name, kind, many) for name, kind, many, _, _ in _fields(cls) if is_dataclass(kind))
-
-
-def _has_kind(value: Any, kind: Any, many: bool) -> bool:
-    if many:
-        return isinstance(value, tuple) and all(isinstance(item, kind) for item in value)
-    if kind is Mapping:
-        return isinstance(value, Mapping) and all(
-            isinstance(key, str) and is_finite_number(number) for key, number in value.items()
-        )
-    return isinstance(value, kind)
+    return _fields(cls)[1]
 
 
 def field_problems(cls: type, values: Mapping[str, Any]) -> list[str]:
@@ -124,19 +161,16 @@ def field_problems(cls: type, values: Mapping[str, Any]) -> list[str]:
     good values; a rule that reads a missing or bad field is skipped.
     """
     problems: dict[str, str] = {}
-    for name, kind, many, optional, limits in _fields(cls):
+    for name, optional, integer, limits, test, expected in _fields(cls)[0]:
         value = values.get(name, MISSING)
         if value is MISSING or value is None and optional:
             continue
-        if kind is int or kind is float:
-            problem = number_problem(value, kind is int, limits)
-        elif _has_kind(value, kind, many):
-            continue
-        else:
-            expected = f"a tuple of {kind.__name__}" if many else _KIND_NAMES.get(kind, f"a {kind.__name__}")
-            problem = f"must be {expected}{' or null' if optional else ''}, got {value!r}"
-        if problem is not None:
-            problems[name] = problem
+        if integer is not None:
+            problem = number_problem(value, integer, limits)
+            if problem is not None:
+                problems[name] = problem
+        elif not test(value):
+            problems[name] = f"must be {expected}, got {value!r}"
     found = [f"{name}: {problem}" for name, problem in problems.items()]
     if hasattr(cls, "cross_problems"):
         good = {name: value for name, value in values.items() if name not in problems} if problems else values

@@ -49,9 +49,10 @@ def _write_lines(path: str, header: tuple[str, ...], lines: Iterable[str]) -> No
     stdout's offset, so that what the command prints next follows the rows.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    status = os.fstat(fd)
+    regular = stat.S_ISREG(status.st_mode)
     try:
-        to_stdout = regular and os.path.samestat(os.fstat(fd), os.fstat(sys.stdout.fileno()))
+        to_stdout = regular and os.path.samestat(status, os.fstat(sys.stdout.fileno()))
     except (OSError, ValueError):  # stdout is closed, or has no descriptor (captured in process)
         to_stdout = False
     if to_stdout:

@@ -45,32 +45,42 @@ def default_sensors() -> dict[int, NerveLineSpec]:
 # libyaml reads a few texts differently from the pure loader (a tab in a
 # plain key, ``?`` in a flow scalar, a bare ``!`` tag), so it only gets texts
 # of at most 16 KiB in these characters, which keep out anchors and aliases
-# too.  In them each mapping or list opens with one of ``- : [ {``, so a text
-# with fewer than 64 of those nests less deeply than that (real files nest 4
-# deep, the pure loader fails near 500); what libyaml fails on, or any other
-# text, goes to the pure loader.
+# too; what it fails on or nests deeper than 64 goes to the pure loader.
 _FAST_LOADER = getattr(yaml, "CSafeLoader", None)
 _FAST_TEXT = re.compile("[" + re.escape(string.ascii_letters + string.digits + " \n#:-_.,[]{}()'\"+/=;`") + "]*")
 
 
+def _nests_deeper_than(value: Any, limit: int) -> bool:
+    """Whether ``value`` holds a dict or list more than ``limit`` levels deep, itself at level 1."""
+    containers = [value] if isinstance(value, (dict, list)) else []
+    for _ in range(limit):  # one level a turn, keeping only the dicts and lists
+        containers = [
+            child
+            for node in containers
+            for child in (node.values() if isinstance(node, dict) else node)
+            if isinstance(child, (dict, list))
+        ]
+        if not containers:
+            return False
+    return bool(containers)
+
+
 def _parse_yaml(text: str) -> Any:
     """``yaml.safe_load(text)``: the same object or the same exception."""
-    if (
-        _FAST_LOADER is not None
-        and len(text) <= 16 * 1024
-        and _FAST_TEXT.fullmatch(text)
-        and sum(map(text.count, "-:[{")) < 64
-    ):
+    if _FAST_LOADER is not None and len(text) <= 16 * 1024 and _FAST_TEXT.fullmatch(text):
         try:
-            return yaml.load(text, Loader=_FAST_LOADER)
+            raw = yaml.load(text, Loader=_FAST_LOADER)
         except Exception:  # the pure loader's result or error is the one reported
             pass
+        else:
+            if not _nests_deeper_than(raw, 64):  # real files nest 4 deep, the pure loader fails near 500
+                return raw
     return yaml.safe_load(text)
 
 
 def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:  # not Path.read_text, which costs a path object
             raw = _parse_yaml(handle.read())
     except OSError:  # a missing or unreadable file keeps its own message
         raise
@@ -106,28 +116,19 @@ def _build_part(cls: type, many: bool, data: Any, path: str, errors: list[str]) 
     return None if None in parts else tuple(parts)
 
 
-def _build(
-    cls: type,
-    data: dict[str, Any],
-    path: str,
-    errors: list[str],
-    since: int | None = None,
-    **parsed: Any,
-) -> Any:
+def _build(cls: type, data: dict[str, Any], path: str, errors: list[str], **parsed: Any) -> Any:
     """``cls`` from the keys of ``data`` and the values the caller ``parsed`` from them.
 
     A nested record, or a tuple of them, is built from its own block under
     ``path`` plus the field's name; a null block means the field's default.
     A parsed value of None is a part that failed, its problems reported.
     The record's own problems (unknown keys, missing fields, bad values)
-    are reported under ``path`` (``"sensors[0]."``) at position ``since``
-    of ``errors``, the end by default, ahead of its nested records'.
-    Returns None when any of these, or anything else recorded in
-    ``errors`` after ``since``, went wrong.  The constructor checks a clean
-    record; its problems are worked out here, with their paths, only once
-    something is wrong.
+    are reported under ``path`` (``"sensors[0]."``) ahead of its nested
+    records'.  Returns None when any of these went wrong.  The constructor
+    checks a clean record; its problems are worked out here, with their
+    paths, only once something is wrong.
     """
-    since = len(errors) if since is None else since
+    since = len(errors)
     names, required = field_names(cls)
     values = {key: value for key, value in data.items() if key in names}
     own = _unknown_keys(data, names.keys(), path)
@@ -144,7 +145,7 @@ def _build(
     for name in failed:
         del values[name]
     own += [f"{path}{name}: required" for name in required if name not in values and name not in failed]
-    if not own and not failed and len(errors) == since:
+    if not own and not failed:
         try:
             return cls(**values)
         except ValueError as exc:
@@ -153,6 +154,18 @@ def _build(
         own += [path + problem for problem in field_problems(cls, values)]
     errors[since:since] = own
     return None
+
+
+_HEAD = re.compile(r"[^.\[:]*")
+
+
+def _listed(errors: list[str], order: tuple[str, ...]) -> str:
+    """``errors``, one a line, in the order of the top-level keys they sit under in ``order``.
+
+    A key not in ``order`` is an unknown one, and sits where ``order`` has ``""``.
+    """
+    rank = {key: k for k, key in enumerate(order)}
+    return "\n".join(sorted(errors, key=lambda error: rank.get(_HEAD.match(error)[0], rank[""])))
 
 
 def _parse_sensors(data: Any, errors: list[str]) -> dict[int, NerveLineSpec] | None:
@@ -221,6 +234,10 @@ def _parse_filter(data: Any, dt_ms: int, errors: list[str]) -> float | None:
 _TOP_KEYS = field_names(RunConfig)[0].keys() - {"filter_coefficient_a"} | {"filter", "dt_ms"}
 _OWN_KEYS = _TOP_KEYS - {"sensors", "controller", "filter", "dt_ms"}
 _SEED_REQUIRED = "seed: required; runs must not fall back to wall-clock entropy"
+_CONFIG_ORDER = (
+    "", "seed", "noise_sd_counts", "dt_ms", "quantize_to_spikes",
+    "filter", "sensors", "controller", "calibration_file", "hand",
+)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -232,7 +249,6 @@ def load_config(path: str | Path) -> RunConfig:
     """
     data = _load_yaml_mapping(path, ConfigError)
     errors = _unknown_keys(data, _TOP_KEYS, "")
-    since = len(errors)  # the run's own problems go here, ahead of its blocks'
     # the top-level tick is the controller's unless its block sets its own
     dt_ms = data.get("dt_ms", ControllerConfig.dt_ms)
     dt_problems = field_problems(ControllerConfig, {"dt_ms": dt_ms})
@@ -240,25 +256,22 @@ def load_config(path: str | Path) -> RunConfig:
         errors.extend(dt_problems)
         dt_ms = ControllerConfig.dt_ms  # reported; keep checking the rest
 
-    # the controller's tick is the filter's; its errors are reported after the sensors'
-    controller_errors: list[str] = []
     block = data.get("controller")
     if block is None:
         block = {}
     if isinstance(block, dict):
         block = {"dt_ms": dt_ms, **block}
-    controller = _build_part(ControllerConfig, False, block, "controller", controller_errors)
+    controller = _build_part(ControllerConfig, False, block, "controller", errors)
+    # the controller's tick is the filter's
     coefficient = _parse_filter(data.get("filter"), dt_ms if controller is None else controller.dt_ms, errors)
     sensors = _parse_sensors(data["sensors"], errors) if "sensors" in data else default_sensors()
-    errors.extend(controller_errors)
-
     own = {key: value for key, value in data.items() if key in _OWN_KEYS}
-    config = _build(
-        RunConfig, own, "", errors, since,
-        sensors=sensors, controller=controller, filter_coefficient_a=coefficient,
-    )
-    if errors:
-        raise ConfigError("\n".join(_SEED_REQUIRED if error == "seed: required" else error for error in errors))
+    parts = {"sensors": sensors, "controller": controller, "filter_coefficient_a": coefficient}
+    config = _build(RunConfig, own, "", errors, **parts)
+    if errors:  # in a file's terms
+        errors = [error.replace("filter_coefficient_a:", "filter.coefficient_a:") for error in errors]
+        errors = [_SEED_REQUIRED if error == "seed: required" else error for error in errors]
+        raise ConfigError(_listed(errors, _CONFIG_ORDER))
     return config
 
 
@@ -315,7 +328,7 @@ def load_scenario(path: str | Path, config: RunConfig) -> Scenario:
         rules = [_parse_rule(item, f"rules[{k}].", config, errors) for k, item in enumerate(raw_rules)]
         parsed["rules"] = None if None in rules else tuple(rules)
 
-    scenario = _build(Scenario, data, "", errors, 0, **parsed)
+    scenario = _build(Scenario, data, "", errors, **parsed)
     if errors:
-        raise ScenarioError("\n".join(errors))
+        raise ScenarioError(_listed(errors, (*field_names(Scenario)[0], "")))
     return scenario

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
-from .bounds import bounded, check_fields, is_finite_number
+from .bounds import bounded, check_fields
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
@@ -28,7 +28,7 @@ from .estimation import (
     detect_touch,
     position_reached,
 )
-from .hand import Hand, JointState, default_hand, posture_command
+from .hand import Hand, JointState, posture_command
 from .line import (
     ContactPoint,
     ContactSet,
@@ -190,9 +190,6 @@ class Scenario:
         for key, allowed in (("goal", GOALS), ("expected_outcome", OUTCOMES)):
             if key in values and values[key] not in allowed:
                 problems.append(f"{key}: must be one of {', '.join(allowed)}, got {values[key]!r}")
-        pose = values.get("object_pose_mm", (0.0, 0.0))
-        if not (isinstance(pose, tuple) and len(pose) == 2 and all(map(is_finite_number, pose))):
-            problems.append(f"object_pose_mm: x and y must be finite numbers, got {pose!r}")
         return problems
 
 
@@ -204,35 +201,34 @@ class RunConfig:
     from the cutoff at the controller tick; one built in code gets the same
     checks: typed and bounded fields, at least one sensor, each keyed by
     its index in 0..3, a coefficient in [0, 1), and both watched sensors
-    configured.  The specs in ``sensors`` checked themselves when built.
+    configured.  ``cross_problems`` checks ``sensors`` whole, its keys and
+    value types; the specs in it checked their own bounds when built.
     """
 
     seed: int = bounded()
-    sensors: dict[int, NerveLineSpec]
+    sensors: dict[int, NerveLineSpec] = field(metadata={"checked_by_record": True})
     controller: ControllerConfig
     filter_coefficient_a: float
     noise_sd_counts: float = bounded(0.0, ge=0)
     quantize_to_spikes: bool = True
     calibration_file: str | None = None
-    hand: Hand = field(default_factory=default_hand)
+    hand: Hand = Hand()
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
 
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
-        problems = []
         sensors = values.get("sensors")
-        if sensors is not None and not isinstance(sensors, Mapping):
+        if sensors is not None and not isinstance(sensors, dict):
             return [f"sensors: must map sensor indices to NerveLineSpec, got {sensors!r}"]
-        if sensors == {}:
-            problems.append("sensors: must not be empty")
+        problems = ["sensors: must not be empty"] if sensors == {} else []
         for index, spec in (sensors or {}).items():
             problem = sensor_index_problem(index)
-            if problem is None and not isinstance(spec, NerveLineSpec):
-                problem = f"must be a NerveLineSpec, got {spec!r}"
-            if problem is not None:
-                problems.append(f"sensors[{index!r}]: {problem}")
+            if problem is not None:  # the index a file gives each sensor is its key here
+                problems.append(f"sensors[{index!r}].index: {problem}")
+            elif not isinstance(spec, NerveLineSpec):
+                problems.append(f"sensors[{index!r}]: must be a NerveLineSpec, got {spec!r}")
         controller = values.get("controller")
         if sensors and controller is not None and not problems:
             for key in ("watched_sensor_grasp", "watched_sensor_regrasp"):
@@ -242,7 +238,7 @@ class RunConfig:
         try:
             FilterState(coefficient_a=values.get("filter_coefficient_a", 0.0))
         except ValueError as exc:
-            problems.append(f"filter.{exc}")
+            problems.append(f"filter_{exc}")
         return problems
 
 

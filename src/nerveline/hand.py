@@ -63,25 +63,20 @@ class JointState:
     thumb_internal_rotation_rad: float = 0.0
 
 
-# The prototype hand: five fingers and seven wires.
-_DEFAULT_FINGERS = tuple(FingerSpec(name=name) for name in FINGER_NAMES)
-_DEFAULT_ACTUATORS = (
-    ActuatorSpec(id=0, role="bend", joint_ref="thumb_flexion"),
-    ActuatorSpec(id=1, role="bend", joint_ref="index_flexion"),
-    ActuatorSpec(id=2, role="bend", joint_ref="middle_flexion"),
-    ActuatorSpec(id=3, role="extend", joint_ref="thumb_flexion"),
-    ActuatorSpec(id=4, role="extend", joint_ref="index_flexion"),
-    ActuatorSpec(id=5, role="extend", joint_ref="middle_flexion"),
-    ActuatorSpec(id=6, role="internal_rotation", joint_ref="thumb_internal_rotation"),
-)
-
-
 @dataclass(frozen=True)
 class Hand:
-    """A finger set plus its wire actuators; each defaults to the prototype's."""
+    """A finger set plus its wire actuators; each defaults to the prototype's five fingers and seven wires."""
 
-    fingers: tuple[FingerSpec, ...] = _DEFAULT_FINGERS
-    actuators: tuple[ActuatorSpec, ...] = _DEFAULT_ACTUATORS
+    fingers: tuple[FingerSpec, ...] = tuple(FingerSpec(name=name) for name in FINGER_NAMES)
+    actuators: tuple[ActuatorSpec, ...] = (
+        ActuatorSpec(id=0, role="bend", joint_ref="thumb_flexion"),
+        ActuatorSpec(id=1, role="bend", joint_ref="index_flexion"),
+        ActuatorSpec(id=2, role="bend", joint_ref="middle_flexion"),
+        ActuatorSpec(id=3, role="extend", joint_ref="thumb_flexion"),
+        ActuatorSpec(id=4, role="extend", joint_ref="index_flexion"),
+        ActuatorSpec(id=5, role="extend", joint_ref="middle_flexion"),
+        ActuatorSpec(id=6, role="internal_rotation", joint_ref="thumb_internal_rotation"),
+    )
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
@@ -166,10 +161,6 @@ def posture_command(
     return command
 
 
-# Frozen, so one instance serves every config without a hand block.
-_DEFAULT_HAND = Hand()
-
-
 def default_hand() -> Hand:
     """The prototype hand: five fingers and seven wires."""
-    return _DEFAULT_HAND
+    return Hand()

@@ -1,7 +1,8 @@
 """Field bounds: the YAML loader accepts exactly what the dataclass constructors accept."""
 
 import math
-from dataclasses import fields
+import re
+from dataclasses import dataclass, fields
 
 import pytest
 import yaml
@@ -24,6 +25,7 @@ from nerveline import (
     load_config,
     load_scenario,
 )
+from nerveline.bounds import check_fields
 
 # window_n 1 and dwell_ticks 1000 keep the dwell-covers-window rule satisfied
 # for every drawn integer, so only the field's own bounds decide.
@@ -234,8 +236,15 @@ def in_code(kind, data):
 
 
 def problem_texts(lines):
-    """Each message with its field path taken off: a file and a constructor name a field differently."""
-    return [line.split(": ", 1)[1] for line in lines]
+    """Each message with the path to its record taken off, keeping the field: a file and a
+    constructor reach a record differently (``sensors[0].`` in a file, ``sensors[2]`` in code),
+    and a file spells ``filter_coefficient_a`` as ``filter.coefficient_a``."""
+    texts = []
+    for line in lines:
+        path, problem = line.split(": ", 1)
+        field = re.split(r"[.\]]", path.replace("filter.coefficient_a", "filter_coefficient_a"))[-1]
+        texts.append(f"{field}: {problem}")
+    return texts
 
 
 GAP_CASES = [  # each loaded with an error and built without one, before the records checked themselves
@@ -276,3 +285,17 @@ def test_loader_matches_constructors(tmp_path_factory, drawn):
         assert problem_texts(loaded) == problem_texts(built)
     else:
         assert loaded == built
+
+
+def test_unreadable_annotation_raises():
+    """A field type the annotation reader does not know fails the record's first check, not passes it."""
+
+    @dataclass(frozen=True)
+    class Odd:
+        values: "list[int]"
+
+        def __post_init__(self):
+            check_fields(self)
+
+    with pytest.raises(TypeError, match=r"cannot read the annotation 'list\[int\]'"):
+        Odd(values=[1])

@@ -172,10 +172,37 @@ class TestLoadConfig:
                 "seed: 1\nsensors: [{index: 0, pullup_ohm: 1}, {index: 1, pullup_ohm: true}]\n",
                 "sensors[1].pullup_ohm: must be a finite number, got True",
             ),
+            # one error under each top-level key, listed in the order of these keys
+            (
+                "bogus: 1\nnoise_sd_counts: -1\ndt_ms: 0\nquantize_to_spikes: 1\nfilter: {coefficient_a: 1.0}\n"
+                "sensors: [{index: 0, pullup_ohm: 0}, {index: 1}]\ncontroller: {max_retries: -1}\n"
+                "calibration_file: 3\nhand: {fingers: []}\n",
+                "bogus: unknown key\n"
+                "seed: required; runs must not fall back to wall-clock entropy\n"
+                "noise_sd_counts: must be >= 0, got -1\n"
+                "dt_ms: must be > 0, got 0\n"
+                "quantize_to_spikes: must be a boolean, got 1\n"
+                "filter.coefficient_a: must be in [0, 1), got 1.0\n"
+                "sensors[0].pullup_ohm: must be > 0, got 0\n"
+                "controller.max_retries: must be >= 0, got -1\n"
+                "calibration_file: must be a string or null, got 3\n"
+                "hand.fingers: must not be empty",
+            ),
+            # the watched sensors sit with the controller, after the sensors
+            (
+                "seed: 1\ncalibration_file: 3\nsensors: [{index: 2}, {index: 3}]\nquantize_to_spikes: 1\n"
+                "hand: {actuators: [{id: 0, role: twist}]}\nzzz: 2\n",
+                "zzz: unknown key\n"
+                "quantize_to_spikes: must be a boolean, got 1\n"
+                "controller.watched_sensor_grasp: sensor 0 is not configured\n"
+                "controller.watched_sensor_regrasp: sensor 1 is not configured\n"
+                "calibration_file: must be a string or null, got 3\n"
+                "hand.actuators[0].role: unknown role 'twist'",
+            ),
         ],
         ids=[
             "unknown_key_then_bounds", "dwell_objection", "bound_over_objection",
-            "identical_bad_blocks", "true_after_one",
+            "identical_bad_blocks", "true_after_one", "one_per_top_level_key", "watched_after_sensors",
         ],
     )
     def test_whole_error_texts_pinned(self, tmp_path, text, message):
@@ -406,6 +433,32 @@ class TestLoadScenario:
             "rules[0].phases[1]: unknown phase 'Nope'\n"
             "rules[0].extra: unknown key\n"
             "rules[0].bridge_ohm: must be >= 0, got -1"
+        )
+
+    def test_errors_listed_in_field_order_then_unknown_keys(self, tmp_path):
+        config = load_config(DEFAULT_CONFIG)
+        path = write(
+            tmp_path,
+            "s.yaml",
+            """\
+            extra: 1
+            rules: [{sensor: 0, position_mm: -1, phases: [Nope]}]
+            object_pose_mm: {x: 1}
+            expected_outcome: maybe
+            goal: juggle
+            name: ""
+            """,
+        )
+        with pytest.raises(ScenarioError) as excinfo:
+            load_scenario(path, config)
+        assert str(excinfo.value) == (
+            "name: must be a non-empty string, got ''\n"
+            "goal: must be one of lift, operate, got 'juggle'\n"
+            "expected_outcome: must be one of lifted, retried_then_lifted, operated, failed, got 'maybe'\n"
+            "object_pose_mm: must be a mapping with keys x and y, got {'x': 1}\n"
+            "rules[0].phases[0]: unknown phase 'Nope'\n"
+            "rules[0].position_mm: must be >= 0, got -1\n"
+            "extra: unknown key"
         )
 
     def test_rule_sensor_cross_checked(self, tmp_path):
@@ -845,7 +898,7 @@ class TestCliRun:
             ("rules: [{position_mm: 1.0, phases: [Lower]}]\n", "rules[0].sensor: required"),
             (
                 "object_pose_mm: {x: .inf, y: 0}\n",
-                "object_pose_mm: x and y must be finite numbers, got (inf, 0)",
+                "object_pose_mm: must be a tuple of 2 finite numbers, got (inf, 0)",
             ),
             # ADC noise is a config setting; a scenario does not override it
             ("noise_sd_counts: 1.0\n", "noise_sd_counts: unknown key"),

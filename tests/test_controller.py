@@ -333,6 +333,12 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="phases"):
             ContactRule(sensor=0, position_mm=10.0, phases=frozenset())
 
+    @pytest.mark.parametrize("phases", [["Lift"], frozenset({"Lift"})], ids=["list", "names"])
+    def test_rule_phases_must_be_task_phases(self, phases):
+        with pytest.raises(ScenarioError) as raised:
+            ContactRule(sensor=0, position_mm=10.0, phases=phases)
+        assert str(raised.value) == f"phases: must be a frozenset of TaskPhase, got {phases!r}"
+
     def test_scenario_rejects_unknown_goal(self):
         with pytest.raises(ScenarioError, match="goal"):
             Scenario(name="x", goal="juggle", expected_outcome="lifted")
