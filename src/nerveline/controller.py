@@ -34,9 +34,8 @@ from .line import (
     ContactSet,
     NerveLineSpec,
     _add_noise,
-    _is_spike_midpoint,
-    _pin_volts,
-    adc_quantize,
+    _count,
+    _spike,
     resolve_contacts,
     sense,
 )
@@ -385,11 +384,9 @@ def _phase_count(spec: NerveLineSpec, contact_set: ContactSet) -> int | None:
     It varies when a contact sits exactly on a spike midpoint of the spiked
     skin: every tick then senses the set anew, flipping that contact's coin.
     """
-    if contact_set.quantize_to_spikes and any(
-        _is_spike_midpoint(spec, c.position_mm) for c in contact_set.contacts
-    ):
+    if contact_set.quantize_to_spikes and any(_spike(spec, c.position_mm)[1] for c in contact_set.contacts):
         return None
-    return adc_quantize(spec, _pin_volts(spec, resolve_contacts(spec, contact_set)))
+    return _count(spec, resolve_contacts(spec, contact_set))
 
 
 def _outcome(state: ControllerState, goal: str) -> str:

@@ -58,14 +58,17 @@ def smoothing_coefficient(cutoff_hz: float, dt_ms: float) -> float:
 
     Discretizing an RC low-pass with time constant 1/(2*pi*fc) sampled
     every dt gives out = a * prev + (1 - a) * raw with
-    a = 1 / (1 + 2*pi*fc*dt).
+    a = 1 / (1 + 2*pi*fc*dt).  A cutoff so low that a rounds to 1, a
+    filter that never moves, is rejected.
     """
     if cutoff_hz <= 0:
         raise ValueError(f"cutoff_hz: must be > 0, got {cutoff_hz}")
     if dt_ms <= 0:
         raise ValueError(f"dt_ms must be positive, got {dt_ms}")
-    omega_dt = 2.0 * math.pi * cutoff_hz * (dt_ms / 1000.0)
-    return 1.0 / (1.0 + omega_dt)
+    a = 1.0 / (1.0 + 2.0 * math.pi * cutoff_hz * (dt_ms / 1000.0))
+    if a == 1.0:
+        raise ValueError(f"cutoff_hz: must be high enough to move the filter at dt_ms {dt_ms}, got {cutoff_hz}")
+    return a
 
 
 def _smooth(a: float, last: float | None, raw: float) -> float:

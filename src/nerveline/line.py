@@ -10,7 +10,9 @@ is read through a pull-up divider and a microcontroller ADC.
 Raised spikes sit on the string rail at a fixed pitch, so a physical press
 lands on the nearest spike rather than at an arbitrary point.  Contact sets
 model simultaneous presses; the bridged ladder network is folded exactly
-from the most distal contact back to the base.
+from the most distal contact back to the base.  The spike, the fold and
+the noise-free count are each decided once, here, from the floats' exact
+values: `_spike`, `_fold` and `_count`.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class ContactPoint:
     def __post_init__(self) -> None:
         if not math.isfinite(self.position_mm) or self.position_mm < 0:
             raise ValueError(f"position_mm must be finite and non-negative, got {self.position_mm}")
-        if not self.bridge_ohm >= 0:
-            raise ValueError(f"bridge_ohm must be non-negative, got {self.bridge_ohm}")
+        if not 0 <= self.bridge_ohm < math.inf:
+            raise ValueError(f"bridge_ohm must be finite and non-negative, got {self.bridge_ohm}")
 
 
 @dataclass(frozen=True)
@@ -122,31 +124,26 @@ def snap_to_spike(spec: NerveLineSpec, position_mm: float, rng: random.Random | 
         The snapped position in mm, always a spike position within range.
     """
     if not 0.0 <= position_mm <= spec.effective_length_mm:
-        raise ValueError(
-            f"position_mm {position_mm} outside [0, {spec.effective_length_mm}]"
-        )
-    pitch = spec.spike_pitch_mm
-    lower = math.floor(position_mm / pitch) * pitch
-    upper = lower + pitch
-    d_lower = position_mm - lower
-    d_upper = upper - position_mm
-    if d_lower < d_upper:
-        snapped = lower
-    elif d_upper < d_lower:
-        snapped = upper
-    else:
+        raise ValueError(f"position_mm {position_mm} outside [0, {spec.effective_length_mm}]")
+    k, tie = _spike(spec, position_mm)
+    if tie:
         if rng is None:
             raise ValueError("midpoint tie requires an rng to break it")
-        snapped = lower if rng.random() < 0.5 else upper
-    return min(max(snapped, 0.0), spec.effective_length_mm)
+        k += rng.random() >= 0.5
+    return min(k * spec.spike_pitch_mm, spec.effective_length_mm)
 
 
-def _is_spike_midpoint(spec: NerveLineSpec, position_mm: float) -> bool:
-    """True when `snap_to_spike` would break a tie for ``position_mm`` with a coin."""
-    pitch = spec.spike_pitch_mm
-    lower = math.floor(position_mm / pitch) * pitch
-    upper = lower + pitch
-    return position_mm - lower == upper - position_mm
+def _spike(spec: NerveLineSpec, position_mm: float) -> tuple[int, bool]:
+    """The spike nearest ``position_mm`` as its index k, at ``k * spike_pitch_mm``, and whether two tie.
+
+    On a tie, an exact midpoint between two spikes, k is the lower one.  The
+    floats' exact ratios decide both, so this holds for any pitch.
+    """
+    x_num, x_den = position_mm.as_integer_ratio()
+    pitch_num, pitch_den = spec.spike_pitch_mm.as_integer_ratio()
+    den = x_den * pitch_num
+    k, rest = divmod(x_num * pitch_den, den)  # position / pitch is k + rest / den
+    return k + (2 * rest > den), 2 * rest == den
 
 
 def resolve_contacts(
@@ -166,22 +163,8 @@ def resolve_contacts(
             pos = snap_to_spike(spec, pos, rng)
         elif not 0.0 <= pos <= spec.effective_length_mm:
             raise ValueError(f"position_mm {pos} outside [0, {spec.effective_length_mm}]")
-        if pos in points:
-            points[pos] = min(points[pos], contact.bridge_ohm)
-        else:
-            points[pos] = contact.bridge_ohm
-    return tuple(
-        ContactPoint(pos, bridge) for pos, bridge in sorted(points.items())
-    )
-
-
-def _parallel(a: float, b: float) -> float:
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    product = a * b
-    if product == math.inf:  # both above 1, so b / a is finite
-        return b / (1.0 + b / a)
-    return product / (a + b)
+        points[pos] = min(points.get(pos, math.inf), contact.bridge_ohm)  # bridges are finite
+    return tuple(ContactPoint(pos, bridge) for pos, bridge in sorted(points.items()))
 
 
 def solve_line_resistance(
@@ -201,22 +184,39 @@ def solve_line_resistance(
             midpoint ties are rejected), a plain sequence without snapping.
 
     Returns:
-        Resistance in ohms, or OPEN (infinity) for an empty contact set.
+        The exact resistance in ohms, correctly rounded, or OPEN (infinity)
+        for an empty contact set or one beyond the float range.
     """
     if not isinstance(contacts, ContactSet):
         contacts = ContactSet(tuple(contacts), quantize_to_spikes=False)
-    return _fold(spec, resolve_contacts(spec, contacts))
-
-
-def _fold(spec: NerveLineSpec, points: tuple[ContactPoint, ...] | list[ContactPoint]) -> float:
-    """Fold resolved points (merged, sorted base to tip) back to the base connector."""
-    if not points:
+    num, den = _fold(spec, resolve_contacts(spec, contacts))
+    try:
+        return num / den  # int / int is correctly rounded
+    except (ZeroDivisionError, OverflowError):  # open, or beyond the float range
         return OPEN
-    beyond = points[-1].bridge_ohm
-    for i in range(len(points) - 2, -1, -1):
-        span = points[i + 1].position_mm - points[i].position_mm
-        beyond = _parallel(points[i].bridge_ohm, beyond + spec.rail_ohm_per_mm * span)
-    return spec.lead_offset_ohm + spec.rail_ohm_per_mm * points[0].position_mm + beyond
+
+
+def _fold(spec: NerveLineSpec, points: tuple[ContactPoint, ...] | list[ContactPoint]) -> tuple[int, int]:
+    """Exact resistance of resolved points (merged, sorted base to tip) as ``(numerator, denominator)``.
+
+    Every float is a binary fraction, so the ladder folds in integers from
+    the most distal contact back to the base connector and rounds nowhere.
+    The pair is not reduced, and an open line has denominator 0.
+    """
+    flat_num, flat_den = spec.flat_rail_ohm_per_mm.as_integer_ratio()
+    string_num, string_den = spec.string_rail_ohm_per_mm.as_integer_ratio()
+    rho_num, rho_den = flat_num * string_den + string_num * flat_den, flat_den * string_den
+    num, den = 1, 0  # open beyond the most distal contact
+    for k in reversed(range(len(points))):
+        bridge_num, bridge_den = points[k].bridge_ohm.as_integer_ratio()
+        num, den = bridge_num * num, bridge_num * den + num * bridge_den  # in parallel with this bridge
+        x_num, x_den = points[k].position_mm.as_integer_ratio()
+        near_num, near_den = points[k - 1].position_mm.as_integer_ratio() if k else (0, 1)
+        span_num, span_den = x_num * near_den - near_num * x_den, x_den * near_den
+        # in series with both rails back to the next contact nearer the base, or to the base
+        num, den = num * rho_den * span_den + rho_num * span_num * den, den * rho_den * span_den
+    lead_num, lead_den = spec.lead_offset_ohm.as_integer_ratio()
+    return lead_num * den + num * lead_den, lead_den * den
 
 
 def divider_voltage(spec: NerveLineSpec, line_ohm: float) -> float:
@@ -249,9 +249,13 @@ def adc_quantize(
     """
     if not 0.0 <= volts <= spec.supply_volts:
         raise ValueError(f"volts {volts} outside [0, {spec.supply_volts}]")
+    return _with_noise(spec, math.floor(volts / spec.supply_volts * spec.adc_full_scale), noise_sd_counts, rng)
+
+
+def _with_noise(spec: NerveLineSpec, counts: int, noise_sd_counts: float, rng: random.Random | None) -> int:
+    """``counts`` with the ADC noise of `adc_quantize`, its arguments checked first."""
     if noise_sd_counts < 0:
         raise ValueError(f"noise_sd_counts must be non-negative, got {noise_sd_counts}")
-    counts = math.floor(volts / spec.supply_volts * spec.adc_full_scale)
     if noise_sd_counts > 0:
         if rng is None:
             raise ValueError("noise_sd_counts > 0 requires an rng")
@@ -281,16 +285,18 @@ def sense(
 ) -> AdcReading:
     """Produce one ADC reading for a set of presses.
 
-    Firm presses resolve through the exact ladder network at any position.
-    Light touches on the fingertip region (beyond ``body_limit_mm``), where
-    the string rail folds away from the flat rail and contact becomes
-    unreliable, use a quality-scaled model instead: the pin voltage moves
-    from the open-line value toward the full-length value in proportion to
-    contact quality.  Quality comes from ``fingertip_quality`` when given,
-    otherwise from the touch's own bridge resistance.  When both network
-    and fingertip contributions exist, the lower voltage (the contact
-    closer to the base) dominates, which is exactly what the single ADC
-    pin reports.
+    Firm presses resolve through the exact ladder network at any position,
+    and the network reads the floor of its exact divider ratio,
+    ``floor(full_scale * R / (R + pullup))``.  Light touches on the
+    fingertip region (beyond ``body_limit_mm``), where the string rail
+    folds away from the flat rail and contact becomes unreliable, use a
+    quality-scaled float model instead: the pin voltage moves from the
+    open-line value toward the full-length value in proportion to contact
+    quality, and reads ``floor(volts / supply * full_scale)``.  Quality
+    comes from ``fingertip_quality`` when given, otherwise from the touch's
+    own bridge resistance.  When both network and fingertip contributions
+    exist, the lower count (the contact closer to the base) dominates,
+    which is exactly what the single ADC pin reports.
 
     Args:
         spec: line geometry and electrical constants.
@@ -306,37 +312,30 @@ def sense(
     if fingertip_quality is not None and not 0.0 < fingertip_quality <= 1.0:
         raise ValueError(f"fingertip_quality must be in (0, 1], got {fingertip_quality}")
     points = resolve_contacts(spec, contact_set, rng)
-    volts = _pin_volts(spec, points, fingertip_quality)
-    return AdcReading(t_ms, adc_quantize(spec, volts, noise_sd_counts, rng))
+    return AdcReading(t_ms, _with_noise(spec, _count(spec, points, fingertip_quality), noise_sd_counts, rng))
 
 
-def _pin_volts(
+def _count(
     spec: NerveLineSpec,
     points: tuple[ContactPoint, ...],
     fingertip_quality: float | None = None,
-) -> float:
-    """Noise-free pin voltage for resolved points, as `sense` describes it."""
+) -> int:
+    """Noise-free ADC count for resolved points, as `sense` describes it."""
     network: list[ContactPoint] = []
     tip_touches: list[ContactPoint] = []
-    for point in points:
-        if point.position_mm > spec.body_limit_mm and not (
-            fingertip_quality is None and point.bridge_ohm == 0.0
-        ):
-            tip_touches.append(point)
-        else:
-            network.append(point)
-    candidates: list[float] = []
-    if network:
-        candidates.append(divider_voltage(spec, _fold(spec, network)))
+    for point in points:  # a firm touch on the tip bridges the rails, unless a quality overrides it
+        light = fingertip_quality is not None or point.bridge_ohm > 0
+        (tip_touches if light and point.position_mm > spec.body_limit_mm else network).append(point)
+    num, den = _fold(spec, network)
+    pullup_num, pullup_den = spec.pullup_ohm.as_integer_ratio()
+    count = spec.adc_full_scale * num * pullup_den // (num * pullup_den + pullup_num * den)
     if tip_touches:
-        if fingertip_quality is not None:
-            quality = fingertip_quality
-        else:
-            quality = max(bridge_quality(spec, p.bridge_ohm) for p in tip_touches)
-        v_open = spec.supply_volts
+        if fingertip_quality is None:
+            fingertip_quality = max(bridge_quality(spec, p.bridge_ohm) for p in tip_touches)
         v_full = divider_voltage(spec, spec.lead_offset_ohm + spec.total_line_ohm)
-        candidates.append(v_open - quality * (v_open - v_full))
-    return min(candidates) if candidates else spec.supply_volts
+        volts = spec.supply_volts - fingertip_quality * (spec.supply_volts - v_full)
+        count = min(count, math.floor(volts / spec.supply_volts * spec.adc_full_scale))
+    return count
 
 
 # a byte's top bit, as the byte 0 or 1
@@ -386,7 +385,7 @@ def _sweep_presses(
 
     @functools.cache  # once per pressed position
     def counts(pressed: float) -> int:
-        return adc_quantize(spec, _pin_volts(spec, (ContactPoint(pressed),)))
+        return _count(spec, (ContactPoint(pressed),))
 
     presses: list[tuple[list[tuple[float, int]], bytes | None]] = []
     for position in positions:
@@ -397,18 +396,17 @@ def _sweep_presses(
         table = []  # per jitter coin, the samples at the lower and at the upper spike
         ties = []  # per jitter coin, whether a tie coin follows it
         for touched in touched_at:
-            tie = quantize_to_spikes and _is_spike_midpoint(spec, touched)
-            if tie:
-                if rng is None:
+            if quantize_to_spikes:
+                k, tie = _spike(spec, touched)
+                if tie and rng is None:
                     raise ValueError("midpoint tie requires an rng to break it")
-                lower = math.floor(touched / pitch) * pitch
-                upper = min(lower + pitch, length)
+                lower, upper = min(k * pitch, length), min((k + tie) * pitch, length)
             else:
-                lower = upper = snap_to_spike(spec, touched) if quantize_to_spikes else touched
+                tie, lower, upper = False, touched, touched
             table += (touched, counts(lower)), (touched, counts(upper))
             ties.append(tie)
         if noise_sd_counts < 0 or (noisy and rng is None):
-            adc_quantize(spec, 0.0, noise_sd_counts)  # raises its own error, as at a press
+            _with_noise(spec, 0, noise_sd_counts, rng)  # raises its own error, as at a press
         if bulk and ties[0] == ties[-1]:  # every press draws the same number of coins
             draws = jittered + ties[0]
             coins = _coins(rng, draws * repeats)

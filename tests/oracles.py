@@ -9,7 +9,9 @@ checks: it builds the full two-rail ladder as a resistor graph, contracts
 zero-resistance edges, and solves the conductance Laplacian by Gaussian
 elimination over exact rationals.  Floats are exact rationals, so the
 oracle has no rounding error at all, whatever the spread between rail and
-bridge resistances.
+bridge resistances.  The count and spike oracles are exact in the same way:
+``Fraction`` arithmetic on the floats' exact values, floored or compared
+only at the end.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
 
 def nodal_line_resistance(
     spec: NerveLineSpec, contacts: list[tuple[float, float]]
-) -> float:
-    """Base-to-base resistance of the bridged ladder, by exact nodal analysis.
+) -> Fraction | float:
+    """Exact base-to-base resistance of the bridged ladder, by nodal analysis; ``math.inf`` when open.
 
     Args:
         contacts: (position_mm, bridge_ohm) pairs, any order; duplicates
@@ -101,7 +103,7 @@ def nodal_line_resistance(
     source = groups[find(0)]
     sink = groups[find(1)]
     if source == sink:
-        return spec.lead_offset_ohm
+        return Fraction(spec.lead_offset_ohm)
 
     n = len(groups)
     laplacian = [[Fraction(0)] * n for _ in range(n)]
@@ -122,14 +124,33 @@ def nodal_line_resistance(
     current = [Fraction(0)] * len(keep)
     current[keep.index(source)] = Fraction(1)
     potential = _solve_exact(reduced, current)
-    return spec.lead_offset_ohm + float(potential[keep.index(source)])
+    return Fraction(spec.lead_offset_ohm) + potential[keep.index(source)]
+
+
+def divider_counts(spec: NerveLineSpec, resistance: Fraction) -> int:
+    """Noise-free ADC counts of an exact line resistance: the floor of the exact divider ratio."""
+    return math.floor(spec.adc_full_scale * resistance / (resistance + Fraction(spec.pullup_ohm)))
 
 
 def chain_counts(spec: NerveLineSpec, position_mm: float) -> int:
-    """ADC counts for a single firm press, straight from the circuit laws."""
-    resistance = spec.lead_offset_ohm + spec.rail_ohm_per_mm * position_mm
-    volts = spec.supply_volts * resistance / (resistance + spec.pullup_ohm)
-    return math.floor(volts / spec.supply_volts * spec.adc_full_scale)
+    """ADC counts for a single firm press, straight from the circuit laws, in exact arithmetic."""
+    rails = Fraction(spec.flat_rail_ohm_per_mm) + Fraction(spec.string_rail_ohm_per_mm)
+    return divider_counts(spec, Fraction(spec.lead_offset_ohm) + rails * Fraction(position_mm))
+
+
+def count_boundary_mm(spec: NerveLineSpec, counts: int) -> Fraction:
+    """Exact position where a firm press starts to read ``counts``: R = counts * pullup / (full_scale - counts)."""
+    resistance = counts * Fraction(spec.pullup_ohm) / (spec.adc_full_scale - counts)
+    rails = Fraction(spec.flat_rail_ohm_per_mm) + Fraction(spec.string_rail_ohm_per_mm)
+    return (resistance - Fraction(spec.lead_offset_ohm)) / rails
+
+
+def nearest_spike(spec: NerveLineSpec, position_mm: float) -> tuple[int, bool]:
+    """Index of the spike nearest ``position_mm`` and whether two tie (then the lower one), in exact arithmetic."""
+    spikes = Fraction(position_mm) / Fraction(spec.spike_pitch_mm)
+    lower = math.floor(spikes)
+    beyond = spikes - lower
+    return lower + (beyond > Fraction(1, 2)), beyond == Fraction(1, 2)
 
 
 def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, str | None]:

@@ -104,33 +104,39 @@ def test_criterion_3_spike_variance():
 
 
 def test_criterion_4_multi_contact_dominance_and_nodal_oracle():
-    """Fold equals closest-contact resistance for firm sets and the nodal oracle for bridged sets."""
+    """Fold equals closest-contact resistance for firm sets and the nodal oracle for bridged sets, exactly.
+
+    A firm set also reads exactly the count of its contact closest to the base.
+    """
     started = time.perf_counter()
     rng = random.Random(SEED)
-    worst_firm = 0.0
-    worst_bridged = 0.0
+    firm_mismatches = 0
+    count_mismatches = 0
+    bridged_mismatches = 0
     for _ in range(1000):
         count = rng.randint(1, 6)
         positions = [rng.uniform(0.0, 80.0) for _ in range(count)]
 
         firm = tuple(ContactPoint(p) for p in positions)
-        folded = solve_line_resistance(SPEC, firm)
-        closest = solve_line_resistance(SPEC, (ContactPoint(min(positions)),))
-        worst_firm = max(worst_firm, abs(folded - closest) / closest)
+        closest = (ContactPoint(min(positions)),)
+        firm_mismatches += solve_line_resistance(SPEC, firm) != solve_line_resistance(SPEC, closest)
+        count_mismatches += (
+            sense(SPEC, ContactSet(firm, quantize_to_spikes=False)).counts
+            != sense(SPEC, ContactSet(closest, quantize_to_spikes=False)).counts
+        )
 
         bridged_pairs = [(p, rng.uniform(1.0, 1e6)) for p in positions]
         bridged = tuple(ContactPoint(p, b) for p, b in bridged_pairs)
-        folded_bridged = solve_line_resistance(SPEC, bridged)
-        oracle = nodal_line_resistance(SPEC, bridged_pairs)
-        worst_bridged = max(worst_bridged, abs(folded_bridged - oracle) / oracle)
+        oracle = float(nodal_line_resistance(SPEC, bridged_pairs))  # correctly rounded
+        bridged_mismatches += solve_line_resistance(SPEC, bridged) != oracle
 
-    assert worst_firm <= 1e-9, f"firm dominance relative error {worst_firm}"
-    assert worst_bridged <= 1e-9, f"nodal mismatch relative error {worst_bridged}"
+    assert firm_mismatches == 0, f"{firm_mismatches} firm sets differ from their closest contact"
+    assert count_mismatches == 0, f"{count_mismatches} firm sets read another count than their closest contact"
+    assert bridged_mismatches == 0, f"{bridged_mismatches} bridged sets differ from the nodal oracle"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     print(
-        f"\nPASS criterion 4: 1000 sets, firm rel err {worst_firm:.2e}, "
-        f"nodal rel err {worst_bridged:.2e}, both <= 1e-9 ({elapsed:.3f}s)"
+        f"\nPASS criterion 4: 1000 sets, firm, firm-count and nodal mismatches all 0 ({elapsed:.3f}s)"
     )
 
 

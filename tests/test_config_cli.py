@@ -199,10 +199,16 @@ class TestLoadConfig:
                 "calibration_file: must be a string or null, got 3\n"
                 "hand.actuators[0].role: unknown role 'twist'",
             ),
+            # a cutoff so low that the coefficient rounds to 1 is reported under the key in the file
+            (
+                "seed: 1\nfilter: {cutoff_hz: 1.0e-300}\n",
+                "filter.cutoff_hz: must be high enough to move the filter at dt_ms 10, got 1e-300",
+            ),
         ],
         ids=[
             "unknown_key_then_bounds", "dwell_objection", "bound_over_objection",
             "identical_bad_blocks", "true_after_one", "one_per_top_level_key", "watched_after_sensors",
+            "cutoff_too_low",
         ],
     )
     def test_whole_error_texts_pinned(self, tmp_path, text, message):

@@ -43,6 +43,8 @@ class TestFilter:
             smoothing_coefficient(0.0, 10.0)
         with pytest.raises(ValueError, match="dt_ms"):
             smoothing_coefficient(5.0, 0.0)
+        with pytest.raises(ValueError, match="cutoff_hz: must be high enough to move the filter"):
+            smoothing_coefficient(1e-300, 10.0)
 
     def test_first_sample_seeds_state(self):
         state = FilterState(coefficient_a=COEFFICIENT_A)

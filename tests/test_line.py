@@ -23,7 +23,7 @@ from nerveline import (
     solve_line_resistance,
 )
 from nerveline.line import _coins
-from oracles import chain_counts, nodal_line_resistance
+from oracles import chain_counts, count_boundary_mm, divider_counts, nearest_spike, nodal_line_resistance
 
 SPEC = NerveLineSpec()
 
@@ -36,6 +36,34 @@ bridges = st.floats(min_value=1.0, max_value=1e6, allow_nan=False, allow_infinit
 
 
 GRID_5MM = [5.0 * k for k in range(17)]
+
+# the pitches where floor-and-add snapping went wrong, and pitches where it did not
+PITCHES = [0.1, 0.3, 0.7, 1.2, 2.2, 3.3, 7 / 3, 2.5, 3.0, 5.0]
+
+
+def ulps_from(x, steps):
+    """The float ``steps`` representable values above ``x`` (below, when negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def near_count_boundaries(draw):
+    """A firm press position on SPEC at, or a few floats either side of, where some count starts."""
+    counts = draw(st.integers(FIRM_COUNTS[0] + 1, FIRM_COUNTS[-1]))
+    return min(ulps_from(float(count_boundary_mm(SPEC, counts)), draw(st.integers(-2, 2))), 80.0)
+
+
+@st.composite
+def spike_cases(draw):
+    """(spec, position): a drawn pitch, and a position anywhere or a few floats either side of a midpoint."""
+    pitch = draw(st.one_of(st.sampled_from(PITCHES), st.floats(0.05, 20.0)))
+    spec = NerveLineSpec(spike_pitch_mm=pitch)
+    midpoint = draw(st.integers(0, int(80.0 / pitch))) * pitch + pitch / 2
+    near_midpoint = ulps_from(midpoint, draw(st.integers(-3, 3)))
+    position = draw(st.one_of(st.just(near_midpoint), positions))
+    return spec, min(max(position, 0.0), 80.0)
 
 
 def per_press_sweep(
@@ -126,6 +154,14 @@ class TestSpec:
             NerveLineSpec(**{field: value})
 
 
+class TestContactPoint:
+    @pytest.mark.parametrize("bridge_ohm", [-1.0, math.inf, math.nan])
+    def test_bridge_must_be_finite_and_non_negative(self, bridge_ohm):
+        with pytest.raises(ValueError) as excinfo:
+            ContactPoint(30.0, bridge_ohm)
+        assert str(excinfo.value) == f"bridge_ohm must be finite and non-negative, got {bridge_ohm}"
+
+
 class TestSnap:
     def test_exact_spike_stays_put(self):
         for k in range(17):
@@ -135,6 +171,8 @@ class TestSnap:
         assert snap_to_spike(SPEC, 6.0) == 5.0
         assert snap_to_spike(SPEC, 9.0) == 10.0
         assert snap_to_spike(SPEC, 77.6) == 80.0
+        # at a 0.1 mm pitch the float 2.45 lies above 24.5 * 0.1, so spike 25 is nearest
+        assert snap_to_spike(NerveLineSpec(spike_pitch_mm=0.1), 2.45) == 2.5
 
     def test_midpoint_coin_flip(self):
         # Random(0) draws 0.844... -> upper; Random(1) draws 0.134... -> lower
@@ -150,6 +188,26 @@ class TestSnap:
             snap_to_spike(SPEC, 80.1)
         with pytest.raises(ValueError, match="outside"):
             snap_to_spike(SPEC, -0.1)
+
+    @given(spike_cases())
+    # the float 2.45 lies above 24.5 * 0.1, so spike 25 is nearest
+    @example((NerveLineSpec(spike_pitch_mm=0.1), 2.45))
+    # 0.35000000000000003 lies above 3.5 * 0.1: no tie, spike 4 is nearest
+    @example((NerveLineSpec(spike_pitch_mm=0.1), 0.35000000000000003))
+    @example((NerveLineSpec(spike_pitch_mm=0.1), 0.25))  # a true tie, spikes 2 and 3
+    @settings(max_examples=300)
+    def test_matches_fraction_oracle(self, case):
+        spec, position = case
+        spike, tie = nearest_spike(spec, position)
+        spikes_mm = {min(k * spec.spike_pitch_mm, spec.effective_length_mm) for k in (spike, spike + tie)}
+        if tie:
+            with pytest.raises(ValueError, match="tie"):
+                snap_to_spike(spec, position)
+            with pytest.raises(ValueError, match="tie"):
+                simulate_sweep(spec, [position])
+        else:
+            assert {snap_to_spike(spec, position)} == spikes_mm
+        assert {snap_to_spike(spec, position, random.Random(seed)) for seed in (0, 1)} == spikes_mm
 
     @given(positions)
     def test_result_is_nearest_spike_in_range(self, position):
@@ -203,7 +261,7 @@ class TestSolve:
     def test_matches_nodal_oracle_two_bridged(self):
         contacts = [(20.0, 1000.0), (60.0, 2000.0)]
         folded = solve_line_resistance(SPEC, tuple(ContactPoint(p, b) for p, b in contacts))
-        assert folded == pytest.approx(nodal_line_resistance(SPEC, contacts), rel=1e-12)
+        assert folded == float(nodal_line_resistance(SPEC, contacts))
 
     @given(
         st.lists(st.tuples(positions, st.one_of(st.just(0.0), bridges)), min_size=1, max_size=5)
@@ -211,9 +269,16 @@ class TestSolve:
     @example([(30.0, 1e308), (50.0, 1e308)])  # the product a * b overflows
     @settings(max_examples=200, deadline=None)
     def test_matches_nodal_oracle(self, pairs):
+        # the fold is exact, so its float is the oracle's, correctly rounded
         folded = solve_line_resistance(SPEC, tuple(ContactPoint(p, b) for p, b in pairs))
-        oracle = nodal_line_resistance(SPEC, pairs)
-        assert folded == pytest.approx(oracle, rel=1e-9)
+        assert folded == float(nodal_line_resistance(SPEC, pairs))
+
+    def test_beyond_the_float_range_is_open(self):
+        spec = NerveLineSpec(flat_rail_ohm_per_mm=1e308, string_rail_ohm_per_mm=1e308)
+        assert solve_line_resistance(spec, (ContactPoint(80.0),)) == OPEN
+        assert solve_line_resistance(spec, (ContactPoint(0.0),)) == 10_000.0
+        # a closed line reads below full scale, however far out its exact resistance lies
+        assert sense(spec, ContactSet((ContactPoint(80.0),))).counts == spec.adc_full_scale - 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -289,8 +354,18 @@ class TestSense:
             for d in range(0, 81, 5)
         ]
         assert got == FIRM_COUNTS
+        # on the smooth skin, either side of the boundaries of counts 223 (71.5 mm exactly) and 94
+        boundaries = (math.nextafter(71.5, 0.0), 71.5, 0.47362755651237887, 0.4736275565123789)
+        smooth = [sense(SPEC, ContactSet((ContactPoint(d),), quantize_to_spikes=False)).counts for d in boundaries]
+        assert smooth == [222, 223, 93, 94]
 
-    @given(positions)
+    @given(st.one_of(positions, near_count_boundaries()))
+    # 71.5 mm is exactly the boundary of count 223: R = 27,875 ohm and 1023 * R / (R + 100,000) = 223
+    @example(71.5)
+    @example(math.nextafter(71.5, 0.0))
+    # the boundary of count 94 is no float: these are the floats either side of it
+    @example(0.47362755651237887)
+    @example(0.4736275565123789)
     def test_firm_press_matches_chain_oracle(self, position):
         contact_set = ContactSet((ContactPoint(position),), quantize_to_spikes=False)
         assert sense(SPEC, contact_set).counts == chain_counts(SPEC, position)
@@ -341,13 +416,14 @@ class TestSense:
             max_size=5,
         )
     )
+    @example([(71.5, 0.0)])
+    @example([(20.0, 1000.0), (71.5, 0.0)])
     @settings(max_examples=200, deadline=None)
     def test_network_presses_match_solver_chain(self, pairs):
-        # firm presses anywhere and light ones on the body all go through the ladder
-        contacts = tuple(ContactPoint(p, b) for p, b in pairs)
-        volts = divider_voltage(SPEC, solve_line_resistance(SPEC, contacts))
-        contact_set = ContactSet(contacts, quantize_to_spikes=False)
-        assert sense(SPEC, contact_set).counts == adc_quantize(SPEC, volts)
+        # firm presses anywhere and light ones on the body all go through the ladder,
+        # and read the floor of the exact divider ratio of the nodal oracle's resistance
+        contact_set = ContactSet(tuple(ContactPoint(p, b) for p, b in pairs), quantize_to_spikes=False)
+        assert sense(SPEC, contact_set).counts == divider_counts(SPEC, nodal_line_resistance(SPEC, pairs))
 
 
 class TestSweep:
@@ -388,6 +464,9 @@ class TestSweep:
     @example((SPEC, GRID_5MM, 7, dict(jitter_mm=2.5, repeats=20, noise_sd_counts=8.0)))
     # 77.5 mm is a midpoint whose upper spike, 80 mm, clamps to the line end
     @example((NerveLineSpec(effective_length_mm=77.5), [77.5], 3, dict(jitter_mm=0.0, repeats=20)))
+    # a 0.1 mm pitch, where 2.45 snaps to 2.5 and 0.25 ties
+    @example((NerveLineSpec(spike_pitch_mm=0.1), [2.45, 0.25, 0.35000000000000003], 3, dict(repeats=20)))
+    @example((NerveLineSpec(spike_pitch_mm=0.1), [2.4, 40.0], 3, dict(jitter_mm=0.05, repeats=20)))
     @settings(max_examples=200, deadline=None)
     def test_matches_per_press_sense_loop(self, case):
         spec, grid, seed, kwargs = case
