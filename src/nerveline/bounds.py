@@ -1,17 +1,19 @@
-"""Field checks declared once, on the dataclass that holds the field.
+"""Field checks declared once, on the record that holds the field.
 
-A field's type comes from its annotation: an ``int`` or ``float`` field
-holds a finite number, a ``bool`` or ``str`` field its type, a field
-annotated with a class an instance of it, and a ``tuple[X, ...]``,
-``tuple[X, X]``, ``frozenset[X]`` or ``Mapping[K, V]`` field such a
-container of such values; ``X | None`` also admits None.  An annotation
-the reader cannot read raises TypeError, unless the field's metadata says
-``checked_by_record``: the record's rules then check it whole.
+A record is a class declared with ``@record(error)``: a frozen dataclass
+whose constructor, and so ``dataclasses.replace``, raises ``error`` with
+every problem of its fields.  A field's type comes from its annotation: an
+``int`` or ``float`` field holds a finite number, a ``bool`` or ``str``
+field its type, a field annotated with a class an instance of it, and a
+``tuple[X, ...]``, ``tuple[X, X]``, ``frozenset[X]`` or ``Mapping[K, V]``
+field such a container of such values; ``X | None`` also admits None,
+and ``Any`` anything.  An annotation the reader cannot read raises
+TypeError; no field is exempt.
 ``bounded`` adds numeric limits.  A record's rules across fields are its
 ``cross_problems(values)``, run on the fields whose values are good.
-``check_fields`` enforces all of it from ``__post_init__``, naming the bare
-field; the config loader calls ``field_problems`` on the values it read
-and prefixes the same messages with the field's path.
+``table(cls)`` reads all of this once per class; ``check_fields`` names the
+bare field, and the config loader calls ``field_problems`` on the values it
+read and prefixes the same messages with the field's path.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import math
 import operator
 import sys
 from collections.abc import Callable, Mapping
-from dataclasses import MISSING, field, fields, is_dataclass
-from typing import Any
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Any, NamedTuple
 
 Limits = tuple[tuple[str, float], ...]
 
@@ -88,6 +90,7 @@ _PLAIN: dict[str, Reader] = {
     "float": (is_finite_number, "a finite number", "finite numbers"),
     "bool": (bool.__instancecheck__, "a boolean", "booleans"),
     "str": (str.__instancecheck__, "a string", "strings"),
+    "Any": (lambda value: True, "a value", "values"),  # left to the record's cross_problems
 }
 
 
@@ -103,7 +106,7 @@ def _reader(text: str, namespace: Mapping[str, Any]) -> Reader:
     if head == "Mapping" and len(args) == 2:
         (key, _, keys), (item, _, items) = (_reader(arg, namespace) for arg in args)
         return (
-            (lambda value: isinstance(value, Mapping) and all(key(k) and item(v) for k, v in value.items())),
+            (lambda value: isinstance(value, Mapping) and all(map(key, value)) and all(map(item, value.values()))),
             f"a mapping of {keys} to {items}",
             f"mappings of {keys} to {items}",
         )
@@ -123,35 +126,41 @@ def _reader(text: str, namespace: Mapping[str, Any]) -> Reader:
     )
 
 
-@functools.cache
-def _fields(cls: type) -> tuple[tuple[tuple[Any, ...], ...], tuple[tuple[str, type, bool], ...]]:
-    """The checks of ``cls``'s fields and the fields of it that hold records.
+class Table(NamedTuple):
+    """What the checks and the loader read of a record class.
 
     A check is a field's name, whether None is allowed, for a number whether
-    an int, its limits, its reader's test and what a message says it must be;
-    a field its record checks whole has none.
+    an int, its limits, its reader's test and what a message says it must
+    be; a nested record is a field's name, its record type and whether the
+    field holds a tuple of them.
     """
+
+    names: dict[str, None]  # every field, in order; a dict for fast lookup
+    required: tuple[str, ...]  # the fields without a default
+    checks: tuple[tuple[Any, ...], ...]
+    nested: tuple[tuple[str, type, bool], ...]
+
+
+@functools.cache
+def table(cls: type) -> Table:
+    """The table of dataclass ``cls``, read once from its fields."""
     namespace = vars(sys.modules[cls.__module__])
     checks, nested = [], []
-    for f in fields(cls):
+    every = fields(cls)
+    for f in every:
         # f.type is source text: the declaring modules use ``from __future__ import annotations``
         text = f.type.removesuffix(" | None")
         optional = text != f.type
         many = text.startswith("tuple[") and text.endswith(", ...]")
-        record = namespace.get(text[6:-6] if many else text)
-        if is_dataclass(record):
-            nested.append((f.name, record, many))
-        if not f.metadata.get("checked_by_record"):
-            test, expected, _ = _reader(text, namespace)
-            integer = {"int": True, "float": False}.get(text)
-            expected += " or null" if optional else ""
-            checks.append((f.name, optional, integer, f.metadata.get("limits", ()), test, expected))
-    return tuple(checks), tuple(nested)
-
-
-def nested_fields(cls: type) -> tuple[tuple[str, type, bool], ...]:
-    """Name, record type and whether a tuple of them, of each field of ``cls`` holding records."""
-    return _fields(cls)[1]
+        kind = namespace.get(text[6:-6] if many else text)
+        if is_dataclass(kind):
+            nested.append((f.name, kind, many))
+        test, expected, _ = _reader(text, namespace)
+        integer = {"int": True, "float": False}.get(text)
+        expected += " or null" if optional else ""
+        checks.append((f.name, optional, integer, f.metadata.get("limits", ()), test, expected))
+    required = tuple(f.name for f in every if f.default is MISSING and f.default_factory is MISSING)
+    return Table(dict.fromkeys(f.name for f in every), required, tuple(checks), tuple(nested))
 
 
 def field_problems(cls: type, values: Mapping[str, Any]) -> list[str]:
@@ -161,7 +170,7 @@ def field_problems(cls: type, values: Mapping[str, Any]) -> list[str]:
     good values; a rule that reads a missing or bad field is skipped.
     """
     problems: dict[str, str] = {}
-    for name, optional, integer, limits, test, expected in _fields(cls)[0]:
+    for name, optional, integer, limits, test, expected in table(cls).checks:
         value = values.get(name, MISSING)
         if value is MISSING or value is None and optional:
             continue
@@ -178,20 +187,21 @@ def field_problems(cls: type, values: Mapping[str, Any]) -> list[str]:
     return found
 
 
-@functools.cache
-def field_names(cls: type) -> tuple[dict[str, None], tuple[str, ...]]:
-    """The field names of dataclass ``cls`` (ordered, for fast lookup) and, in order, those without a default."""
-    return (
-        dict.fromkeys(f.name for f in fields(cls)),
-        tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING),
-    )
-
-
 def check_fields(obj: Any, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` listing every problem ``field_problems`` finds in dataclass ``obj``."""
     # getattr, not vars(obj): building an instance's __dict__ slows every later
     # attribute read on it, and line specs are read on every sample.
-    values = {name: getattr(obj, name) for name in field_names(type(obj))[0]}
+    values = {name: getattr(obj, name) for name in table(type(obj)).names}
     problems = field_problems(type(obj), values)
     if problems:
         raise error("\n".join(problems))
+
+
+def record(error: type[ValueError] = ValueError) -> Callable[[type], type]:
+    """A class decorator: a frozen dataclass whose constructor, and so ``replace``, runs ``check_fields``."""
+
+    def declare(cls: type) -> type:
+        cls.__post_init__ = lambda self: check_fields(self, error)
+        return dataclass(frozen=True)(cls)
+
+    return declare

@@ -21,7 +21,7 @@ from typing import AbstractSet, Any
 
 import yaml
 
-from .bounds import field_names, field_problems, nested_fields, number_problem
+from .bounds import field_problems, number_problem, table
 from .controller import (
     SENSOR_COUNT,
     ContactRule,
@@ -129,12 +129,12 @@ def _build(cls: type, data: dict[str, Any], path: str, errors: list[str], **pars
     paths, only once something is wrong.
     """
     since = len(errors)
-    names, required = field_names(cls)
+    names, required, _, nested = table(cls)
     values = {key: value for key, value in data.items() if key in names}
     own = _unknown_keys(data, names.keys(), path)
     values.update(parsed)
     failed = [name for name, value in parsed.items() if value is None]
-    for name, record, many in nested_fields(cls):
+    for name, record, many in nested:
         if name in parsed or name not in values:
             continue
         block = values.pop(name)
@@ -231,7 +231,7 @@ def _parse_filter(data: Any, dt_ms: int, errors: list[str]) -> float | None:
 
 
 # the file spells filter_coefficient_a as a filter block, and adds the controller's tick
-_TOP_KEYS = field_names(RunConfig)[0].keys() - {"filter_coefficient_a"} | {"filter", "dt_ms"}
+_TOP_KEYS = table(RunConfig).names.keys() - {"filter_coefficient_a"} | {"filter", "dt_ms"}
 _OWN_KEYS = _TOP_KEYS - {"sensors", "controller", "filter", "dt_ms"}
 _SEED_REQUIRED = "seed: required; runs must not fall back to wall-clock entropy"
 _CONFIG_ORDER = (
@@ -330,5 +330,5 @@ def load_scenario(path: str | Path, config: RunConfig) -> Scenario:
 
     scenario = _build(Scenario, data, "", errors, **parsed)
     if errors:
-        raise ScenarioError(_listed(errors, (*field_names(Scenario)[0], "")))
+        raise ScenarioError(_listed(errors, (*table(Scenario).names, "")))
     return scenario

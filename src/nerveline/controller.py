@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
-from .bounds import bounded, check_fields
+from .bounds import bounded, number_problem, record
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
@@ -88,7 +88,7 @@ _NEXT_PHASE = {
 }
 
 
-@dataclass(frozen=True)
+@record()
 class ControllerConfig:
     """Thresholds and budgets for the task state machine.
 
@@ -109,9 +109,6 @@ class ControllerConfig:
     watched_sensor_grasp: int = bounded(0, ge=0)
     watched_sensor_regrasp: int = bounded(1, ge=0)
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
         dwell, window = values.get("dwell_ticks"), values.get("window_n")
@@ -128,7 +125,7 @@ class Command:
     args: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(ScenarioError)
 class ContactRule:
     """Scripted world response: when and where the tool touches one line.
 
@@ -143,9 +140,6 @@ class ContactRule:
     bridge_ohm: float = bounded(0.0, ge=0)
     slide_mm_per_step: float = bounded(0.0)
     attempt: int | None = bounded(None, ge=1)
-
-    def __post_init__(self) -> None:
-        check_fields(self, ScenarioError)
 
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
@@ -168,18 +162,15 @@ def rule_problem(rule: ContactRule, specs: Mapping[int, NerveLineSpec]) -> str |
     return None
 
 
-@dataclass(frozen=True)
+@record(ScenarioError)
 class Scenario:
     """A named world script plus the outcome the run is expected to produce."""
 
     name: str
     goal: str
     expected_outcome: str
-    object_pose_mm: tuple[float, float] = (0.0, 0.0)
+    object_pose_mm: tuple[Any, Any] = (0.0, 0.0)  # x and y, which cross_problems checks by name
     rules: tuple[ContactRule, ...] = ()
-
-    def __post_init__(self) -> None:
-        check_fields(self, ScenarioError)
 
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
@@ -189,10 +180,14 @@ class Scenario:
         for key, allowed in (("goal", GOALS), ("expected_outcome", OUTCOMES)):
             if key in values and values[key] not in allowed:
                 problems.append(f"{key}: must be one of {', '.join(allowed)}, got {values[key]!r}")
+        for axis, value in zip("xy", values.get("object_pose_mm", ())):
+            problem = number_problem(value)
+            if problem is not None:  # in the terms of a file, which gives the pose as {x: …, y: …}
+                problems.append(f"object_pose_mm.{axis}: {problem}")
         return problems
 
 
-@dataclass(frozen=True)
+@record(ConfigError)
 class RunConfig:
     """Everything a reproducible run needs besides the scenario itself.
 
@@ -200,12 +195,11 @@ class RunConfig:
     from the cutoff at the controller tick; one built in code gets the same
     checks: typed and bounded fields, at least one sensor, each keyed by
     its index in 0..3, a coefficient in [0, 1), and both watched sensors
-    configured.  ``cross_problems`` checks ``sensors`` whole, its keys and
-    value types; the specs in it checked their own bounds when built.
+    configured.
     """
 
     seed: int = bounded()
-    sensors: dict[int, NerveLineSpec] = field(metadata={"checked_by_record": True})
+    sensors: Mapping[Any, NerveLineSpec]  # keyed by sensor index, which cross_problems checks
     controller: ControllerConfig
     filter_coefficient_a: float
     noise_sd_counts: float = bounded(0.0, ge=0)
@@ -213,21 +207,14 @@ class RunConfig:
     calibration_file: str | None = None
     hand: Hand = Hand()
 
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
-
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
         sensors = values.get("sensors")
-        if sensors is not None and not isinstance(sensors, dict):
-            return [f"sensors: must map sensor indices to NerveLineSpec, got {sensors!r}"]
         problems = ["sensors: must not be empty"] if sensors == {} else []
-        for index, spec in (sensors or {}).items():
+        for index in sensors or ():
             problem = sensor_index_problem(index)
             if problem is not None:  # the index a file gives each sensor is its key here
                 problems.append(f"sensors[{index!r}].index: {problem}")
-            elif not isinstance(spec, NerveLineSpec):
-                problems.append(f"sensors[{index!r}]: must be a NerveLineSpec, got {spec!r}")
         controller = values.get("controller")
         if sensors and controller is not None and not problems:
             for key in ("watched_sensor_grasp", "watched_sensor_regrasp"):

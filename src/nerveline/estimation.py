@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -136,18 +135,12 @@ def calibrate(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    streams = {
-        "open": open_stream,
-        "fingertip": fingertip_stream,
-        "base": base_stream,
-    }
+    streams = {"open": open_stream, "fingertip": fingertip_stream, "base": base_stream}
     means: dict[str, int] = {}
     for name, stream in streams.items():
         if len(stream) < window:
-            raise ValueError(
-                f"{name} stream has {len(stream)} samples; need >= {window}"
-            )
-        means[name] = round(statistics.fmean(stream[-window:]))
+            raise ValueError(f"{name} stream has {len(stream)} samples; need >= {window}")
+        means[name] = round(math.fsum(stream[-window:]) / window)  # statistics.fmean's bits, without its imports
     return CalibrationData(v_max=means["open"], v_mid=means["fingertip"], v_min=means["base"])
 
 
@@ -246,8 +239,7 @@ def position_reached(
     window = estimates[-window_n:]
     if any(e.regime is Regime.NONE for e in window):
         return False
-    mean_p = statistics.fmean(e.p for e in window)
-    return mean_p < threshold_p
+    return math.fsum(e.p for e in window) / window_n < threshold_p
 
 
 _CAL_KEYS = ("sensor", "v_max", "v_mid", "v_min")

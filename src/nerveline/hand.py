@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .bounds import bounded, check_fields
+from .bounds import bounded, record
 from .errors import ConfigError
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "little")
@@ -21,14 +21,11 @@ ACTUATOR_ROLES = ("bend", "extend", "internal_rotation")
 DEFAULT_JOINT_LIMITS = (0.0, math.pi / 2)
 
 
-@dataclass(frozen=True)
+@record(ConfigError)
 class FingerSpec:
     """One finger of the hand, by name; actuators drive it as ``<name>_flexion``."""
 
     name: str
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
 
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
@@ -36,7 +33,7 @@ class FingerSpec:
         return [] if name in FINGER_NAMES else [f"name: unknown finger name {name!r}"]
 
 
-@dataclass(frozen=True)
+@record(ConfigError)
 class ActuatorSpec:
     """One wire actuator: pulley radius, role, and the joint it drives."""
 
@@ -45,9 +42,6 @@ class ActuatorSpec:
     pulley_radius_mm: float = bounded(5.0, gt=0)
     joint_ref: str | None = None
     displacement_table: Mapping[str, float] | None = None
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
 
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
@@ -63,7 +57,7 @@ class JointState:
     thumb_internal_rotation_rad: float = 0.0
 
 
-@dataclass(frozen=True)
+@record(ConfigError)
 class Hand:
     """A finger set plus its wire actuators; each defaults to the prototype's five fingers and seven wires."""
 
@@ -77,9 +71,6 @@ class Hand:
         ActuatorSpec(id=5, role="extend", joint_ref="middle_flexion"),
         ActuatorSpec(id=6, role="internal_rotation", joint_ref="thumb_internal_rotation"),
     )
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
 
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:

@@ -24,12 +24,12 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bounds import bounded, check_fields
+from .bounds import bounded, record
 
 OPEN = math.inf  # line resistance when nothing touches the line
 
 
-@dataclass(frozen=True)
+@record()
 class NerveLineSpec:
     """Geometry and electrical constants of one sensor line.
 
@@ -48,9 +48,6 @@ class NerveLineSpec:
     supply_volts: float = bounded(5.0, gt=0)
     adc_full_scale: int = bounded(1023, gt=0)
     body_fraction: float = bounded(0.8, gt=0, le=1)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
     @property
     def rail_ohm_per_mm(self) -> float:

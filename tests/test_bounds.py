@@ -1,14 +1,17 @@
 """Field bounds: the YAML loader accepts exactly what the dataclass constructors accept."""
 
+import importlib
 import math
+import pkgutil
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nerveline
 from nerveline import (
     ActuatorSpec,
     ConfigError,
@@ -299,3 +302,40 @@ def test_unreadable_annotation_raises():
 
     with pytest.raises(TypeError, match=r"cannot read the annotation 'list\[int\]'"):
         Odd(values=[1])
+
+
+VALID_RECORDS = [
+    NerveLineSpec(),
+    ControllerConfig(),
+    ContactRule(sensor=0, position_mm=1.0, phases=frozenset({TaskPhase.LIFT})),
+    Scenario(name="x", goal="lift", expected_outcome="lifted"),
+    DEFAULT_RUN,
+    FingerSpec(name="index"),
+    ActuatorSpec(id=0, role="bend"),
+    Hand(),
+]
+
+
+def checked_records():
+    """Every dataclass in ``nerveline`` with a bounded field or rules across fields."""
+    modules = [importlib.import_module(f"nerveline.{info.name}") for info in pkgutil.iter_modules(nerveline.__path__)]
+    return {
+        kind
+        for module in modules
+        for kind in vars(module).values()
+        if is_dataclass(kind) and kind.__module__ == module.__name__
+        and (hasattr(kind, "cross_problems") or any("limits" in f.metadata for f in fields(kind)))
+    }
+
+
+def test_every_record_rejects_a_wrong_type():
+    """Each field of each checked record refuses a value of no type it takes, built anew or replaced."""
+    assert {type(record) for record in VALID_RECORDS} == checked_records()
+    for record in VALID_RECORDS:
+        built = {f.name: getattr(record, f.name) for f in fields(record)}
+        for f in fields(record):
+            wrong = {f.name: object()}
+            with pytest.raises(ValueError, match=f"^{f.name}: "):
+                type(record)(**{**built, **wrong})
+            with pytest.raises(ValueError, match=f"^{f.name}: "):
+                replace(record, **wrong)

@@ -904,7 +904,7 @@ class TestCliRun:
             ("rules: [{position_mm: 1.0, phases: [Lower]}]\n", "rules[0].sensor: required"),
             (
                 "object_pose_mm: {x: .inf, y: 0}\n",
-                "object_pose_mm: must be a tuple of 2 finite numbers, got (inf, 0)",
+                "object_pose_mm.x: must be a finite number, got inf",
             ),
             # ADC noise is a config setting; a scenario does not override it
             ("noise_sd_counts: 1.0\n", "noise_sd_counts: unknown key"),
@@ -1045,6 +1045,13 @@ class TestCliEntryPoint:
         assert done.returncode == code, done.stderr
         assert text in getattr(done, stream)
         assert "Traceback" not in done.stderr
+
+    def test_import_leaves_out_statistics(self):
+        """Importing the CLI loads no ``statistics``, nor the ``fractions`` and ``decimal`` it pulls in."""
+        probe = "import sys, nerveline.cli; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 class TestCliAcrossHashSeeds:

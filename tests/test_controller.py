@@ -526,6 +526,21 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="sensors: must not be empty"):
             RunConfig(seed=1, sensors={}, controller=CONFIG, filter_coefficient_a=0.5)
 
+    @pytest.mark.parametrize(
+        "sensors,message",
+        [
+            ([1], "sensors: must be a mapping of values to NerveLineSpec, got [1]"),
+            ({True: NerveLineSpec()}, "sensors[True].index: must be an integer in 0..3, got True"),
+            ({"0": NerveLineSpec()}, "sensors['0'].index: must be an integer in 0..3, got '0'"),
+            ({0: 3}, "sensors: must be a mapping of values to NerveLineSpec, got {0: 3}"),
+        ],
+        ids=["not_mapping", "bool_key", "str_key", "not_spec"],
+    )
+    def test_sensor_map_messages(self, sensors, message):
+        with pytest.raises(ConfigError) as info:
+            replace(BASE_RUN, sensors=sensors)
+        assert str(info.value) == message
+
     def test_rejects_unconfigured_watched_sensor(self):
         with pytest.raises(ConfigError, match="watched_sensor_grasp: sensor 0 is not configured"):
             RunConfig(seed=1, sensors={1: NerveLineSpec()}, controller=CONFIG, filter_coefficient_a=0.5)
