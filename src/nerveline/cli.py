@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Iterable
 
 from .config import RunConfig, load_config, load_scenario
-from .controller import run_scenario
+from .controller import SENSOR_COUNT, TraceRow, run_scenario
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
@@ -163,6 +163,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_lines(rows: Iterable[TraceRow]) -> Iterable[str]:
+    """The trace CSV lines of ``rows``, formatting each sensor, each tick's ``t_ms,phase`` and each held tail once.
+
+    `run_scenario` repeats a held sample's very ``filtered`` float; ``p`` and ``regime`` follow from it.
+    """
+    sensor_text = [f"{sensor}," for sensor in range(SENSOR_COUNT)]
+    last_filtered: list[float | None] = [None] * SENSOR_COUNT  # per sensor, with the text it gives
+    last_tail = [""] * SENSOR_COUNT
+    head_t_ms = None
+    for t_ms, phase, sensor, raw, filtered, p, regime in rows:
+        if t_ms != head_t_ms:
+            head_t_ms, head = t_ms, f"{t_ms},{phase._value_},"
+        if filtered is not last_filtered[sensor]:
+            last_filtered[sensor] = filtered
+            last_tail[sensor] = f",{filtered!r},{p!r},{regime._value_}\n"
+        yield f"{head}{sensor_text[sensor]}{raw}{last_tail[sensor]}"
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     scenario = load_scenario(args.scenario, config)
@@ -171,11 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_scenario(scenario, config, _calibration_table(config))
 
     out = args.out if args.out is not None else f"{scenario.name}_trace.csv"
-    lines = (
-        f"{t_ms},{phase._value_},{sensor},{raw},{filtered!r},{p!r},{regime._value_}\n"
-        for t_ms, phase, sensor, raw, filtered, p, regime in result.rows
-    )
-    _write_lines(out, TRACE_HEADER, lines)
+    _write_lines(out, TRACE_HEADER, _trace_lines(result.rows))
 
     print(f"outcome={result.outcome} steps={result.ticks}")
     if result.outcome != scenario.expected_outcome:
@@ -187,8 +201,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _frame_problem(lineno: int, line: str, sensors: dict[str, list]) -> str:
-    """Why ``cmd_replay`` rejects frame ``line``: the first of its checks that fails, in order."""
+def _frame_problem(lineno: int, line: str, sensors: dict[str, tuple[int, int | None]]) -> str:
+    """Why ``cmd_replay`` rejects frame ``line``: its first failed check, given each full scale and last t_ms."""
     parts = line.split(",")
     if len(parts) != 3:
         return f"line {lineno}: expected 3 fields, got {len(parts)}"
@@ -199,10 +213,9 @@ def _frame_problem(lineno: int, line: str, sensors: dict[str, list]) -> str:
         plain = False
     if not plain:
         return f"line {lineno}: fields must be integers, got {line!r}"
-    state = sensors.get(parts[1])
-    if state is None:
+    if parts[1] not in sensors:
         return f"line {lineno}: sensor {sensor} is not configured"
-    full_scale, _, previous, _ = state
+    full_scale, previous = sensors[parts[1]]
     if not 0 <= counts <= full_scale:
         return f"line {lineno}: counts {counts} outside 0..{full_scale}"
     return f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}"  # the one check left
@@ -212,9 +225,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     calibration = _calibration_table(config)
     a = config.filter_coefficient_a
-    # per sensor, keyed by its decimal spelling: [full scale, estimator, last t_ms, last filtered value]
+    # per sensor, keyed by its decimal spelling: [full scale, estimator, last t_ms,
+    # last filtered value, the count the filter stands still at or None, the text it gives]
     sensors = {
-        str(sensor): [spec.adc_full_scale, _estimator(calibration[sensor]), None, None]
+        str(sensor): [spec.adc_full_scale, _estimator(calibration[sensor]), None, None, None, ""]
         for sensor, spec in config.sensors.items()
     }
     known_counts: dict[str, int] = {}  # each plain non-negative counts field met in this log
@@ -231,7 +245,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             try:
                 t_text, sensor_text, counts_text = line.split(",")
                 state = sensors[sensor_text]
-                full_scale, estimate, previous, filtered = state
+                full_scale, estimate, previous, filtered, held, tail = state
                 counts = known_counts.get(counts_text)
                 if counts is None:
                     counts = int(counts_text)
@@ -242,11 +256,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 if counts > full_scale or str(t_ms) != t_text or (previous is not None and t_ms <= previous):
                     raise ValueError
             except (KeyError, ValueError):
-                raise ValueError(_frame_problem(lineno, line, sensors)) from None
+                limits = {key: (kept[0], kept[2]) for key, kept in sensors.items()}
+                raise ValueError(_frame_problem(lineno, line, limits)) from None
             state[2] = t_ms
-            state[3] = filtered = _smooth(a, filtered, counts)
-            p, regime = estimate(filtered)
-            out_lines.append(f"{line},{filtered!r},{p!r},{regime._value_}\n")
+            if held is None or counts != held:  # else the filter stands still at counts: its last text repeats
+                filtered, state[4] = _smooth(a, filtered, counts)
+                state[3] = filtered
+                p, regime = estimate(filtered)
+                state[5] = tail = f",{filtered!r},{p!r},{regime._value_}\n"
+            out_lines.append(line + tail)
     except ValueError as exc:
         raise ValueError(f"{args.log}: {exc}") from None
 

@@ -396,10 +396,13 @@ def run_scenario(
     (in sensor order), adding the ADC noise to that count, or through
     `sense` when a contact on a spike midpoint flips its tie coin, then
     filters and estimates it exactly as `sense`, `filter_step` and
-    `estimate_p` would, and records a row.  The state machine decides after each phase dwell, reading the
-    histories of the two watched sensors.  All randomness comes from one
-    generator seeded with ``run.seed``, so a run is a pure function of its
-    arguments.
+    `estimate_p` would, and records a row.  A noise-free count that its
+    line's filter stands still at (see `_smooth`) is smoothed and estimated
+    once: each later tick of it repeats the row before, ``filtered`` float
+    and `ContactEstimate` included.  The state machine decides after each
+    phase dwell, reading the histories of the two watched sensors.  All
+    randomness comes from one generator seeded with ``run.seed``, so a run
+    is a pure function of its arguments.
 
     Args:
         scenario: world script and expected outcome.
@@ -442,8 +445,9 @@ def run_scenario(
     a = run.filter_coefficient_a
     noise_sd_counts = run.noise_sd_counts
     noisy = noise_sd_counts > 0
-    filtered_last: dict[int, float | None] = dict.fromkeys(sensor_ids)
     estimators = {i: _estimator(calibration[i]) for i in sensor_ids}
+    # per sensor: [the count its filter stands still at or None, its last row, that row's ContactEstimate]
+    tracks = {i: [None, (None,) * 7, None] for i in sensor_ids}
     watched = (config.watched_sensor_grasp, config.watched_sensor_regrasp)
     histories: dict[int, list[ContactEstimate]] = {i: [] for i in sensor_ids if i in watched}
     # per sensor: its last active contacts and the (ContactSet, count) they give
@@ -464,20 +468,27 @@ def run_scenario(
                 contact_set = ContactSet(contacts, run.quantize_to_spikes)
                 last = counted[i] = (contacts, contact_set, _phase_count(specs[i], contact_set))
             _, contact_set, count = last
-            lines.append((i, specs[i], contact_set, count, estimators[i], histories.get(i)))
+            lines.append((i, specs[i], contact_set, count, estimators[i], histories.get(i), tracks[i]))
         for _ in range(config.dwell_ticks):
-            for i, spec, contact_set, count, estimate, history in lines:
+            for i, spec, contact_set, count, estimate, history, track in lines:
                 if count is None:
                     raw = sense(spec, contact_set, noise_sd_counts=noise_sd_counts, rng=rng).counts
                 elif noisy:
                     raw = _add_noise(count, noise_sd_counts, spec.adc_full_scale, rng)
+                elif count == track[0]:  # the filter stands still at count: the last sample repeats
+                    if history is not None:
+                        history.append(track[2])
+                    rows.append((t_ms, phase) + track[1][2:])
+                    continue
                 else:
                     raw = count
-                filtered = filtered_last[i] = _smooth(a, filtered_last[i], raw)
+                filtered, track[0] = _smooth(a, track[1][4], raw)
                 p, regime = estimate(filtered)
+                track[1] = row = (t_ms, phase, i, raw, filtered, p, regime)
                 if history is not None:
-                    history.append(ContactEstimate(p, regime))
-                rows.append((t_ms, phase, i, raw, filtered, p, regime))
+                    track[2] = estimated = ContactEstimate(p, regime)
+                    history.append(estimated)
+                rows.append(row)
             t_ms += config.dt_ms
         state, commands = step(state, histories, config, context)
     return ScenarioResult(

@@ -70,9 +70,15 @@ def smoothing_coefficient(cutoff_hz: float, dt_ms: float) -> float:
     return a
 
 
-def _smooth(a: float, last: float | None, raw: float) -> float:
-    """The smoother's output after ``raw``; the first sample (``last`` None) seeds it."""
-    return float(raw) if last is None else a * last + (1.0 - a) * raw
+def _smooth(a: float, last: float | None, raw: float) -> tuple[float, float | None]:
+    """The smoother's output after ``raw`` (``last`` None seeds it), and ``raw`` if that output is ``last``.
+
+    The output is a pure function of ``(last, raw)``, so once a count leaves
+    the filter where it was, every later sample of that count does too: the
+    second value is the count the filter stands still at, else None.
+    """
+    filtered = float(raw) if last is None else a * last + (1.0 - a) * raw
+    return filtered, (raw if filtered == last else None)
 
 
 def filter_step(state: FilterState, raw: float) -> tuple[FilterState, float]:
@@ -85,7 +91,7 @@ def filter_step(state: FilterState, raw: float) -> tuple[FilterState, float]:
     Returns:
         The next state and the filtered value.
     """
-    filtered = _smooth(state.coefficient_a, state.last, raw)
+    filtered, _ = _smooth(state.coefficient_a, state.last, raw)
     return replace(state, last=filtered), filtered
 
 

@@ -194,7 +194,8 @@ def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, st
             if previous is not None and t_ms <= previous:
                 raise ValueError(f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}")
             state[2] = t_ms
-            state[3] = filtered = _smooth(a, filtered, counts)
+            filtered, _ = _smooth(a, filtered, counts)
+            state[3] = filtered
             p, regime = estimate(filtered)
             out_lines.append(f"{head},{filtered!r},{p!r},{regime._value_}\n")
     except ValueError as exc:

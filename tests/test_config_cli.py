@@ -1367,6 +1367,17 @@ def drawn_replays(draw):
     return coefficient_a, frames
 
 
+def held_frames(coefficient_a):
+    """A drawn_replays value: sensor 0 reads 1023, 93 for 200 frames, then 1023 for 200; sensor 1 reads 500 in between.
+
+    Each count lasts long enough for the default filter to stand still at it.
+    """
+    frames = []
+    for k, counts in enumerate([1023] + [93] * 200 + [1023] * 200):
+        frames += [(10 * k, 0, counts), (10 * k, 1, 500)]
+    return coefficient_a, frames
+
+
 # what a mutated frame-log field becomes: spellings int() takes but the log
 # does not, spellings int() refuses, values out of range, an unconfigured
 # sensor, and a number past the interpreter's 4,300-digit limit for int()
@@ -1445,6 +1456,9 @@ class TestCliReplay:
     @example((0.5, [(0, 0, 300), (10, 0, 700), (20, 0, 900), (5, 2, 100), (30, 0, 100), (15, 2, 1000)]))
     # counts at both ends of the ADC range, 0 and full scale
     @example((COEFFICIENT_A, [(0, 1, 0), (0, 3, 1023), (10, 1, 1023), (10, 3, 0), (20, 1, 0)]))
+    # counts held past the filter's fixed point, where replay reuses a frame's text, and left again
+    @example(held_frames(COEFFICIENT_A))
+    @example(held_frames(0.0))
     @settings(max_examples=100, deadline=None)
     def test_matches_filter_step_loop(self, replay):
         coefficient_a, frames = replay

@@ -677,8 +677,28 @@ def pinned_run(sensors, noise, *rules, watched=(0, 1)):
     return scenario, dict.fromkeys(sensors, NerveLineSpec()), 3, noise, True, controller
 
 
+def held_run(position, noise):
+    """A drawn_runs value: an operate run on sensors 0 and 1 that fails its grasp checks, 60 ticks a phase.
+
+    Sensor 0 rests through Approach, is pressed at ``position`` through every
+    other live phase of the first attempt, 180 ticks, and is released for
+    the two retries; the grasp check watches sensor 1, which nothing touches.
+    Noise-free, the filter reaches a fixed point about 130 ticks after each
+    change of count, so it stands still under the press and after it.
+    """
+    phases = [phase for phase in LIVE_PHASES if phase is not TaskPhase.APPROACH]
+    scenario = Scenario("held", "operate", "failed", rules=(touch_rule(0, position, phases, attempt=1),))
+    controller = ControllerConfig(dwell_ticks=60, watched_sensor_grasp=1, watched_sensor_regrasp=1)
+    return scenario, dict.fromkeys([0, 1], NerveLineSpec()), 3, noise, True, controller
+
+
 class TestRunScenarioMatchesTickLoop:
     @given(drawn_runs())
+    # a firm press held past the filter's fixed point, then released; then with ADC noise
+    @example(held_run(70.0, 0.0))
+    @example(held_run(70.0, 0.5))
+    # a press on a spike midpoint: its count flips every tick, so the filter never stands still under it
+    @example(held_run(72.5, 0.0))
     # ADC noise on top of a spike-midpoint coin, sensed anew every tick
     @example(pinned_run([0, 1], 3.0, touch_rule(0, 72.5, LIVE_PHASES), touch_rule(1, 40.0, LIVE_PHASES)))
     # both watched sensors are configured, but no rule touches either
@@ -720,6 +740,31 @@ MULTI_CONTACT = Scenario(
         ),
     ),
 )
+
+
+class TestEstimatorCalls:
+    """run_scenario estimates a sample once: a sample its sensor's filter stands still at repeats its row."""
+
+    @pytest.mark.parametrize("name,calls,rows", [("no_scissors", 8, 560), ("scissors_regrasp", 262, 760)])
+    def test_shipped_config_estimator_calls(self, monkeypatch, name, calls, rows):
+        config = load_config(REPO / "configs" / "default.yaml")
+        scenario = load_scenario(REPO / "scenarios" / f"{name}.yaml", config)
+        estimated = []
+        original = nerveline.controller._estimator
+
+        def counting(calibration):
+            estimate = original(calibration)
+
+            def counted(v):
+                estimated.append(v)
+                return estimate(v)
+
+            return counted
+
+        monkeypatch.setattr(nerveline.controller, "_estimator", counting)
+        result = run_scenario(scenario, config, {i: auto_calibration(spec) for i, spec in config.sensors.items()})
+        assert result.outcome == scenario.expected_outcome
+        assert (len(estimated), len(result.rows)) == (calls, rows)
 
 
 class TestPhaseCountCalls:
