@@ -164,21 +164,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _trace_lines(rows: Iterable[TraceRow]) -> Iterable[str]:
-    """The trace CSV lines of ``rows``, formatting each sensor, each tick's ``t_ms,phase`` and each held tail once.
+    """The trace CSV lines of ``rows``, formatting each tick's ``t_ms,phase`` and each held sample once.
 
-    `run_scenario` repeats a held sample's very ``filtered`` float; ``p`` and ``regime`` follow from it.
+    `run_scenario` repeats a held sample's very ``filtered`` float, and every other row has a new one;
+    so a row with its sensor's last ``filtered`` reuses its whole ``sensor,raw,filtered,p,regime`` text.
     """
-    sensor_text = [f"{sensor}," for sensor in range(SENSOR_COUNT)]
     last_filtered: list[float | None] = [None] * SENSOR_COUNT  # per sensor, with the text it gives
-    last_tail = [""] * SENSOR_COUNT
+    last_text = [""] * SENSOR_COUNT
     head_t_ms = None
     for t_ms, phase, sensor, raw, filtered, p, regime in rows:
         if t_ms != head_t_ms:
             head_t_ms, head = t_ms, f"{t_ms},{phase._value_},"
         if filtered is not last_filtered[sensor]:
             last_filtered[sensor] = filtered
-            last_tail[sensor] = f",{filtered!r},{p!r},{regime._value_}\n"
-        yield f"{head}{sensor_text[sensor]}{raw}{last_tail[sensor]}"
+            last_text[sensor] = f"{sensor},{raw},{filtered!r},{p!r},{regime._value_}\n"
+        yield head + last_text[sensor]
 
 
 def cmd_run(args: argparse.Namespace) -> int:

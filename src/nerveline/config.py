@@ -50,31 +50,35 @@ _FAST_LOADER = getattr(yaml, "CSafeLoader", None)
 _FAST_TEXT = re.compile("[" + re.escape(string.ascii_letters + string.digits + " \n#:-_.,[]{}()'\"+/=;`") + "]*")
 
 
-def _nests_deeper_than(value: Any, limit: int) -> bool:
-    """Whether ``value`` holds a dict or list more than ``limit`` levels deep, itself at level 1."""
-    containers = [value] if isinstance(value, (dict, list)) else []
-    for _ in range(limit):  # one level a turn, keeping only the dicts and lists
-        containers = [
-            child
-            for node in containers
-            for child in (node.values() if isinstance(node, dict) else node)
-            if isinstance(child, (dict, list))
-        ]
-        if not containers:
-            return False
-    return bool(containers)
+def _construct(loader: Any, node: Any, depth: int) -> Any:
+    """What the safe loader builds from composed ``node`` at nesting ``depth``, failing past 64 levels."""
+    if node.id == "scalar":
+        return loader.yaml_constructors[node.tag](loader, node)  # a KeyError for a tag it has none for
+    if depth > 64:  # real files nest 4 deep, the pure loader fails near 500
+        raise ValueError("nested deeper than 64 levels")
+    if node.id == "sequence":
+        return [_construct(loader, item, depth + 1) for item in node.value]
+    return {_construct(loader, key, depth + 1): _construct(loader, value, depth + 1) for key, value in node.value}
 
 
 def _parse_yaml(text: str) -> Any:
-    """``yaml.safe_load(text)``: the same object or the same exception."""
+    """``yaml.safe_load(text)``: the same object or the same exception.
+
+    libyaml composes a text inside the gate, built in one pass over its nodes; what that pass does
+    not build (a tag with no constructor, such as a bare ``=``, an unhashable key, a second document,
+    nesting deeper than 64) goes to ``yaml.safe_load``.
+    """
     if _FAST_LOADER is not None and len(text) <= 16 * 1024 and _FAST_TEXT.fullmatch(text):
+        loader = None
         try:
-            raw = yaml.load(text, Loader=_FAST_LOADER)
+            loader = _FAST_LOADER(text)
+            node = loader.get_single_node()
+            return None if node is None else _construct(loader, node, 1)
         except Exception:  # the pure loader's result or error is the one reported
             pass
-        else:
-            if not _nests_deeper_than(raw, 64):  # real files nest 4 deep, the pure loader fails near 500
-                return raw
+        finally:
+            if loader is not None:
+                loader.dispose()
     return yaml.safe_load(text)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .bounds import bounded, number_problem, record
 from .errors import ConfigError, ScenarioError
@@ -117,8 +117,7 @@ class ControllerConfig:
         return []
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One actuation command emitted on phase entry."""
 
     name: str
@@ -337,13 +336,8 @@ def step(
                 nxt, reason = TaskPhase.FAILED, "regrasp budget exhausted"
     elif phase is TaskPhase.LIFT and context.goal == "lift":
         nxt = TaskPhase.DONE
-    new_state = replace(
-        state,
-        phase=nxt,
-        retries_used=state.retries_used + (nxt is TaskPhase.RETRY_RESET),
-        regrasp_steps=state.regrasp_steps + (nxt is TaskPhase.REGRASP_STEP),
-        failure_reason=reason,
-    )
+    steps = state.regrasp_steps + (nxt is TaskPhase.REGRASP_STEP)
+    new_state = ControllerState(nxt, state.retries_used + (nxt is TaskPhase.RETRY_RESET), steps, reason)
     return new_state, _entry_commands(nxt, config, context)
 
 

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .bounds import is_finite_number
 from .errors import CalibrationError
@@ -173,8 +173,7 @@ def auto_calibration(
     return calibrate(*streams, window=samples)
 
 
-@dataclass(frozen=True)
-class ContactEstimate:
+class ContactEstimate(NamedTuple):
     """Estimator output for one sample: the ratio and the branch that gave it."""
 
     p: float

@@ -262,7 +262,8 @@ def _with_noise(spec: NerveLineSpec, counts: int, noise_sd_counts: float, rng: r
 
 def _add_noise(counts: int, noise_sd_counts: float, full_scale: int, rng: random.Random) -> int:
     """``counts`` plus one Gaussian draw, clamped to the converter range and rounded."""
-    return round(min(max(counts + rng.gauss(0.0, noise_sd_counts), 0), full_scale))
+    v = counts + rng.gauss(0.0, noise_sd_counts)
+    return 0 if v < 0 else full_scale if v > full_scale else round(v)  # NaN reaches round, which raises
 
 
 def bridge_quality(spec: NerveLineSpec, bridge_ohm: float) -> float:

@@ -145,6 +145,11 @@ def count_boundary_mm(spec: NerveLineSpec, counts: int) -> Fraction:
     return (resistance - Fraction(spec.lead_offset_ohm)) / rails
 
 
+def clamped_counts(v: float, full_scale: int) -> int:
+    """``v`` clamped to the converter range 0..``full_scale`` and rounded, as ``min``/``max`` give it; NaN raises."""
+    return round(min(max(v, 0), full_scale))
+
+
 def nearest_spike(spec: NerveLineSpec, position_mm: float) -> tuple[int, bool]:
     """Index of the spike nearest ``position_mm`` and whether two tie (then the lower one), in exact arithmetic."""
     spikes = Fraction(position_mm) / Fraction(spec.spike_pitch_mm)

@@ -603,6 +603,13 @@ class TestYamlFastPath:
     @example("sensor: !\n")  # ''; pure: None
     @example("- " * 8000 + "x")  # an 8,000-deep list; pure: RecursionError
     @example(UNLOADABLE_YAML[0].decode())  # 1,000-deep flow; pure: RecursionError
+    # dicts and lists 64 levels deep, built in one pass, and 65, which go to the pure loader
+    @example(_nested("block", 64))
+    @example(_nested("block", 65))
+    @example(_nested("flow_map", 64))
+    @example(_nested("flow_map", 65))
+    @example(_nested("flow", 63))  # the top mapping is the 64th level
+    @example(_nested("flow", 64))
     @settings(max_examples=120, deadline=None)
     def test_matches_safe_load(self, text):
         with tempfile.TemporaryDirectory() as tmp:
@@ -618,7 +625,11 @@ class TestYamlFastPath:
         def pure_loader(text):
             raise AssertionError("fell back to the pure loader")
 
+        def generic_constructor(self, node):
+            raise AssertionError("built by PyYAML's generic constructor")
+
         monkeypatch.setattr(yaml, "safe_load", pure_loader)
+        monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_document", generic_constructor)
         for path in SHIPPED_YAML:
             assert _load_yaml_mapping(path, ConfigError)
 

@@ -89,6 +89,34 @@ def advance(state, histories, context):
     return step(state, histories, CONFIG, context)
 
 
+class TestRecords:
+    """`Command` and `ContactEstimate` are tuples that behave as the frozen records they replaced."""
+
+    @pytest.mark.parametrize(
+        "cls,values,text",
+        [
+            (Command, {"name": "lift", "args": ()}, "Command(name='lift', args=())"),
+            (Command, {"name": "advance_tool_mm", "args": (5.0,)}, "Command(name='advance_tool_mm', args=(5.0,))"),
+            (ContactEstimate, {"p": 42.5, "regime": Regime.BODY}, "ContactEstimate(p=42.5, regime=<Regime.BODY: 'body'>)"),
+        ],
+    )
+    def test_record_behaviour(self, cls, values, text):
+        record = cls(**values)
+        assert cls._fields == tuple(values)
+        assert tuple(getattr(record, name) for name in cls._fields) == tuple(values.values())
+        assert repr(record) == text
+        assert record == cls(*values.values()) and hash(record) == hash(cls(*values.values()))
+        first, second = record  # a tuple: it unpacks, and equals a plain tuple of its values
+        assert (first, second) == tuple(values.values()) == record
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], "other")
+
+    def test_command_args_default_to_empty(self):
+        assert Command("lift") == Command(name="lift", args=()) == ("lift", ())
+        with pytest.raises(TypeError):
+            ContactEstimate(p=1.0)  # no default
+
+
 class TestStep:
     def test_happy_path_to_lift(self):
         state = ControllerState()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,8 +23,8 @@ from nerveline import (
     snap_to_spike,
     solve_line_resistance,
 )
-from nerveline.line import _coins
-from oracles import chain_counts, count_boundary_mm, divider_counts, nearest_spike, nodal_line_resistance
+from nerveline.line import _add_noise, _coins
+from oracles import chain_counts, clamped_counts, count_boundary_mm, divider_counts, nearest_spike, nodal_line_resistance
 
 SPEC = NerveLineSpec()
 
@@ -342,6 +343,46 @@ class TestAdc:
     def test_timestamp_carried(self):
         reading = sense(SPEC, ContactSet(), t_ms=70)
         assert (reading.t_ms, reading.counts) == (70, 1023)
+
+
+@st.composite
+def noise_cases(draw):
+    """``(counts, full_scale, drawn)``, often at either end of the range and within a count of it."""
+    full_scale = draw(st.integers(1, 4095))
+    counts = draw(st.sampled_from([0, full_scale]) | st.integers(0, full_scale))
+    return counts, full_scale, draw(st.floats(-1.0, 1.0) | st.floats())
+
+
+class TestAddNoise:
+    @given(noise_cases())
+    @example((-0.0, 1023, -0.0))  # the one sum that is -0.0; at an int count, -0.0 sums to 0.0
+    @example((0, 1023, -0.0))
+    @example((0, 1023, 0.49999999999999994))
+    @example((0, 1023, -0.49999999999999994))
+    @example((0, 1023, 0.5))
+    @example((0, 1023, -0.5))
+    @example((1, 1023, -0.5))
+    @example((1023, 1023, 0.49999999999999994))
+    @example((1023, 1023, -0.49999999999999994))
+    @example((1023, 1023, 0.5))
+    @example((1022, 1023, 0.5))
+    @example((1023, 1023, -0.5))
+    @example((0, 1023, math.inf))
+    @example((1023, 1023, -math.inf))
+    @example((0, 1023, math.nan))
+    @example((1023, 1023, math.nan))
+    def test_clamps_as_min_max_then_round(self, case):
+        counts, full_scale, drawn = case
+        rng = SimpleNamespace(gauss=lambda mu, sigma: drawn)  # every draw is ``drawn``
+        if math.isnan(drawn):
+            with pytest.raises(ValueError):
+                clamped_counts(counts + drawn, full_scale)
+            with pytest.raises(ValueError):
+                _add_noise(counts, 1.0, full_scale, rng)
+            return
+        got = _add_noise(counts, 1.0, full_scale, rng)
+        assert type(got) is int  # the trace writes it with str()
+        assert got == clamped_counts(counts + drawn, full_scale)
 
 
 class TestSense:
