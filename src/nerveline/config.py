@@ -1,21 +1,21 @@
 """YAML run-configuration and scenario loading with strict validation.
 
-Every violation is reported with the path of the offending field, for
-example ``sensors[0].pullup_ohm``, and all violations in a file are
-collected into a single error rather than stopping at the first.  Each
-record checks itself: a field's type comes from its annotation, its
-bounds from ``bounds.bounded`` and its cross-field rules from the
-record's ``cross_problems`` (see ``bounds``).  This module maps file
-shapes onto those records, prefixes their messages with the path, and
-adds the rules only a file can break: unknown keys, a missing seed, the
-filter block, the top-level tick, duplicate sensors, phase names and a
-rule's reference to the configured lines.
+Plain block YAML, the subset the shipped files are written in, is read here line by
+line, and every other text goes to ``yaml.safe_load``; either way the result, or the
+error, is that loader's.  Every violation is reported with the path of the offending
+field, for example ``sensors[0].pullup_ohm``, and all violations in a file are
+collected into a single error rather than stopping at the first.  Each record checks
+itself: a field's type comes from its annotation, its bounds from ``bounds.bounded``
+and its cross-field rules from the record's ``cross_problems`` (see ``bounds``).  This
+module maps file shapes onto those records, prefixes their messages with the path, and
+adds the rules only a file can break: unknown keys, a missing seed, the filter block,
+the top-level tick, duplicate sensors, phase names and a rule's reference to the
+configured lines.
 """
 
 from __future__ import annotations
 
 import re
-import string
 from pathlib import Path
 from typing import AbstractSet, Any
 
@@ -42,43 +42,83 @@ def default_sensors() -> dict[int, NerveLineSpec]:
     return {i: NerveLineSpec() for i in range(SENSOR_COUNT)}
 
 
-# libyaml reads a few texts differently from the pure loader (a tab in a
-# plain key, ``?`` in a flow scalar, a bare ``!`` tag), so it only gets texts
-# of at most 16 KiB in these characters, which keep out anchors and aliases
-# too; what it fails on or nests deeper than 64 goes to the pure loader.
-_FAST_LOADER = getattr(yaml, "CSafeLoader", None)
-_FAST_TEXT = re.compile("[" + re.escape(string.ascii_letters + string.digits + " \n#:-_.,[]{}()'\"+/=;`") + "]*")
+# Plain block YAML, the shipped files' subset: keys are plain words; scalars are plain
+# words, ints, floats, true and false.  A word the safe loader reads as a bool or null
+# is no plain word, and a key over 1,024 characters stops its scanner.
+_NOT_WORD = r"(?!(?:[Yy]es|YES|[Nn]o|NO|[Oo]n|ON|[Oo]ff|OFF|[Tt]rue|TRUE|[Ff]alse|FALSE|[Nn]ull|NULL)(?![\w./-]))"
+_SCALAR = re.compile(rf"(-?0|-?[1-9][0-9]*)|(-?[0-9]+\.[0-9]+)|(true|false)|{_NOT_WORD}[A-Za-z_][A-Za-z0-9_./-]*")
+_ENTRY = re.compile(rf"({_NOT_WORD}[A-Za-z_][A-Za-z0-9_./-]{{0,1023}}):(?: +(.*))?")  # a key and its value
 
 
-def _construct(loader: Any, node: Any, depth: int) -> Any:
-    """What the safe loader builds from composed ``node`` at nesting ``depth``, failing past 64 levels."""
-    if node.id == "scalar":
-        return loader.yaml_constructors[node.tag](loader, node)  # a KeyError for a tag it has none for
+def _scalar(text: str) -> Any:
+    kind = _SCALAR.fullmatch(text).lastindex  # an AttributeError outside the subset
+    return text if kind is None else int(text) if kind == 1 else float(text) if kind == 2 else text == "true"
+
+
+def _flow(text: str) -> Any:
+    """A value on its key's line: a scalar, or a one-level flow list or mapping of them."""
+    if text[0] + text[-1] not in ("[]", "{}"):
+        return _scalar(text)
+    items = [item.strip(" ") for item in text[1:-1].split(",")] if text[1:-1].strip(" ") else []
+    if text[0] == "[":
+        return [_scalar(item) for item in items]
+    pairs = [_ENTRY.fullmatch(item).groups() for item in items]
+    return {key: _scalar(value) for key, value in pairs}
+
+
+def _node(lines: list[tuple[int, str]], at: int, depth: int) -> tuple[int, Any]:
+    """The value that starts at ``lines[at]``, and the index of the line after it.
+
+    A line is its indent and its content, and the last is ``(-1, "")``.  An item's
+    line is rewritten in place as its content at the column that content starts in.
+    """
+    indent, content = lines[at]
+    if content[0] in "[{" or ":" not in content and content[:2] != "- ":
+        return at + 1, _flow(content)
     if depth > 64:  # real files nest 4 deep, the pure loader fails near 500
         raise ValueError("nested deeper than 64 levels")
-    if node.id == "sequence":
-        return [_construct(loader, item, depth + 1) for item in node.value]
-    return {_construct(loader, key, depth + 1): _construct(loader, value, depth + 1) for key, value in node.value}
+    if content[:2] == "- ":
+        items = []
+        while lines[at][0] == indent and lines[at][1][:2] == "- ":
+            rest = lines[at][1][2:].lstrip(" ")
+            lines[at] = (indent + len(lines[at][1]) - len(rest), rest)
+            at, item = _node(lines, at, depth + 1)
+            items.append(item)
+        return at, items
+    mapping = {}
+    while lines[at][0] == indent:
+        key, value = _ENTRY.fullmatch(lines[at][1]).groups()
+        at += 1
+        if value is not None:
+            mapping[key] = _flow(value)
+        elif lines[at][0] > indent or lines[at][0] == indent and lines[at][1][:2] == "- ":
+            at, mapping[key] = _node(lines, at, depth + 1)
+        else:
+            raise ValueError(f"{key}: a null value")
+    return at, mapping
 
 
 def _parse_yaml(text: str) -> Any:
-    """``yaml.safe_load(text)``: the same object or the same exception.
+    """``yaml.safe_load(text)``: the same object or the same exception, None for an empty document.
 
-    libyaml composes a text inside the gate, built in one pass over its nodes; what that pass does
-    not build (a tag with no constructor, such as a bare ``=``, an unhashable key, a second document,
-    nesting deeper than 64) goes to ``yaml.safe_load``.
+    Plain block YAML is read here line by line.  Its characters are printable ASCII
+    and LF: no tab, and no CR, at which YAML ends a line and so a comment.  A comment
+    runs from a ``#`` that opens a line or follows a space to the line's end.  Every
+    other text, and every text the reader fails on, goes to ``yaml.safe_load``.
     """
-    if _FAST_LOADER is not None and len(text) <= 16 * 1024 and _FAST_TEXT.fullmatch(text):
-        loader = None
+    if text.isascii() and text.replace("\n", "").isprintable():
+        lines = []
+        for line in text.split("\n"):
+            content = line.lstrip(" ")
+            if content[:1] not in ("", "#"):
+                lines.append((len(line) - len(content), content.partition(" #")[0].rstrip(" ")))
+        lines.append((-1, ""))
         try:
-            loader = _FAST_LOADER(text)
-            node = loader.get_single_node()
-            return None if node is None else _construct(loader, node, 1)
-        except Exception:  # the pure loader's result or error is the one reported
+            at, value = _node(lines, 0, 1)
+            if at == len(lines) - 1:
+                return value
+        except Exception:  # outside the subset: the pure loader's result or error is the one reported
             pass
-        finally:
-            if loader is not None:
-                loader.dispose()
     return yaml.safe_load(text)
 
 

@@ -522,7 +522,7 @@ class TestLoadScenario:
             load_scenario(path, config)
 
 
-# pieces of YAML, including those that must keep a text off the libyaml path:
+# pieces of YAML, including those that must keep a text off the line reader:
 # tags, anchors, aliases, tabs, ``?``, block scalars, directives, CR, non-ASCII
 YAML_PIECES = [
     "a", "seed", "x", "1", "-2", "0.5", ".inf", ".nan", "1e3", "0x1f", "1_0", "true", "No", "null",
@@ -559,11 +559,73 @@ _VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12,
 )
+
+# the words the safe loader reads as bools and nulls, in each case it knows
+BOOL_NULL_WORDS = [
+    case(word)
+    for word in ("yes", "no", "on", "off", "true", "false", "null")
+    for case in (str.lower, str.title, str.upper)
+]
+# few keys, so that they repeat
+_PLAIN_KEYS = ["a", "b", "x.y/z-1", "_k"]
+_PLAIN_SCALARS = ["a", "x.y/z-1", "0", "-0", "7", "-12", "1.5", "-0.0", "00.5", "true", "false"]
+_NEAR_SCALARS = ["012", "1.", ".5", "1e3", "1_0", "~", "'q'", "a b", *BOOL_NULL_WORDS]
+_NEAR_FLOWS = ["[a,b]", "{a:1}", "[a, b,]", "[[a]]", "{a: [b]}", "[a: 1]", "{a, b}"]
+
+
+def _mostly(near, inside, outside):
+    """Draws from ``inside``, and with ``near`` one time in six from ``outside``."""
+    if not near:
+        return st.sampled_from(inside)
+    return st.integers(0, 5).flatmap(lambda k: st.sampled_from(outside if k == 0 else inside))
+
+
+@st.composite
+def _block_lines(draw, near, indent=0, depth=0, as_list=None):
+    """Lines of a block mapping or list at column ``indent``.
+
+    They are in the line reader's subset, or with ``near`` now and then just outside it.
+    """
+    keys = _mostly(near, _PLAIN_KEYS, BOOL_NULL_WORDS)
+    scalars = _mostly(near, _PLAIN_SCALARS, _NEAR_SCALARS)
+    values = st.one_of(
+        scalars,
+        st.lists(scalars, max_size=3).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.lists(st.tuples(keys, scalars), max_size=3).map(lambda pairs: "{" + ", ".join(map(": ".join, pairs)) + "}"),
+        _mostly(near, ["[ ]", "{ }", "{a:  1 }"], _NEAR_FLOWS),
+    )
+    lines = []
+    if draw(st.booleans()) if as_list is None else as_list:
+        for _ in range(draw(st.integers(1, 3))):
+            if depth < 3 and draw(st.booleans()):  # a mapping or list that starts on the item's line
+                item = draw(_block_lines(near, indent + 2, depth + 1))
+                item[0] = " " * indent + "- " + item[0].lstrip(" ")
+            else:
+                item = [" " * indent + "- " + draw(values)]
+            lines += item
+        return lines
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(keys)
+        if depth < 3 and draw(st.booleans()):
+            lines.append(" " * indent + key + ":" + draw(st.sampled_from(["", " # c", "   "])))
+            # a block right of the key, or a list at it; outside, a block left of the key or a mapping at it
+            as_list = draw(st.booleans())
+            shift = draw(_mostly(near, [0, 1, 2, 3] if as_list else [1, 2, 3], [-1] if as_list else [-1, 0]))
+            lines += draw(_block_lines(near, max(0, indent + shift), depth + 1, as_list))
+        elif draw(st.booleans()):  # a value on a line of its own, right of its key
+            lines += [" " * indent + key + ":", " " * (indent + draw(st.integers(1, 2))) + draw(values)]
+        else:
+            comment = draw(_mostly(near, ["", " # c"], ["#c"]))
+            lines.append(" " * indent + key + ": " + draw(values) + comment)
+    return lines
+
+
 YAML_TEXTS = st.one_of(
     _edited(st.sampled_from([path.read_text() for path in SHIPPED_YAML])),
     _edited(st.builds(yaml.safe_dump, _VALUES, default_flow_style=st.sampled_from([False, True, None]))),
     st.lists(st.sampled_from(YAML_PIECES), max_size=30).map("".join),
-    # around the depth of 64 beyond which libyaml's result is parsed again,
+    st.booleans().flatmap(_block_lines).map(lambda lines: "\n".join(lines) + "\n"),
+    # around the depth of 64 beyond which the line reader hands a text on,
     # and far beyond the ~500 levels where the pure loader's recursion gives
     # out (a bound that moves with the caller's stack); only block nesting
     # goes that deep here, because the pure scanner is quadratic in flow depth
@@ -597,18 +659,26 @@ def _safe_load_mapping(path):
 
 class TestYamlFastPath:
     @given(YAML_TEXTS)
-    # libyaml reads each of these differently from the pure loader
+    # the pure loader ends a line, and so a comment, at CR (a file read as text has none)
+    @example("seed: 1 # c\rdt_ms: 10\n")  # pure: an extra key
+    @example("seed: 1 # c\rd: e: f\n")  # pure: ScannerError
+    # a mapping 600 levels deep; pure: RecursionError
+    @example("".join(" " * k + "a:\n" for k in range(600)) + " " * 600 + "a: 1\n")
+    @example("a:\nb: 1\n")  # a null value; pure: {'a': None, 'b': 1}
+    @example("a: b\n  c\n")  # a scalar over two lines; pure: {'a': 'b c'}
+    @example("a" * 1025 + ": 1\n")  # a key over 1,024 characters; pure: ScannerError
     @example("expec\ted_outcome: failed\n")  # a tab in a key; pure: scanner error
     @example("object_pose_mm: {x: 120?0, y: 40.0}\n")  # '120?0'; pure: parser error
     @example("sensor: !\n")  # ''; pure: None
     @example("- " * 8000 + "x")  # an 8,000-deep list; pure: RecursionError
     @example(UNLOADABLE_YAML[0].decode())  # 1,000-deep flow; pure: RecursionError
-    # dicts and lists 64 levels deep, built in one pass, and 65, which go to the pure loader
+    # lists 64 levels deep, read line by line, and 65, which go to the pure loader,
+    # as every nested flow collection does
     @example(_nested("block", 64))
     @example(_nested("block", 65))
     @example(_nested("flow_map", 64))
     @example(_nested("flow_map", 65))
-    @example(_nested("flow", 63))  # the top mapping is the 64th level
+    @example(_nested("flow", 63))
     @example(_nested("flow", 64))
     @settings(max_examples=120, deadline=None)
     def test_matches_safe_load(self, text):
@@ -619,8 +689,14 @@ class TestYamlFastPath:
             got = _verdict(lambda p: _load_yaml_mapping(p, ConfigError), path)
         # repr tells 1 from 1.0 and True, and a nan equals itself
         assert repr(got) == repr(expected)
+        if "\r" in text:  # which reading the file as text turned into LF
+            assert repr(_verdict(nerveline.config._parse_yaml, text)) == repr(_verdict(yaml.safe_load, text))
 
-    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("word", BOOL_NULL_WORDS)
+    def test_bool_and_null_words_are_not_plain_words(self, word):
+        for text in (f"{word}: 1\n", f"a: {word}\n", f"- {word}\n", f"a: [{word}]\n", f"a: {{{word}: 1}}\n"):
+            assert repr(_verdict(nerveline.config._parse_yaml, text)) == repr(_verdict(yaml.safe_load, text))
+
     def test_shipped_files_take_the_fast_path(self, monkeypatch):
         def pure_loader(text):
             raise AssertionError("fell back to the pure loader")
@@ -635,25 +711,28 @@ class TestYamlFastPath:
 
     @pytest.mark.parametrize(
         "text",
-        ["a:\tb\n", "a: {x: 1?0}\n", "a: !\n", "a: &x 1\nb: *x\n", "a: \u00e9\n", "a: @b\n", "- " * 8200 + "x"],
-        ids=["tab", "question_mark", "bare_tag", "alias", "non_ascii", "at_sign", "over_16_kib"],
+        [
+            "a:\tb\n", "a: {x: 1?0}\n", "a: !\n", "a: &x 1\nb: *x\n", "a: \u00e9\n", "a: @b\n",
+            "- " * 8200 + "x",  # nested past 64 levels
+            "a: 1 # c\rb: 2\n", "a: 'b'\n",
+        ],
+        ids=["tab", "question_mark", "bare_tag", "alias", "non_ascii", "at_sign", "over_16_kib", "cr", "quoted"],
     )
-    def test_texts_outside_the_gate_skip_libyaml(self, tmp_path, monkeypatch, text):
+    def test_texts_outside_the_gate_skip_libyaml(self, monkeypatch, text):
+        # each text is outside the line reader's subset, so the pure loader reads it
         seen = []
+        safe_load = yaml.safe_load
 
-        class Recording:
-            def __init__(self, stream):
-                seen.append(stream)
-                raise AssertionError("reached the fast loader")
+        def recording(stream):
+            seen.append(stream)
+            return safe_load(stream)
 
-        monkeypatch.setattr(nerveline.config, "_FAST_LOADER", Recording)
-        path = tmp_path / "in.yaml"
-        path.write_bytes(text.encode())
-        _verdict(lambda p: _load_yaml_mapping(p, ConfigError), path)
-        assert seen == []
+        monkeypatch.setattr(yaml, "safe_load", recording)
+        _verdict(nerveline.config._parse_yaml, text)  # not from a file, which would turn CR into LF
+        assert seen == [text]
 
     def test_pure_loader_alone_gives_the_same_results(self, tmp_path, monkeypatch):
-        # as with a PyYAML built without libyaml
+        # as if every text were outside the line reader's subset
         def load_all():
             config = load_config(DEFAULT_CONFIG)
             loaded = [config, *(load_scenario(path, config) for path in sorted(SCENARIOS.glob("*.yaml")))]
@@ -664,8 +743,11 @@ class TestYamlFastPath:
                 errors.append(_verdict(load_config, bad))
             return loaded, errors
 
+        def outside(lines, at, depth):
+            raise ValueError("outside the subset")
+
         fast = load_all()
-        monkeypatch.setattr(nerveline.config, "_FAST_LOADER", None)
+        monkeypatch.setattr(nerveline.config, "_node", outside)
         pure = load_all()
         assert pure == fast
         assert all("not valid YAML" in message for message in pure[1])
