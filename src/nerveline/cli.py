@@ -24,9 +24,9 @@ from .controller import SENSOR_COUNT, TraceRow, run_scenario
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
+    _channel,
     _estimator,
     _read_lines,
-    _smooth,
     auto_calibration,
     read_calibration,
     write_calibration,
@@ -166,17 +166,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _trace_lines(rows: Iterable[TraceRow]) -> Iterable[str]:
     """The trace CSV lines of ``rows``, formatting each tick's ``t_ms,phase`` and each held sample once.
 
-    `run_scenario` repeats a held sample's very ``filtered`` float, and every other row has a new one;
-    so a row with its sensor's last ``filtered`` reuses its whole ``sensor,raw,filtered,p,regime`` text.
+    A sensor's ``p`` and ``regime`` follow from its ``filtered`` value, so a row with its sensor's last
+    ``raw`` and ``filtered`` values reuses that row's whole ``sensor,raw,filtered,p,regime`` text.
     """
-    last_filtered: list[float | None] = [None] * SENSOR_COUNT  # per sensor, with the text it gives
+    last_raw: list[int | None] = [None] * SENSOR_COUNT  # per sensor, with its filtered value and the text they give
+    last_filtered: list[float | None] = [None] * SENSOR_COUNT
     last_text = [""] * SENSOR_COUNT
     head_t_ms = None
     for t_ms, phase, sensor, raw, filtered, p, regime in rows:
         if t_ms != head_t_ms:
             head_t_ms, head = t_ms, f"{t_ms},{phase._value_},"
-        if filtered is not last_filtered[sensor]:
-            last_filtered[sensor] = filtered
+        if filtered != last_filtered[sensor] or raw != last_raw[sensor]:
+            last_raw[sensor], last_filtered[sensor] = raw, filtered
             last_text[sensor] = f"{sensor},{raw},{filtered!r},{p!r},{regime._value_}\n"
         yield head + last_text[sensor]
 
@@ -224,11 +225,9 @@ def _frame_problem(lineno: int, line: str, sensors: dict[str, tuple[int, int | N
 def cmd_replay(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     calibration = _calibration_table(config)
-    a = config.filter_coefficient_a
-    # per sensor, keyed by its decimal spelling: [full scale, estimator, last t_ms,
-    # last filtered value, the count the filter stands still at or None, the text it gives]
+    # per sensor, keyed by its decimal spelling: [full scale, channel, last t_ms, last sample, the text it gives]
     sensors = {
-        str(sensor): [spec.adc_full_scale, _estimator(calibration[sensor]), None, None, None, ""]
+        str(sensor): [spec.adc_full_scale, _channel(config.filter_coefficient_a, calibration[sensor]), None, None, ""]
         for sensor, spec in config.sensors.items()
     }
     known_counts: dict[str, int] = {}  # each plain non-negative counts field met in this log
@@ -245,7 +244,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             try:
                 t_text, sensor_text, counts_text = line.split(",")
                 state = sensors[sensor_text]
-                full_scale, estimate, previous, filtered, held, tail = state
+                full_scale, channel, previous, last, tail = state
                 counts = known_counts.get(counts_text)
                 if counts is None:
                     counts = int(counts_text)
@@ -259,11 +258,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 limits = {key: (kept[0], kept[2]) for key, kept in sensors.items()}
                 raise ValueError(_frame_problem(lineno, line, limits)) from None
             state[2] = t_ms
-            if held is None or counts != held:  # else the filter stands still at counts: its last text repeats
-                filtered, state[4] = _smooth(a, filtered, counts)
-                state[3] = filtered
-                p, regime = estimate(filtered)
-                state[5] = tail = f",{filtered!r},{p!r},{regime._value_}\n"
+            sample = channel(counts)
+            if sample is not last:  # else a held sample: the channel repeats its tuple, and its text repeats
+                filtered, p, regime = state[3] = sample
+                state[4] = tail = f",{filtered!r},{p!r},{regime._value_}\n"
             out_lines.append(line + tail)
     except ValueError as exc:
         raise ValueError(f"{args.log}: {exc}") from None

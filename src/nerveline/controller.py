@@ -20,11 +20,9 @@ from .bounds import bounded, number_problem, record
 from .errors import ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
-    ContactEstimate,
     FilterState,
     Regime,
-    _estimator,
-    _smooth,
+    _channel,
     detect_touch,
     position_reached,
 )
@@ -304,13 +302,14 @@ def _entry_commands(phase: TaskPhase, config: ControllerConfig, context: StepCon
 
 def step(
     state: ControllerState,
-    histories: Mapping[int, Sequence[ContactEstimate]],
+    histories: Mapping[int, Sequence[tuple[float, Regime]]],
     config: ControllerConfig,
     context: StepContext,
 ) -> tuple[ControllerState, tuple[Command, ...]]:
     """Advance the state machine by one decision.
 
-    Called after the phase dwell has produced fresh estimates.  Pure: the
+    Called after the phase dwell with that dwell's ``(p, regime)`` pairs per
+    watched sensor, such as `ContactEstimate`s, oldest first.  Pure: the
     next state and the commands to issue on entering it are returned, the
     inputs are untouched.
 
@@ -389,12 +388,10 @@ def run_scenario(
     whenever a line's contacts change.  Every tick then samples all lines
     (in sensor order), adding the ADC noise to that count, or through
     `sense` when a contact on a spike midpoint flips its tie coin, then
-    filters and estimates it exactly as `sense`, `filter_step` and
-    `estimate_p` would, and records a row.  A noise-free count that its
-    line's filter stands still at (see `_smooth`) is smoothed and estimated
-    once: each later tick of it repeats the row before, ``filtered`` float
-    and `ContactEstimate` included.  The state machine decides after each
-    phase dwell, reading the histories of the two watched sensors.  All
+    filters and estimates it through its line's `_channel`, exactly as
+    `filter_step` and `estimate_p` would, and records a row.  The state
+    machine decides after each phase dwell, reading the ``(p, regime)``
+    pairs of that dwell's ticks for the two watched sensors.  All
     randomness comes from one generator seeded with ``run.seed``, so a run
     is a pure function of its arguments.
 
@@ -436,14 +433,9 @@ def run_scenario(
 
     rng = random.Random(run.seed)
     sensor_ids = sorted(specs)
-    a = run.filter_coefficient_a
     noise_sd_counts = run.noise_sd_counts
     noisy = noise_sd_counts > 0
-    estimators = {i: _estimator(calibration[i]) for i in sensor_ids}
-    # per sensor: [the count its filter stands still at or None, its last row, that row's ContactEstimate]
-    tracks = {i: [None, (None,) * 7, None] for i in sensor_ids}
-    watched = (config.watched_sensor_grasp, config.watched_sensor_regrasp)
-    histories: dict[int, list[ContactEstimate]] = {i: [] for i in sensor_ids if i in watched}
+    channels = {i: _channel(run.filter_coefficient_a, calibration[i]) for i in sensor_ids}
     # per sensor: its last active contacts and the (ContactSet, count) they give
     counted: dict[int, tuple[tuple[ContactPoint, ...], ContactSet, int | None]] = {}
     state = ControllerState()
@@ -454,6 +446,7 @@ def run_scenario(
     while state.phase not in TERMINAL_PHASES:
         phase = state.phase
         entered[t_ms] = commands
+        histories: dict[int, list] = {config.watched_sensor_grasp: [], config.watched_sensor_regrasp: []}
         lines = []
         for i in sensor_ids:
             contacts = _active_contacts(scenario, i, state, specs[i])
@@ -462,27 +455,19 @@ def run_scenario(
                 contact_set = ContactSet(contacts, run.quantize_to_spikes)
                 last = counted[i] = (contacts, contact_set, _phase_count(specs[i], contact_set))
             _, contact_set, count = last
-            lines.append((i, specs[i], contact_set, count, estimators[i], histories.get(i), tracks[i]))
+            lines.append((i, specs[i], contact_set, count, channels[i], histories.get(i)))
         for _ in range(config.dwell_ticks):
-            for i, spec, contact_set, count, estimate, history, track in lines:
+            for i, spec, contact_set, count, channel, history in lines:
                 if count is None:
                     raw = sense(spec, contact_set, noise_sd_counts=noise_sd_counts, rng=rng).counts
                 elif noisy:
                     raw = _add_noise(count, noise_sd_counts, spec.adc_full_scale, rng)
-                elif count == track[0]:  # the filter stands still at count: the last sample repeats
-                    if history is not None:
-                        history.append(track[2])
-                    rows.append((t_ms, phase) + track[1][2:])
-                    continue
                 else:
                     raw = count
-                filtered, track[0] = _smooth(a, track[1][4], raw)
-                p, regime = estimate(filtered)
-                track[1] = row = (t_ms, phase, i, raw, filtered, p, regime)
+                sample = channel(raw)
                 if history is not None:
-                    track[2] = estimated = ContactEstimate(p, regime)
-                    history.append(estimated)
-                rows.append(row)
+                    history.append(sample[1:])
+                rows.append((t_ms, phase, i, raw) + sample)
             t_ms += config.dt_ms
         state, commands = step(state, histories, config, context)
     return ScenarioResult(

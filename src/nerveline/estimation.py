@@ -70,17 +70,6 @@ def smoothing_coefficient(cutoff_hz: float, dt_ms: float) -> float:
     return a
 
 
-def _smooth(a: float, last: float | None, raw: float) -> tuple[float, float | None]:
-    """The smoother's output after ``raw`` (``last`` None seeds it), and ``raw`` if that output is ``last``.
-
-    The output is a pure function of ``(last, raw)``, so once a count leaves
-    the filter where it was, every later sample of that count does too: the
-    second value is the count the filter stands still at, else None.
-    """
-    filtered = float(raw) if last is None else a * last + (1.0 - a) * raw
-    return filtered, (raw if filtered == last else None)
-
-
 def filter_step(state: FilterState, raw: float) -> tuple[FilterState, float]:
     """Advance the smoother by one sample.
 
@@ -91,7 +80,8 @@ def filter_step(state: FilterState, raw: float) -> tuple[FilterState, float]:
     Returns:
         The next state and the filtered value.
     """
-    filtered, _ = _smooth(state.coefficient_a, state.last, raw)
+    a, last = state.coefficient_a, state.last
+    filtered = float(raw) if last is None else a * last + (1.0 - a) * raw
     return replace(state, last=filtered), filtered
 
 
@@ -206,6 +196,32 @@ def _estimator(calibration: CalibrationData) -> Callable[[float], tuple[float, R
     return estimate
 
 
+def _channel(a: float, calibration: CalibrationData) -> Callable[[float], tuple[float, float, Regime]]:
+    """One sensor's smoother of coefficient ``a`` and estimator: each raw count -> (filtered, p, regime).
+
+    The values are those of `filter_step`, from an unseeded state, and `estimate_p`.  A count that leaves the
+    filtered value where it was returns the very tuple before it, as does each later sample of it: the output is a
+    pure function of the last filtered value and the count.
+    """
+    estimate = _estimator(calibration)
+    last, held = (None,), None  # the last sample's tuple, its None seeding the filter, and the count it stands still at
+
+    def channel(raw: float) -> tuple[float, float, Regime]:
+        nonlocal last, held
+        if raw == held:
+            return last
+        previous = last[0]
+        filtered = float(raw) if previous is None else a * previous + (1.0 - a) * raw
+        if filtered == previous:
+            held = raw
+            return last
+        p, regime = estimate(filtered)
+        last, held = (filtered, p, regime), None
+        return last
+
+    return channel
+
+
 def estimate_p(v: float, calibration: CalibrationData) -> ContactEstimate:
     """Map a (filtered) ADC value in counts to the contact-point ratio (see `_estimator`).
 
@@ -216,19 +232,19 @@ def estimate_p(v: float, calibration: CalibrationData) -> ContactEstimate:
     return ContactEstimate(*_estimator(calibration)(v))
 
 
-def detect_touch(estimate: ContactEstimate, threshold_p: float = 90.0) -> bool:
-    """True when the ratio has dropped below the touch threshold."""
+def detect_touch(estimate: tuple[float, Regime], threshold_p: float = 90.0) -> bool:
+    """True when the ratio of a ``(p, regime)`` pair, such as a `ContactEstimate`, is below the touch threshold."""
     if not 0.0 < threshold_p < 100.0:
         raise ValueError(f"threshold_p must be in (0, 100), got {threshold_p}")
-    return estimate.p < threshold_p
+    return estimate[0] < threshold_p
 
 
 def position_reached(
-    estimates: Sequence[ContactEstimate],
+    estimates: Sequence[tuple[float, Regime]],
     threshold_p: float = 50.0,
     window_n: int = 10,
 ) -> bool:
-    """True when the mean ratio over the last ``window_n`` estimates is below threshold.
+    """True when the mean ratio of the last ``window_n`` ``(p, regime)`` pairs is below threshold.
 
     Averaging a window rather than testing single samples keeps the check
     robust against quantization flicker near the threshold.  False until
@@ -242,9 +258,9 @@ def position_reached(
     if len(estimates) < window_n:
         return False
     window = estimates[-window_n:]
-    if any(e.regime is Regime.NONE for e in window):
+    if any(regime is Regime.NONE for _, regime in window):
         return False
-    return math.fsum(e.p for e in window) / window_n < threshold_p
+    return math.fsum(p for p, _ in window) / window_n < threshold_p
 
 
 _CAL_KEYS = ("sensor", "v_max", "v_mid", "v_min")

@@ -3,8 +3,8 @@
 ``sweep_csv_reference`` builds ``sweep.csv`` from the public
 ``simulate_sweep`` and ``estimate_p`` and the ``statistics`` module, one
 ``p`` value per press.  ``replay_reference`` is the frame-by-frame replay loop as it stood before
-``cmd_replay`` accepted frames by lookup: three ``int()`` calls and a
-re-formatted copy of each line.  The nodal solver here shares no code with the series-parallel fold it
+``cmd_replay`` accepted frames by lookup: three ``int()`` calls, a
+re-formatted copy of each line, and the public ``filter_step`` on every frame.  The nodal solver here shares no code with the series-parallel fold it
 checks: it builds the full two-rail ladder as a resistor graph, contracts
 zero-resistance edges, and solves the conductance Laplacian by Gaussian
 elimination over exact rationals.  Floats are exact rationals, so the
@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
-from nerveline import NerveLineSpec, RunConfig, estimate_p, simulate_sweep
+from nerveline import FilterState, NerveLineSpec, RunConfig, estimate_p, filter_step, simulate_sweep
 from nerveline.cli import FRAMES_HEADER, REPLAY_HEADER, SWEEP_HEADER, _calibration_table, _position_grid
-from nerveline.estimation import _estimator, _smooth
+from nerveline.estimation import _estimator
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -165,9 +165,8 @@ def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, st
     Lines are broken only at newlines, as ``cmd_replay`` reads them.
     """
     calibration = _calibration_table(config)
-    a = config.filter_coefficient_a
     sensors = {
-        sensor: [spec.adc_full_scale, _estimator(calibration[sensor]), None, None]
+        sensor: [spec.adc_full_scale, _estimator(calibration[sensor]), None, FilterState(config.filter_coefficient_a)]
         for sensor, spec in config.sensors.items()
     }
     try:
@@ -193,14 +192,13 @@ def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, st
             state = sensors.get(sensor)
             if state is None:
                 raise ValueError(f"line {lineno}: sensor {sensor} is not configured")
-            full_scale, estimate, previous, filtered = state
+            full_scale, estimate, previous, smoother = state
             if not 0 <= counts <= full_scale:
                 raise ValueError(f"line {lineno}: counts {counts} outside 0..{full_scale}")
             if previous is not None and t_ms <= previous:
                 raise ValueError(f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}")
             state[2] = t_ms
-            filtered, _ = _smooth(a, filtered, counts)
-            state[3] = filtered
+            state[3], filtered = filter_step(smoother, counts)
             p, regime = estimate(filtered)
             out_lines.append(f"{head},{filtered!r},{p!r},{regime._value_}\n")
     except ValueError as exc:

@@ -27,6 +27,7 @@ from nerveline import (
     ConfigError,
     FilterState,
     NerveLineSpec,
+    Regime,
     ScenarioError,
     TaskPhase,
     auto_calibration,
@@ -38,7 +39,7 @@ from nerveline import (
     run_scenario,
     smoothing_coefficient,
 )
-from nerveline.cli import _build_parser, _calibration_table, _mean_pvariance, _write_lines, main
+from nerveline.cli import _build_parser, _calibration_table, _mean_pvariance, _trace_lines, _write_lines, main
 from nerveline.config import _load_yaml_mapping
 from oracles import replay_reference, sweep_csv_reference
 
@@ -1072,6 +1073,38 @@ class TestCliRun:
         assert main(argv + ["--out", str(out)] + skin) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.RUN_TRACE_SHA256[config_name, scenario]
+
+class TestTraceLines:
+    """_trace_lines formats a sensor's text once while its raw and filtered values repeat, in whatever float objects."""
+
+    def test_held_text_formatted_once_from_copies(self):
+        reprs = []
+
+        class CountedFloat(float):
+            def __repr__(self):
+                reprs.append(float(self))
+                return float.__repr__(self)
+
+        # sensor 0 leaves its filtered value in place at a new raw count on the third tick
+        samples = [
+            [(0, 612, 600.25, 88.5, Regime.FINGERTIP), (1, 93, 93.0, 0.0, Regime.BODY)],
+            [(0, 612, 600.25, 88.5, Regime.FINGERTIP), (1, 93, 93.0, 0.0, Regime.BODY)],
+            [(0, 613, 600.25, 88.5, Regime.FINGERTIP), (1, 93, 93.0, 0.0, Regime.BODY)],
+            [(0, 613, 600.25, 88.5, Regime.FINGERTIP), (1, 93, 93.0, 0.0, Regime.BODY)],
+        ]
+        rows = [
+            (tick * 10, TaskPhase.LIFT, sensor, raw, CountedFloat(filtered), CountedFloat(p), regime)
+            for tick, tick_samples in enumerate(samples)
+            for sensor, raw, filtered, p, regime in tick_samples
+        ]
+        expected = "".join(
+            f"{tick * 10},Lift,{sensor},{raw},{filtered!r},{p!r},{regime.value}\n"
+            for tick, tick_samples in enumerate(samples)
+            for sensor, raw, filtered, p, regime in tick_samples
+        )
+        assert "".join(_trace_lines(rows)) == expected
+        assert reprs == [600.25, 88.5, 93.0, 0.0, 600.25, 88.5]
+
 
 class TestCliOneProcess:
     # sweep writes the frame log that replay reads; the third call is a usage error

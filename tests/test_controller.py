@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nerveline.controller
+import nerveline.estimation
 from nerveline import (
     ActuatorSpec,
     Command,
@@ -771,14 +772,14 @@ MULTI_CONTACT = Scenario(
 
 
 class TestEstimatorCalls:
-    """run_scenario estimates a sample once: a sample its sensor's filter stands still at repeats its row."""
+    """run_scenario estimates a sample once: a sample that leaves its sensor's filter where it was repeats its row."""
 
-    @pytest.mark.parametrize("name,calls,rows", [("no_scissors", 8, 560), ("scissors_regrasp", 262, 760)])
+    @pytest.mark.parametrize("name,calls,rows", [("no_scissors", 4, 560), ("scissors_regrasp", 257, 760)])
     def test_shipped_config_estimator_calls(self, monkeypatch, name, calls, rows):
         config = load_config(REPO / "configs" / "default.yaml")
         scenario = load_scenario(REPO / "scenarios" / f"{name}.yaml", config)
         estimated = []
-        original = nerveline.controller._estimator
+        original = nerveline.estimation._estimator
 
         def counting(calibration):
             estimate = original(calibration)
@@ -789,10 +790,36 @@ class TestEstimatorCalls:
 
             return counted
 
-        monkeypatch.setattr(nerveline.controller, "_estimator", counting)
+        monkeypatch.setattr(nerveline.estimation, "_estimator", counting)
         result = run_scenario(scenario, config, {i: auto_calibration(spec) for i, spec in config.sensors.items()})
         assert result.outcome == scenario.expected_outcome
         assert (len(estimated), len(result.rows)) == (calls, rows)
+
+
+class TestStepHistories:
+    """run_scenario hands step the (p, regime) pairs of the dwell just ended, one per tick, per watched sensor."""
+
+    @pytest.mark.parametrize("name,dwell_ticks", [("scissors_regrasp", 10), ("scissors_regrasp", 13), ("no_scissors", 10)])
+    def test_one_dwell_of_pairs(self, monkeypatch, name, dwell_ticks):
+        config = load_config(REPO / "configs" / "default.yaml")
+        config = replace(config, controller=replace(config.controller, dwell_ticks=dwell_ticks))
+        scenario = load_scenario(REPO / "scenarios" / f"{name}.yaml", config)
+        handed = []
+        original = nerveline.controller.step
+
+        def recording(state, histories, controller, context):
+            handed.append({i: list(history) for i, history in histories.items()})
+            return original(state, histories, controller, context)
+
+        monkeypatch.setattr(nerveline.controller, "step", recording)
+        result = run_scenario(scenario, config, {i: auto_calibration(spec) for i, spec in config.sensors.items()})
+        watched = {config.controller.watched_sensor_grasp, config.controller.watched_sensor_regrasp}
+        assert len(handed) * dwell_ticks == result.ticks
+        for decision, histories in enumerate(handed):
+            assert set(histories) == watched
+            for i, pairs in histories.items():
+                dwell = [row for row in result.rows if row[2] == i][decision * dwell_ticks : (decision + 1) * dwell_ticks]
+                assert pairs == [(p, regime) for *_, p, regime in dwell]
 
 
 class TestPhaseCountCalls:

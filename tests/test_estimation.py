@@ -23,7 +23,7 @@ from nerveline import (
     smoothing_coefficient,
     write_calibration,
 )
-from nerveline.estimation import BODY_SPLIT_P, _estimator
+from nerveline.estimation import BODY_SPLIT_P, _channel, _estimator
 
 CAL = CalibrationData(v_max=1023, v_mid=236, v_min=93)
 
@@ -82,6 +82,39 @@ class TestFilter:
     def test_state_validation(self):
         with pytest.raises(ValueError, match="coefficient_a"):
             FilterState(coefficient_a=1.0)
+
+
+class TestChannel:
+    """_channel gives the values of filter_step and estimate_p, and its last tuple again exactly when the filter stands still."""
+
+    @given(
+        st.one_of(
+            st.sampled_from([0.0, COEFFICIENT_A, 0.99, math.nextafter(1.0, 0.0)]),
+            st.floats(0.0, 1.0, exclude_max=True),
+        ),
+        # (count, samples) runs; a run of about 130 samples or more brings the default filter to a standstill
+        st.lists(st.tuples(st.integers(0, 1100), st.integers(1, 300)), min_size=1, max_size=6),
+    )
+    @example(COEFFICIENT_A, [(93, 2), (1023, 300), (1022, 3), (1023, 2)])
+    @example(0.0, [(612, 3), (93, 1), (612, 2)])
+    @settings(max_examples=100, deadline=None)
+    def test_matches_filter_step_and_estimate_p(self, a, runs):
+        channel = _channel(a, CAL)
+        state = FilterState(coefficient_a=a)
+        before = None
+        for count, samples in runs:
+            for _ in range(samples):
+                standing = state.last
+                state, filtered = filter_step(state, count)
+                expected = estimate_p(filtered, CAL)
+                sample = channel(count)
+                assert [repr(sample[0]), repr(sample[1]), sample[2]] == [
+                    repr(filtered),
+                    repr(expected.p),
+                    expected.regime,
+                ]
+                assert (sample is before) == (filtered == standing)
+                before = sample
 
 
 class TestCalibrate:
