@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import random
-import stat
 import sys
 from collections import Counter
 from dataclasses import replace
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable
 
 from .config import RunConfig, load_config, load_scenario
@@ -27,46 +25,17 @@ from .estimation import (
     _channel,
     _estimator,
     _read_lines,
+    _write_lines,
     auto_calibration,
     read_calibration,
     write_calibration,
 )
 from .line import NerveLineSpec, _in_press_order, _sweep_presses
 
-TRACE_HEADER = ("t_ms", "phase", "sensor", "raw", "filtered", "p", "regime")
-SWEEP_HEADER = ("position_mm", "mean_p_spiked", "var_p_spiked", "mean_p_smooth", "var_p_smooth")
-FRAMES_HEADER = ("t_ms", "sensor", "counts")
-REPLAY_HEADER = ("t_ms", "sensor", "raw", "filtered", "p", "regime")
-
-
-def _write_lines(path: str, header: tuple[str, ...], lines: Iterable[str]) -> None:
-    """Write ``header`` as a CSV row, then ``lines``, each already ending in a newline.
-
-    A regular file is overwritten in place and then cut to the bytes written,
-    also when a write fails part-way; cutting it to zero on open frees blocks
-    that the write allocates again.  Devices and pipes are only written.  The
-    file that stdout goes to (``--out /dev/stdout > file``) is written at
-    stdout's offset, so that what the command prints next follows the rows.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    status = os.fstat(fd)
-    regular = stat.S_ISREG(status.st_mode)
-    try:
-        to_stdout = regular and os.path.samestat(status, os.fstat(sys.stdout.fileno()))
-    except (OSError, ValueError):  # stdout is closed, or has no descriptor (captured in process)
-        to_stdout = False
-    if to_stdout:
-        os.close(fd)
-        sys.stdout.flush()
-        fd, regular = os.dup(sys.stdout.fileno()), False
-    with open(fd, "w", newline="", encoding="ascii") as handle:
-        try:
-            handle.write(",".join(header) + "\n")
-            handle.writelines(lines)
-            handle.flush()  # so a successful write is cut at its end, never to zero
-        finally:
-            if regular:
-                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+TRACE_HEADER = "t_ms,phase,sensor,raw,filtered,p,regime"
+SWEEP_HEADER = "position_mm,mean_p_spiked,var_p_spiked,mean_p_smooth,var_p_smooth"
+FRAMES_HEADER = "t_ms,sensor,counts"
+REPLAY_HEADER = "t_ms,sensor,raw,filtered,p,regime"
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -141,7 +110,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
 
     estimate = _estimator(calibration)
-    lines = []
+    lines = [SWEEP_HEADER + "\n"]
     for position, *rows in zip(positions, *runs):
         line = f"{float(position)!r}"
         for samples, codes in rows:
@@ -153,11 +122,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             mean, variance = _mean_pvariance(p_tally, args.repeats)
             line += f",{mean!r},{variance!r}"
         lines.append(line + "\n")
-    _write_lines(args.out, SWEEP_HEADER, lines)
+    _write_lines(args.out, lines)
     if args.frames_out is not None:
         spiked = _in_press_order(runs[0])
         frames = (f"{t_ms},{args.sensor},{counts}\n" for t_ms, (_, counts) in enumerate(spiked))
-        _write_lines(args.frames_out, FRAMES_HEADER, frames)
+        _write_lines(args.frames_out, chain([FRAMES_HEADER + "\n"], frames))
 
     print(f"wrote {args.out} rows={len(positions)} repeats={args.repeats} seed={config.seed}")
     return 0
@@ -190,7 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_scenario(scenario, config, _calibration_table(config))
 
     out = args.out if args.out is not None else f"{scenario.name}_trace.csv"
-    _write_lines(out, TRACE_HEADER, _trace_lines(result.rows))
+    _write_lines(out, chain([TRACE_HEADER + "\n"], _trace_lines(result.rows)))
 
     print(f"outcome={result.outcome} steps={result.ticks}")
     if result.outcome != scenario.expected_outcome:
@@ -235,8 +204,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         lines = _read_lines(args.log)
         if not lines:
             raise ValueError("line 1: empty log")
-        if tuple(lines[0].split(",")) != FRAMES_HEADER:
-            raise ValueError(f"line 1: expected header {','.join(FRAMES_HEADER)!r}, got {lines[0]!r}")
+        if lines[0] != FRAMES_HEADER:
+            raise ValueError(f"line 1: expected header {FRAMES_HEADER!r}, got {lines[0]!r}")
         out_lines = []
         for lineno, line in enumerate(islice(lines, 1, None), start=2):
             # a line passes only as the text of three plain decimal integers, so it
@@ -267,7 +236,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.log}: {exc}") from None
 
     # opened only once the whole log is accepted, so a bad line leaves --out as it was
-    _write_lines(args.out, REPLAY_HEADER, out_lines)
+    _write_lines(args.out, chain([REPLAY_HEADER + "\n"], out_lines))
     print(f"wrote {args.out} frames={len(out_lines)}")
     return 0
 

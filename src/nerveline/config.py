@@ -19,8 +19,6 @@ import re
 from pathlib import Path
 from typing import AbstractSet, Any
 
-import yaml
-
 from .bounds import field_problems, number_problem, table
 from .controller import (
     SENSOR_COUNT,
@@ -119,6 +117,8 @@ def _parse_yaml(text: str) -> Any:
                 return value
         except Exception:  # outside the subset: the pure loader's result or error is the one reported
             pass
+    import yaml  # here alone, so a process that reads only plain block YAML never loads it
+
     return yaml.safe_load(text)
 
 

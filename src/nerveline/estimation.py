@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import random
+import stat
+import sys
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bounds import is_finite_number
 from .errors import CalibrationError
@@ -268,14 +272,8 @@ _CAL_KEYS = ("sensor", "v_max", "v_mid", "v_min")
 
 def write_calibration(path: str | Path, table: Mapping[int, CalibrationData]) -> None:
     """Write calibration triplets as flat key=value lines, one group per sensor."""
-    lines: list[str] = []
-    for sensor in sorted(table):
-        data = table[sensor]
-        lines.append(f"sensor={sensor}")
-        lines.append(f"v_max={data.v_max}")
-        lines.append(f"v_mid={data.v_mid}")
-        lines.append(f"v_min={data.v_min}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    groups = (f"sensor={i}\nv_max={c.v_max}\nv_mid={c.v_mid}\nv_min={c.v_min}\n" for i, c in sorted(table.items()))
+    _write_lines(path, groups)
 
 
 def _parse_int(raw: str, lineno: int) -> int:
@@ -306,6 +304,43 @@ def _read_lines(path: str | Path) -> list[str]:
     if not lines[-1]:  # a final newline ends the last line and opens none
         lines.pop()
     return lines
+
+
+def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ending in a newline, to ``path`` as ASCII, 4,096 lines to an ``os.write``.
+
+    A regular file is overwritten in place and cut to the bytes written, also when a write or ``lines`` fails
+    part-way, once what ``lines`` gave is written; cutting it to zero on open frees blocks that the write allocates
+    again.  Devices and pipes are only written.  The file stdout goes to (``--out /dev/stdout > file``) is written
+    at stdout's offset, so that what the command prints next follows the lines.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    status = os.fstat(fd)
+    regular = stat.S_ISREG(status.st_mode)
+    try:
+        to_stdout = regular and os.path.samestat(status, os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # stdout is closed, or has no descriptor (captured in process)
+        to_stdout = False
+    if to_stdout:
+        os.close(fd)
+        sys.stdout.flush()
+        fd, regular = os.dup(sys.stdout.fileno()), False
+    lines = iter(lines)  # islice of a list would start it again
+    try:
+        while True:
+            chunk: list[str] = []
+            try:
+                chunk.extend(islice(lines, 4096))  # a frame log of any length in bounded memory
+            finally:
+                data = memoryview("".join(chunk).encode("ascii"))
+                while data:  # a pipe may take fewer bytes than it is given
+                    data = data[os.write(fd, data):]
+            if not chunk:
+                break
+    finally:
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        os.close(fd)
 
 
 def read_calibration(path: str | Path) -> dict[int, CalibrationData]:

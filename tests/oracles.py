@@ -175,8 +175,8 @@ def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, st
             lines.pop()
         if not lines:
             raise ValueError("line 1: empty log")
-        if tuple(lines[0].split(",")) != FRAMES_HEADER:
-            raise ValueError(f"line 1: expected header {','.join(FRAMES_HEADER)!r}, got {lines[0]!r}")
+        if lines[0] != FRAMES_HEADER:
+            raise ValueError(f"line 1: expected header {FRAMES_HEADER!r}, got {lines[0]!r}")
         out_lines = []
         for lineno, line in enumerate(islice(lines, 1, None), start=2):
             parts = line.split(",")
@@ -203,7 +203,7 @@ def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, st
             out_lines.append(f"{head},{filtered!r},{p!r},{regime._value_}\n")
     except ValueError as exc:
         return None, str(exc)
-    return ",".join(REPLAY_HEADER) + "\n" + "".join(out_lines), None
+    return REPLAY_HEADER + "\n" + "".join(out_lines), None
 
 
 def sweep_csv_reference(config: RunConfig, sensor: int, jitter_mm: float, repeats: int) -> str:
@@ -222,4 +222,4 @@ def sweep_csv_reference(config: RunConfig, sensor: int, jitter_mm: float, repeat
             column.append(f"{statistics.fmean(p_values)!r},{statistics.pvariance(p_values)!r}")
         columns.append(column)
     rows = (f"{float(position)!r},{spiked},{smooth}\n" for position, spiked, smooth in zip(positions, *columns))
-    return ",".join(SWEEP_HEADER) + "\n" + "".join(rows)
+    return SWEEP_HEADER + "\n" + "".join(rows)

@@ -13,6 +13,7 @@ import threading
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -39,8 +40,9 @@ from nerveline import (
     run_scenario,
     smoothing_coefficient,
 )
-from nerveline.cli import _build_parser, _calibration_table, _mean_pvariance, _trace_lines, _write_lines, main
+from nerveline.cli import _build_parser, _calibration_table, _mean_pvariance, _trace_lines, main
 from nerveline.config import _load_yaml_mapping
+from nerveline.estimation import _write_lines
 from oracles import replay_reference, sweep_csv_reference
 
 REPO = Path(__file__).resolve().parent.parent
@@ -1179,6 +1181,26 @@ class TestCliEntryPoint:
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
+    def test_shipped_files_leave_out_yaml(self):
+        """Importing the CLI and loading the shipped config and scenarios loads no ``yaml``: they are plain block YAML."""
+        probe = textwrap.dedent(
+            """\
+            import sys
+            from nerveline.cli import load_config, load_scenario
+            config = load_config(sys.argv[1])
+            for path in sys.argv[2:]:
+                load_scenario(path, config)
+            print(len(sys.argv) - 2, "yaml" in sys.modules)
+            """
+        )
+        scenarios = sorted(str(path) for path in SCENARIOS.glob("*.yaml"))
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(DEFAULT_CONFIG), *scenarios],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, f"{len(scenarios)} False\n"), done.stderr
+
 
 class TestCliAcrossHashSeeds:
     """The same argv gives the same bytes under different string hash seeds.
@@ -1228,17 +1250,18 @@ class TestCliAcrossHashSeeds:
 
 
 class TestCliOutputFile:
-    """Every CSV output is overwritten in place and cut to the bytes written."""
+    """Every output file is overwritten in place and cut to the bytes written."""
 
     SWEEP = ["sweep", "--config", str(DEFAULT_CONFIG), "--repeats", "3", "--out"]
+    CALIBRATE = ["calibrate", "--config", str(DEFAULT_CONFIG), "--out"]
 
-    def sweep_bytes(self, tmp_path):
+    def fresh_bytes(self, tmp_path, argv=SWEEP):
         fresh = tmp_path / "fresh.csv"
-        assert main(self.SWEEP + [str(fresh)]) == 0
+        assert main(argv + [str(fresh)]) == 0
         return fresh.read_bytes()
 
     def test_short_output_over_longer_file_keeps_its_mode(self, tmp_path):
-        expected = self.sweep_bytes(tmp_path)
+        expected = self.fresh_bytes(tmp_path)
         out = tmp_path / "sweep.csv"
         out.write_bytes(b"x" * 100_000)
         out.chmod(0o600)
@@ -1247,7 +1270,7 @@ class TestCliOutputFile:
         assert out.stat().st_mode & 0o777 == 0o600
 
     def test_writes_through_symlink(self, tmp_path):
-        expected = self.sweep_bytes(tmp_path)
+        expected = self.fresh_bytes(tmp_path)
         target = tmp_path / "target.csv"
         target.write_bytes(b"x" * 100_000)
         link = tmp_path / "link.csv"
@@ -1260,7 +1283,7 @@ class TestCliOutputFile:
         assert main(self.SWEEP + [os.devnull]) == 0
 
     def test_fifo(self, tmp_path):
-        expected = self.sweep_bytes(tmp_path)
+        expected = self.fresh_bytes(tmp_path)
         fifo = tmp_path / "out.fifo"
         os.mkfifo(fifo)
         received = []
@@ -1271,32 +1294,45 @@ class TestCliOutputFile:
         assert not reader.is_alive()
         assert received == [expected]
 
-    @pytest.mark.parametrize("width", [10, 20_000], ids=["buffered", "past_buffer"])
-    def test_failed_write_leaves_only_what_was_written(self, tmp_path, width):
+    @pytest.mark.parametrize(
+        "width,count", [(10, 1), (20_000, 1), (1, 5_000)], ids=["buffered", "past_buffer", "past_chunk"]
+    )
+    def test_failed_write_leaves_only_what_was_written(self, tmp_path, width, count):
+        """Every line the source gave before it failed is written, also past the first 4,096-line chunk."""
+
         def lines():
-            yield "1" * width + "\n"
+            yield from ["1" * width + "\n"] * count
             raise OSError("disk gone")
 
         out = tmp_path / "out.csv"
         out.write_bytes(b"x" * 100_000)
         with pytest.raises(OSError, match="disk gone"):
-            _write_lines(str(out), ("a", "b"), lines())
-        assert out.read_text() == "a,b\n" + "1" * width + "\n"
+            _write_lines(str(out), chain(["a,b\n"], lines()))
+        assert out.read_text() == "a,b\n" + ("1" * width + "\n") * count
 
-    @pytest.mark.parametrize("mode,before", [("wb", b""), ("ab", b"kept\n")], ids=["truncated", "appended"])
-    def test_stdout_redirected_to_a_file(self, tmp_path, mode, before):
-        """``--out /dev/stdout > file`` keeps the rows and then the ``wrote`` line; ``>>`` keeps what was there."""
-        expected = self.sweep_bytes(tmp_path)
+    @pytest.mark.parametrize(
+        "argv,mode,before,wrote",
+        [
+            (SWEEP, "wb", b"", b"wrote /dev/stdout rows=17 repeats=3 seed=12345\n"),
+            (SWEEP, "ab", b"kept\n", b"wrote /dev/stdout rows=17 repeats=3 seed=12345\n"),
+            (CALIBRATE, "wb", b"", b"wrote /dev/stdout sensors=4\n"),
+            (CALIBRATE, "ab", b"kept\n", b"wrote /dev/stdout sensors=4\n"),
+        ],
+        ids=["truncated", "appended", "calibrate_truncated", "calibrate_appended"],
+    )
+    def test_stdout_redirected_to_a_file(self, tmp_path, argv, mode, before, wrote):
+        """``--out /dev/stdout > file`` keeps the output and then the ``wrote`` line; ``>>`` keeps what was there."""
+        expected = self.fresh_bytes(tmp_path, argv)
         out = tmp_path / "stdout.txt"
         out.write_bytes(b"x" * 100_000 if mode == "wb" else before)
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         with open(out, mode) as stdout:
             done = subprocess.run(
-                [sys.executable, "-m", "nerveline.cli", *self.SWEEP, "/dev/stdout"],
+                [sys.executable, "-m", "nerveline.cli", *argv, "/dev/stdout"],
                 stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
             )
         assert (done.returncode, done.stderr) == (0, b"")
-        assert out.read_bytes() == before + expected + b"wrote /dev/stdout rows=17 repeats=3 seed=12345\n"
+        assert out.read_bytes() == before + expected + wrote
 
     def test_directory_exits_two(self, tmp_path, capsys):
         assert main(self.SWEEP + [str(tmp_path)]) == 2
