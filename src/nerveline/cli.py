@@ -12,10 +12,9 @@ import argparse
 import functools
 import random
 import sys
-from collections import Counter
 from dataclasses import replace
 from itertools import chain, islice
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 from .config import RunConfig, load_config, load_scenario
 from .controller import SENSOR_COUNT, TraceRow, run_scenario
@@ -30,12 +29,17 @@ from .estimation import (
     read_calibration,
     write_calibration,
 )
-from .line import NerveLineSpec, _in_press_order, _sweep_presses
+from .line import NerveLineSpec, _sweep_presses
 
 TRACE_HEADER = "t_ms,phase,sensor,raw,filtered,p,regime"
 SWEEP_HEADER = "position_mm,mean_p_spiked,var_p_spiked,mean_p_smooth,var_p_smooth"
 FRAMES_HEADER = "t_ms,sensor,counts"
 REPLAY_HEADER = "t_ms,sensor,raw,filtered,p,regime"
+
+# the most presses per position that `sweep --repeats` accepts
+MAX_REPEATS = 1_000_000
+
+K = TypeVar("K")
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -71,18 +75,24 @@ def _position_grid(length_mm: float, pitch_mm: float) -> list[float]:
     return positions
 
 
-def _mean_pvariance(tally: Iterable[tuple[float, int]], n: int) -> tuple[float, float]:
-    """`statistics.fmean` and `pvariance` of n values given as (value, times) pairs, to the same bits."""
-    den = 1  # every float's denominator is a power of two, so the largest one is a common one
-    total = squares = 0  # of the values times den
-    for p, k in tally:
-        num, d = p.as_integer_ratio()
-        if d > den:
-            scale, den = d // den, d
-            total *= scale
-            squares *= scale * scale
-        else:
-            num *= den // d
+def _common_ratios(values: dict[K, float]) -> tuple[dict[K, int], int]:
+    """Each value as a numerator over one denominator shared by all, the largest of theirs, and that denominator.
+
+    Every float's denominator is a power of two, so the largest one is a common one.
+    """
+    ratios = {key: value.as_integer_ratio() for key, value in values.items()}
+    den = max((d for _, d in ratios.values()), default=1)
+    return {key: num * (den // d) for key, (num, d) in ratios.items()}, den
+
+
+def _mean_pvariance(tally: Iterable[tuple[K, int]], nums: dict[K, int], den: int, n: int) -> tuple[float, float]:
+    """`statistics.fmean` and `pvariance` of n values given as (key, times) pairs, to the same bits.
+
+    Key ``key`` stands for the value ``nums[key] / den``, as `_common_ratios` gives them.
+    """
+    total = squares = 0
+    for key, k in tally:
+        num = nums[key]
         total += num * k
         squares += num * num * k
     return total / den / n, (squares * n - total * total) / (den * den * n * n)
@@ -92,11 +102,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if args.sensor not in config.sensors:
         raise ConfigError(f"--sensor: sensor {args.sensor} is not configured")
+    if args.repeats > MAX_REPEATS:  # checked before anything is drawn
+        raise ValueError(f"--repeats: at most {MAX_REPEATS} presses per position, got {args.repeats}")
     spec = config.sensors[args.sensor]
     calibration = _calibration_table(config)[args.sensor]
     positions = _position_grid(spec.effective_length_mm, spec.spike_pitch_mm)
 
-    runs = [  # spiked skin, then smooth
+    in_order = args.frames_out is not None
+    runs = [  # spiked skin, then smooth; only the frame log needs the spiked presses in order
         _sweep_presses(
             spec,
             positions,
@@ -105,26 +118,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             random.Random(config.seed),
             config.noise_sd_counts,
             quantize,
+            in_order and quantize,
         )
         for quantize in (True, False)
     ]
 
     estimate = _estimator(calibration)
+    read = {counts for run in runs for tally, _ in run for counts, _ in tally}
+    p_nums, p_den = _common_ratios({counts: estimate(counts)[0] for counts in read})  # p once per distinct count
     lines = [SWEEP_HEADER + "\n"]
     for position, *rows in zip(positions, *runs):
         line = f"{float(position)!r}"
-        for samples, codes in rows:
-            if codes is None:
-                tally = Counter(samples).items()  # (touched_mm, counts) -> presses
-            else:
-                tally = [(sample, codes.count(code)) for code, sample in enumerate(samples)]
-            p_tally = [(estimate(counts)[0], k) for (_, counts), k in tally if k]
-            mean, variance = _mean_pvariance(p_tally, args.repeats)
+        for tally, _ in rows:
+            mean, variance = _mean_pvariance(tally, p_nums, p_den, args.repeats)
             line += f",{mean!r},{variance!r}"
         lines.append(line + "\n")
     _write_lines(args.out, lines)
-    if args.frames_out is not None:
-        spiked = _in_press_order(runs[0])
+    if in_order:
+        spiked = chain.from_iterable(samples for _, samples in runs[0])
         frames = (f"{t_ms},{args.sensor},{counts}\n" for t_ms, (_, counts) in enumerate(spiked))
         _write_lines(args.frames_out, chain([FRAMES_HEADER + "\n"], frames))
 

@@ -21,8 +21,9 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable
 
 from .bounds import bounded, record
 
@@ -186,34 +187,65 @@ def solve_line_resistance(
     """
     if not isinstance(contacts, ContactSet):
         contacts = ContactSet(tuple(contacts), quantize_to_spikes=False)
-    num, den = _fold(spec, resolve_contacts(spec, contacts))
+    num, den = _fold(_ratios(spec), resolve_contacts(spec, contacts))
     try:
         return num / den  # int / int is correctly rounded
     except (ZeroDivisionError, OverflowError):  # open, or beyond the float range
         return OPEN
 
 
-def _fold(spec: NerveLineSpec, points: tuple[ContactPoint, ...] | list[ContactPoint]) -> tuple[int, int]:
+def _ratios(spec: NerveLineSpec) -> tuple[int, int, int, int, int, int, int]:
+    """The constants a count is folded from, as exact integer ratios.
+
+    ``(rho_num, rho_den, lead_num, lead_den, pullup_num, pullup_den,
+    full_scale)``: both rails' ohms per mm, the lead offset and the pull-up.
+    """
+    flat_num, flat_den = spec.flat_rail_ohm_per_mm.as_integer_ratio()
+    string_num, string_den = spec.string_rail_ohm_per_mm.as_integer_ratio()
+    lead_num, lead_den = spec.lead_offset_ohm.as_integer_ratio()
+    pullup_num, pullup_den = spec.pullup_ohm.as_integer_ratio()
+    rho_num, rho_den = flat_num * string_den + string_num * flat_den, flat_den * string_den
+    return rho_num, rho_den, lead_num, lead_den, pullup_num, pullup_den, spec.adc_full_scale
+
+
+def _fold(ratios: tuple[int, ...], points: tuple[ContactPoint, ...] | list[ContactPoint]) -> tuple[int, int]:
     """Exact resistance of resolved points (merged, sorted base to tip) as ``(numerator, denominator)``.
 
     Every float is a binary fraction, so the ladder folds in integers from
     the most distal contact back to the base connector and rounds nowhere.
-    The pair is not reduced, and an open line has denominator 0.
+    ``ratios`` are the line's, from `_ratios`.  The pair is not reduced, and
+    an open line has denominator 0.
     """
-    flat_num, flat_den = spec.flat_rail_ohm_per_mm.as_integer_ratio()
-    string_num, string_den = spec.string_rail_ohm_per_mm.as_integer_ratio()
-    rho_num, rho_den = flat_num * string_den + string_num * flat_den, flat_den * string_den
+    rho_num, rho_den = ratios[0], ratios[1]
     num, den = 1, 0  # open beyond the most distal contact
     for k in reversed(range(len(points))):
         bridge_num, bridge_den = points[k].bridge_ohm.as_integer_ratio()
         num, den = bridge_num * num, bridge_num * den + num * bridge_den  # in parallel with this bridge
-        x_num, x_den = points[k].position_mm.as_integer_ratio()
-        near_num, near_den = points[k - 1].position_mm.as_integer_ratio() if k else (0, 1)
-        span_num, span_den = x_num * near_den - near_num * x_den, x_den * near_den
-        # in series with both rails back to the next contact nearer the base, or to the base
-        num, den = num * rho_den * span_den + rho_num * span_num * den, den * rho_den * span_den
-    lead_num, lead_den = spec.lead_offset_ohm.as_integer_ratio()
-    return lead_num * den + num * lead_den, lead_den * den
+        if k:  # in series with both rails back to the next contact nearer the base
+            x_num, x_den = points[k].position_mm.as_integer_ratio()
+            near_num, near_den = points[k - 1].position_mm.as_integer_ratio()
+            span_num, span_den = x_num * near_den - near_num * x_den, x_den * near_den
+            num, den = num * rho_den * span_den + rho_num * span_num * den, den * rho_den * span_den
+    return _from_base(ratios, points[0].position_mm if points else 0.0, num, den)
+
+
+def _from_base(ratios: tuple[int, ...], position_mm: float, num: int, den: int) -> tuple[int, int]:
+    """A network of ``num / den`` ohms at ``position_mm`` as seen from the base connector, unreduced.
+
+    It is in series with both rails back to the base and with the lead, so
+    R = lead + rho * x + num / den; a single firm press is ``num, den = 0, 1``.
+    """
+    rho_num, rho_den, lead_num, lead_den, _, _, _ = ratios
+    x_num, x_den = position_mm.as_integer_ratio()
+    near_den = lead_den * rho_den * x_den
+    near_num = lead_num * rho_den * x_den + rho_num * x_num * lead_den  # lead + rho * x
+    return near_num * den + num * near_den, near_den * den
+
+
+def _divided(ratios: tuple[int, ...], num: int, den: int) -> int:
+    """The noise-free count of a line of ``num / den`` ohms: ``floor(full_scale * R / (R + pullup))``."""
+    _, _, _, _, pullup_num, pullup_den, full_scale = ratios
+    return full_scale * num * pullup_den // (num * pullup_den + pullup_num * den)
 
 
 def divider_voltage(spec: NerveLineSpec, line_ohm: float) -> float:
@@ -324,9 +356,8 @@ def _count(
     for point in points:  # a firm touch on the tip bridges the rails, unless a quality overrides it
         light = fingertip_quality is not None or point.bridge_ohm > 0
         (tip_touches if light and point.position_mm > spec.body_limit_mm else network).append(point)
-    num, den = _fold(spec, network)
-    pullup_num, pullup_den = spec.pullup_ohm.as_integer_ratio()
-    count = spec.adc_full_scale * num * pullup_den // (num * pullup_den + pullup_num * den)
+    ratios = _ratios(spec)
+    count = _divided(ratios, *_fold(ratios, network))
     if tip_touches:
         if fingertip_quality is None:
             fingertip_quality = max(bridge_quality(spec, p.bridge_ohm) for p in tip_touches)
@@ -336,21 +367,30 @@ def _count(
     return count
 
 
-# a byte's top bit, as the byte 0 or 1
-_TOP_BIT = bytes(byte >> 7 for byte in range(256))
+_Sample = tuple[float, int]  # a press as (touched_mm, counts)
+
+# presses per getrandbits call and per tally update, so a sweep's memory does not grow with its repeats
+_CHUNK = 1 << 14
+
+# bit 7 of each byte of a chunk's coins, as `_coins` picks them
+_TOP_BITS = int.from_bytes(b"\x80" * _CHUNK, "little")
 
 
-def _coins(rng: random.Random, n: int) -> bytes:
-    """``n`` coins as bytes of 0 or 1, drawn as ``n`` calls of ``rng.random() >= 0.5`` would be.
+def _coins(raw: bytes, first: int, every: int) -> int:
+    """Coins ``first``, ``first + every``, ... of ``raw``, the little-endian bytes of a ``getrandbits`` draw.
 
     Only for an exact ``random.Random``, whose methods are CPython's own.
     There ``random()`` takes two 32-bit words and is ``>= 0.5`` exactly
     when the first word's top bit is set, and ``getrandbits`` fills its
-    result from the least significant word up.  So coin i is the top bit
-    of byte ``8i + 3`` of ``64n`` bits, and the generator ends where ``n``
-    calls of ``random()`` would leave it.
+    result from the least significant word up.  So coin i, what the i-th
+    call of ``rng.random() >= 0.5`` would give, is bit ``64i + 31`` of
+    ``rng.getrandbits(64 * n)``: the top bit of byte ``8i + 3``.  The
+    generator ends where the ``n`` calls would leave it, and consecutive
+    draws concatenate, so coins may be drawn in chunks.  The j-th coin
+    picked is bit ``8j + 7`` of the result, and there are at most
+    `_CHUNK` of them.
     """
-    return rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8].translate(_TOP_BIT)
+    return int.from_bytes(raw[8 * first + 3 :: 8 * every], "little") & _TOP_BITS
 
 
 def _sweep_presses(
@@ -361,15 +401,21 @@ def _sweep_presses(
     rng: random.Random | None,
     noise_sd_counts: float,
     quantize_to_spikes: bool,
-) -> list[tuple[list[tuple[float, int]], bytes | None]]:
-    """The presses of `simulate_sweep`, per position, as ``(samples, codes)``.
+    in_order: bool = False,
+) -> list[tuple[Iterable[tuple[int, int]], Iterable[_Sample] | None]]:
+    """The presses of `simulate_sweep`, per position, as ``(tally, samples)``.
 
-    Noise-free, press i reads ``samples[codes[i]]``: a table of at most
-    four samples indexed by ``2 * jitter coin + tie coin``.  With noise,
-    ``codes`` is None and press i reads ``samples[i]``.  A position whose
-    presses all draw the same number of coins from an exact
-    ``random.Random`` draws them at once with `_coins`; any other position
-    draws press by press.  Either way the generator ends in the same state.
+    ``tally`` pairs ADC counts with how many presses read them; a count may
+    occur in more than one pair.  ``samples`` are the presses in order when
+    ``in_order``, else None.  Noise-free, each press reads one of at most
+    four tabled samples, indexed by ``2 * jitter coin + tie coin``.  A
+    position whose presses all draw the same number of coins from an exact
+    ``random.Random`` draws them in chunks of `_CHUNK` presses with one
+    ``getrandbits`` call each, and counts each tabled sample's presses by
+    popcount; any other position draws press by press.  Either way the
+    generator ends in the same state, and a tally is kept per chunk, so
+    without ``in_order`` the memory a position takes does not grow with
+    ``repeats``.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -379,62 +425,88 @@ def _sweep_presses(
         raise ValueError("jitter_mm > 0 requires an rng")
     length, pitch, full_scale = spec.effective_length_mm, spec.spike_pitch_mm, spec.adc_full_scale
     jittered, noisy = jitter_mm > 0, noise_sd_counts > 0
-    bulk = not noisy and type(rng) is random.Random  # a subclass may override random()
+    exact = type(rng) is random.Random  # a subclass may override random()
+    ratios = _ratios(spec)
 
     @functools.cache  # once per pressed position
-    def counts(pressed: float) -> int:
-        return _count(spec, (ContactPoint(pressed),))
+    def pressed_counts(pressed: float) -> int:
+        return _divided(ratios, *_from_base(ratios, pressed, 0, 1))  # one firm press
 
-    presses: list[tuple[list[tuple[float, int]], bytes | None]] = []
+    @functools.cache  # once per touched position: neighbouring positions' presses touch the same midpoints
+    def outcomes(touched: float) -> tuple[_Sample, _Sample, bool]:
+        """A press at ``touched``: its samples on the lower and on the upper spike, and whether a tie coin picks."""
+        if not quantize_to_spikes:
+            sample = touched, pressed_counts(touched)
+            return sample, sample, False
+        k, tie = _spike(spec, touched)
+        if tie and rng is None:
+            raise ValueError("midpoint tie requires an rng to break it")
+        lower = touched, pressed_counts(min(k * pitch, length))
+        return lower, (touched, pressed_counts(min((k + 1) * pitch, length))) if tie else lower, tie
+
+    presses: list[tuple[Iterable[tuple[int, int]], Iterable[_Sample] | None]] = []
     for position in positions:
         if not 0.0 <= position <= length:
             raise ValueError(f"position {position} outside [0, {length}]")
-        offsets = (-jitter_mm, jitter_mm) if jittered else ()
-        touched_at = [min(max(position + offset, 0.0), length) for offset in offsets] or [position]
-        table = []  # per jitter coin, the samples at the lower and at the upper spike
+        touched_at = (max(position - jitter_mm, 0.0), min(position + jitter_mm, length)) if jittered else (position,)
+        table: list[_Sample] = []  # per jitter coin, the samples at the lower and at the upper spike
+        read: list[int] = []  # their counts
         ties = []  # per jitter coin, whether a tie coin follows it
         for touched in touched_at:
-            if quantize_to_spikes:
-                k, tie = _spike(spec, touched)
-                if tie and rng is None:
-                    raise ValueError("midpoint tie requires an rng to break it")
-                lower, upper = min(k * pitch, length), min((k + tie) * pitch, length)
-            else:
-                tie, lower, upper = False, touched, touched
-            table += (touched, counts(lower)), (touched, counts(upper))
+            lower, upper, tie = outcomes(touched)
+            table += lower, upper
+            read += lower[1], upper[1]
             ties.append(tie)
         if noise_sd_counts < 0 or (noisy and rng is None):
             _with_noise(spec, 0, noise_sd_counts, rng)  # raises its own error, as at a press
-        if bulk and ties[0] == ties[-1]:  # every press draws the same number of coins
-            draws = jittered + ties[0]
-            coins = _coins(rng, draws * repeats)
-            jitter_coins, tie_coins = (
-                (coins[::2], coins[1::2]) if draws == 2 else (coins, b"") if jittered else (b"", coins)
-            )
-            code_bits = int.from_bytes(jitter_coins, "little") << 1 | int.from_bytes(tie_coins, "little")
-            presses.append((table, code_bits.to_bytes(repeats, "little")))
+        if noisy:  # press by press, tallying each chunk's counts
+            tally: Counter[int] = Counter()
+            samples: list[_Sample] | None = [] if in_order else None
+            for start in range(0, repeats, _CHUNK):
+                chunk_codes, chunk_read = bytearray(), []
+                for _ in itertools.repeat(None, min(_CHUNK, repeats - start)):  # allocates no int per press
+                    jitter = jittered and rng.random() >= 0.5
+                    code = 2 * jitter + (ties[jitter] and rng.random() >= 0.5)
+                    chunk_codes.append(code)
+                    chunk_read.append(_add_noise(read[code], noise_sd_counts, full_scale, rng))
+                tally.update(chunk_read)
+                if samples is not None:
+                    samples += [(table[code][0], counts) for code, counts in zip(chunk_codes, chunk_read)]
+            presses.append((tally.items(), samples))
             continue
-        codes = bytearray()
-        samples = []
-        for _ in range(repeats):
-            jitter = jittered and rng.random() >= 0.5
-            code = 2 * jitter + (ties[jitter] and rng.random() >= 0.5)
-            if noisy:
-                touched, clean = table[code]
-                samples.append((touched, _add_noise(clean, noise_sd_counts, full_scale, rng)))
-            else:
-                codes.append(code)
-        presses.append((samples, None) if noisy else (table, bytes(codes)))
+        # noise-free, press i reads table[code i]: per chunk, count the presses of each code, and keep the
+        # codes in order only when asked; when every press draws the same number of coins from an exact
+        # random.Random, a chunk's coins are drawn at once and each code is counted by popcount
+        at_once = exact and ties[0] == ties[-1]
+        draws = jittered + ties[0]
+        step = 2 if jittered else 1  # the code a press's first coin adds; a second, its tie coin, adds 1
+        times = [repeats, 0, 0, 0]  # presses per code
+        codes = []
+        for start in range(0, repeats, _CHUNK):
+            n = min(_CHUNK, repeats - start)
+            if at_once:
+                raw = rng.getrandbits(64 * draws * n).to_bytes(8 * draws * n, "little")
+                firsts = _coins(raw, 0, draws) if draws else 0
+                seconds = _coins(raw, 1, 2) if draws == 2 else 0
+                both = (firsts & seconds).bit_count()
+                times[step] += firsts.bit_count() - both
+                times[1] += seconds.bit_count() - both
+                times[3] += both
+                if in_order:  # each press's code in its own byte
+                    codes.append((firsts >> (8 - step) | seconds >> 7).to_bytes(n, "little"))
+                continue
+            chunk_codes = bytearray()
+            for _ in itertools.repeat(None, n):  # allocates no int per press
+                jitter = jittered and rng.random() >= 0.5
+                chunk_codes.append(2 * jitter + (ties[jitter] and rng.random() >= 0.5))
+            for code in 1, 2, 3:
+                times[code] += chunk_codes.count(code)
+            if in_order:
+                codes.append(chunk_codes)
+        times[0] -= sum(times[1:])
+        in_turn = map(table.__getitem__, b"".join(codes)) if in_order else None
+        presses.append((list(zip(read, times)), in_turn))
     return presses
-
-
-def _in_press_order(
-    presses: list[tuple[list[tuple[float, int]], bytes | None]],
-) -> Iterator[tuple[float, int]]:
-    """Every sample of `_sweep_presses`' result, in press order."""
-    return itertools.chain.from_iterable(
-        samples if codes is None else map(samples.__getitem__, codes) for samples, codes in presses
-    )
 
 
 def simulate_sweep(
@@ -457,7 +529,7 @@ def simulate_sweep(
     press then draws jitter coin, tie coin (midpoints only) and noise in
     that order, as `sense` would, and reads the tabled sample.  A
     noise-free position whose presses all draw the same number of coins
-    draws them all at once, leaving ``rng`` as press-by-press draws would.
+    draws them in chunks, leaving ``rng`` as press-by-press draws would.
 
     Args:
         positions: commanded press positions, each within the line.
@@ -472,5 +544,5 @@ def simulate_sweep(
         ``(touched_mm, counts)`` per press, in press order: where the probe
         actually pressed, and the ADC value.  The index is the sample time.
     """
-    presses = _sweep_presses(spec, positions, jitter_mm, repeats, rng, noise_sd_counts, quantize_to_spikes)
-    return list(_in_press_order(presses))
+    presses = _sweep_presses(spec, positions, jitter_mm, repeats, rng, noise_sd_counts, quantize_to_spikes, True)
+    return [sample for _, samples in presses for sample in samples]

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import textwrap
 import threading
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -40,7 +41,7 @@ from nerveline import (
     run_scenario,
     smoothing_coefficient,
 )
-from nerveline.cli import _build_parser, _calibration_table, _mean_pvariance, _trace_lines, main
+from nerveline.cli import _build_parser, _calibration_table, _common_ratios, _mean_pvariance, _trace_lines, main
 from nerveline.config import _load_yaml_mapping
 from nerveline.estimation import _write_lines
 from oracles import replay_reference, sweep_csv_reference
@@ -1379,6 +1380,34 @@ class TestCliSweep:
         assert capsys.readouterr().err.startswith("error: seed: must be a finite number, got 1000")
         assert not out.exists()
 
+    @pytest.mark.parametrize("repeats", ["1000001", "100000000000"])
+    def test_repeats_beyond_ceiling_exits_two(self, tmp_path, capsys, monkeypatch, repeats):
+        def no_sweep(*args):
+            raise AssertionError("a sweep beyond the --repeats ceiling was drawn")
+
+        monkeypatch.setattr(nerveline.cli, "_sweep_presses", no_sweep)
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--config", str(DEFAULT_CONFIG), "--repeats", repeats, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --repeats: at most 1000000 presses per position, got {repeats}\n"
+        assert not out.exists()
+
+    def test_memory_does_not_grow_with_repeats(self, tmp_path, capsys):
+        # noise-free: the spiked skin's 0 and 80 mm draw press by press, the rest in chunks;
+        # tests/test_line.py bounds a noisy sweep, whose presses are slower to draw
+        def peak(repeats):
+            out = str(tmp_path / "s.csv")
+            argv = ["sweep", "--config", str(DEFAULT_CONFIG), "--repeats", str(repeats), "--out", out]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(20_000), peak(200_000)
+        assert abs(large - small) < 1_000_000, (small, large)
+
     # sha256 of sweep.csv and the --frames-out log as produced by sensing
     # every press on its own; the sweep's voltage table must reproduce them.
     @pytest.mark.parametrize(
@@ -1499,13 +1528,14 @@ class TestCliSweep:
     @example([45.5, 20.41, 60.88, 52.1, 7.5])
     @settings(deadline=None)
     def test_grouped_statistics_match_statistics_module(self, row):
+        nums, den = _common_ratios({value: value for value in row})
         try:
             expected = repr(statistics.fmean(row)), repr(statistics.pvariance(row))
         except OverflowError:
             with pytest.raises(OverflowError):
-                _mean_pvariance(Counter(row).items(), len(row))
+                _mean_pvariance(Counter(row).items(), nums, den, len(row))
             return
-        mean, variance = _mean_pvariance(Counter(row).items(), len(row))
+        mean, variance = _mean_pvariance(Counter(row).items(), nums, den, len(row))
         assert (repr(mean), repr(variance)) == expected
 
 

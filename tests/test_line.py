@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +25,7 @@ from nerveline import (
     snap_to_spike,
     solve_line_resistance,
 )
-from nerveline.line import _add_noise, _coins
+from nerveline.line import _CHUNK, _add_noise, _coins, _sweep_presses
 from oracles import chain_counts, clamped_counts, count_boundary_mm, divider_counts, nearest_spike, nodal_line_resistance
 
 SPEC = NerveLineSpec()
@@ -131,6 +133,33 @@ def sweep_cases(draw):
         quantize_to_spikes=draw(st.booleans()),
     )
     return spec, grid, draw(st.integers(0, 2**32 - 1)), kwargs
+
+
+class PlainSubclass(random.Random):
+    """A subclass that changes nothing: the sweep draws its presses one by one, from the same generator."""
+
+
+@st.composite
+def tally_cases(draw):
+    """(spec, grid, seed, generator class, `_sweep_presses` keyword arguments) for tallies against press order.
+
+    Most cases are noise-free and spiked, from an exact `random.Random`: the presses drawn in chunks.
+    """
+    pitch = draw(st.one_of(st.sampled_from([1.0, 2.5, 5.0]), st.floats(0.5, 20.0)))
+    spec = NerveLineSpec(spike_pitch_mm=pitch)
+    spikes = st.integers(0, int(80.0 / pitch)).map(lambda k: min(k * pitch, 80.0))
+    grid = draw(st.lists(st.one_of(spikes, st.sampled_from([0.0, 80.0]), st.floats(0.0, 80.0)), min_size=1, max_size=4))
+    # an odd number of half pitches from a spike touches midpoints on both sides, and from 0 mm
+    # (or 80 mm, on a pitch that divides the line) on one side only, as the other press clamps onto a spike
+    odd_half_pitches = st.integers(0, 3).map(lambda k: (2 * k + 1) * pitch / 2)
+    kwargs = dict(
+        jitter_mm=draw(st.one_of(st.just(0.0), odd_half_pitches, st.floats(0.01, 10.0))),
+        repeats=draw(st.integers(1, 50)),
+        noise_sd_counts=draw(st.sampled_from([0.0, 0.0, 0.0, 3.0])),
+        quantize_to_spikes=draw(st.sampled_from([True, True, False])),
+    )
+    generator = draw(st.sampled_from([random.Random, random.Random, PlainSubclass]))
+    return spec, grid, draw(st.integers(0, 2**32 - 1)), generator, kwargs
 
 
 class TestSpec:
@@ -517,12 +546,61 @@ class TestSweep:
         assert samples == per_press_sweep(spec, grid, rng=ref_rng, **kwargs)
         assert rng.getstate() == ref_rng.getstate()
 
+    @given(tally_cases())
+    # chunk boundaries: the shipped grid, with midpoints on both sides inside and on one side at the ends
+    @example((SPEC, [0.0, 40.0, 80.0], 5, random.Random, dict(jitter_mm=2.5, repeats=_CHUNK - 1)))
+    @example((SPEC, [0.0, 40.0, 80.0], 5, random.Random, dict(jitter_mm=2.5, repeats=_CHUNK)))
+    @example((SPEC, [0.0, 40.0, 80.0], 5, random.Random, dict(jitter_mm=2.5, repeats=_CHUNK + 1)))
+    @example((SPEC, [40.0], 5, random.Random, dict(jitter_mm=7.5, repeats=_CHUNK + 1)))
+    @example((SPEC, [2.5, 40.0], 5, random.Random, dict(jitter_mm=1.0, repeats=_CHUNK + 1)))
+    @example((SPEC, [2.5, 40.0], 5, random.Random, dict(repeats=_CHUNK + 1)))
+    @example((SPEC, [0.0, 42.5], 5, PlainSubclass, dict(jitter_mm=2.5, repeats=_CHUNK + 1)))
+    @example((SPEC, [0.0, 42.5], 5, random.Random, dict(jitter_mm=2.5, repeats=_CHUNK + 1, noise_sd_counts=3.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_tallies_match_press_order(self, case):
+        spec, grid, seed, generator, kwargs = case
+        rng, ref_rng = generator(seed), generator(seed)
+        presses = _sweep_presses(
+            spec,
+            grid,
+            kwargs.get("jitter_mm", 0.0),
+            kwargs["repeats"],
+            rng,
+            kwargs.get("noise_sd_counts", 0.0),
+            kwargs.get("quantize_to_spikes", True),
+        )
+        samples = simulate_sweep(spec, grid, rng=ref_rng, **kwargs)
+        repeats = kwargs["repeats"]
+        for row, (tally, in_turn) in enumerate(presses):
+            assert in_turn is None
+            tallied = Counter()
+            for counts, times in tally:
+                assert times >= 0
+                tallied[counts] += times
+            assert +tallied == Counter(counts for _, counts in samples[row * repeats : (row + 1) * repeats])
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_noisy_memory_does_not_grow_with_repeats(self):
+        # one position of a noisy sweep, as `nerveline sweep` tallies it: without press order,
+        # only a chunk of presses is held at a time
+        def peak(repeats):
+            tracemalloc.start()
+            try:
+                _sweep_presses(SPEC, [40.0], 2.5, repeats, random.Random(3), 3.0, True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(20_000), peak(200_000)
+        assert abs(large - small) < 1_000_000, (small, large)
+
     @given(st.integers(0, 2**64 - 1), st.integers(1, 300))
     @example(0, 1)
     @settings(max_examples=100)
     def test_bulk_coins_are_per_press_coins(self, seed, n):
         rng, ref = random.Random(seed), random.Random(seed)
-        assert list(_coins(rng, n)) == [ref.random() >= 0.5 for _ in range(n)]
+        coins = _coins(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), 0, 1)
+        assert [coins >> (8 * i + 7) & 1 for i in range(n)] == [ref.random() >= 0.5 for _ in range(n)]
         assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize(
