@@ -40,7 +40,6 @@ from .hand import (
     FingerSpec,
     Hand,
     JointState,
-    default_hand,
     posture_command,
     wire_displacement,
     wire_to_angle,
@@ -52,8 +51,6 @@ from .line import (
     ContactSet,
     NerveLineSpec,
     adc_quantize,
-    bridge_quality,
-    divider_voltage,
     resolve_contacts,
     sense,
     simulate_sweep,

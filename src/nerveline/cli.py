@@ -36,8 +36,9 @@ SWEEP_HEADER = "position_mm,mean_p_spiked,var_p_spiked,mean_p_smooth,var_p_smoot
 FRAMES_HEADER = "t_ms,sensor,counts"
 REPLAY_HEADER = "t_ms,sensor,raw,filtered,p,regime"
 
-# the most presses per position that `sweep --repeats` accepts
+# the most presses per position that `sweep --repeats` accepts, and the most positions on a sweep's grid
 MAX_REPEATS = 1_000_000
+MAX_POSITIONS = 10_000
 
 K = TypeVar("K")
 
@@ -105,8 +106,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.repeats > MAX_REPEATS:  # checked before anything is drawn
         raise ValueError(f"--repeats: at most {MAX_REPEATS} presses per position, got {args.repeats}")
     spec = config.sensors[args.sensor]
+    length, pitch = spec.effective_length_mm, spec.spike_pitch_mm
+    spans = length // pitch  # `_position_grid` has spans + 1 positions, and one more when the end is no spike
+    if spans + 1 + (spans * pitch < length) > MAX_POSITIONS:  # checked before the grid is built
+        raise ValueError(
+            f"--sensor {args.sensor}: spike_pitch_mm {pitch!r} along effective_length_mm {length!r}"
+            f" gives over {MAX_POSITIONS} sweep positions"
+        )
     calibration = _calibration_table(config)[args.sensor]
-    positions = _position_grid(spec.effective_length_mm, spec.spike_pitch_mm)
+    positions = _position_grid(length, pitch)
 
     in_order = args.frames_out is not None
     runs = [  # spiked skin, then smooth; only the frame log needs the spiked presses in order

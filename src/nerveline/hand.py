@@ -150,8 +150,3 @@ def posture_command(
             continue
         raise ConfigError(f"actuator {actuator.id}: no displacement for posture {posture!r}")
     return command
-
-
-def default_hand() -> Hand:
-    """The prototype hand: five fingers and seven wires."""
-    return Hand()

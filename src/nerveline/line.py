@@ -51,16 +51,6 @@ class NerveLineSpec:
     body_fraction: float = bounded(0.8, gt=0, le=1)
 
     @property
-    def rail_ohm_per_mm(self) -> float:
-        """Combined per-mm resistance of the press loop (flat + string)."""
-        return self.flat_rail_ohm_per_mm + self.string_rail_ohm_per_mm
-
-    @property
-    def total_line_ohm(self) -> float:
-        """Loop resistance of the full sensitive region, lead excluded."""
-        return self.rail_ohm_per_mm * self.effective_length_mm
-
-    @property
     def body_limit_mm(self) -> float:
         """Distance from the base where the finger body ends and the tip begins."""
         return self.body_fraction * self.effective_length_mm
@@ -248,22 +238,6 @@ def _divided(ratios: tuple[int, ...], num: int, den: int) -> int:
     return full_scale * num * pullup_den // (num * pullup_den + pullup_num * den)
 
 
-def divider_voltage(spec: NerveLineSpec, line_ohm: float) -> float:
-    """Voltage at the ADC pin for a given line resistance.
-
-    The line sits below a pull-up to the supply, so an open line reads the
-    full supply and a short would read zero.
-    """
-    if not line_ohm >= 0:
-        raise ValueError(f"line_ohm must be non-negative, got {line_ohm}")
-    if math.isinf(line_ohm):
-        return spec.supply_volts
-    numerator = spec.supply_volts * line_ohm
-    if numerator == math.inf:  # line_ohm near the float maximum
-        return spec.supply_volts / (1.0 + spec.pullup_ohm / line_ohm)
-    return numerator / (line_ohm + spec.pullup_ohm)
-
-
 def adc_quantize(
     spec: NerveLineSpec,
     volts: float,
@@ -298,13 +272,6 @@ def _add_noise(counts: int, noise_sd_counts: float, full_scale: int, rng: random
     return 0 if v < 0 else full_scale if v > full_scale else round(v)  # NaN reaches round, which raises
 
 
-def bridge_quality(spec: NerveLineSpec, bridge_ohm: float) -> float:
-    """Contact quality in (0, 1] implied by a bridge resistance; 1 is firm."""
-    if not bridge_ohm >= 0:
-        raise ValueError(f"bridge_ohm must be non-negative, got {bridge_ohm}")
-    return spec.pullup_ohm / (spec.pullup_ohm + bridge_ohm)
-
-
 def sense(
     spec: NerveLineSpec,
     contact_set: ContactSet,
@@ -315,18 +282,18 @@ def sense(
 ) -> AdcReading:
     """Produce one ADC reading for a set of presses.
 
-    Firm presses resolve through the exact ladder network at any position,
-    and the network reads the floor of its exact divider ratio,
+    Every noise-free count is the floor of one exact ratio.  Firm presses
+    resolve through the exact ladder network at any position, and read
     ``floor(full_scale * R / (R + pullup))``.  Light touches on the
     fingertip region (beyond ``body_limit_mm``), where the string rail
-    folds away from the flat rail and contact becomes unreliable, use a
-    quality-scaled float model instead: the pin voltage moves from the
-    open-line value toward the full-length value in proportion to contact
-    quality, and reads ``floor(volts / supply * full_scale)``.  Quality
-    comes from ``fingertip_quality`` when given, otherwise from the touch's
-    own bridge resistance.  When both network and fingertip contributions
-    exist, the lower count (the contact closer to the base) dominates,
-    which is exactly what the single ADC pin reports.
+    folds away from the flat rail and contact becomes unreliable, scale
+    with contact quality q instead, from the open line toward a press at
+    full length R_full: ``floor(full_scale * (1 - q * pullup / (R_full +
+    pullup)))``.  q is ``fingertip_quality`` when given, otherwise
+    ``pullup / (pullup + bridge)`` of the smallest tip bridge.  When both
+    network and fingertip contributions exist, the lower count (the
+    contact closer to the base) dominates, which is exactly what the
+    single ADC pin reports.
 
     Args:
         spec: line geometry and electrical constants.
@@ -350,7 +317,7 @@ def _count(
     points: tuple[ContactPoint, ...],
     fingertip_quality: float | None = None,
 ) -> int:
-    """Noise-free ADC count for resolved points, as `sense` describes it."""
+    """Noise-free ADC count for resolved points, as `sense` describes it, from integers only."""
     network: list[ContactPoint] = []
     tip_touches: list[ContactPoint] = []
     for point in points:  # a firm touch on the tip bridges the rails, unless a quality overrides it
@@ -359,11 +326,16 @@ def _count(
     ratios = _ratios(spec)
     count = _divided(ratios, *_fold(ratios, network))
     if tip_touches:
-        if fingertip_quality is None:
-            fingertip_quality = max(bridge_quality(spec, p.bridge_ohm) for p in tip_touches)
-        v_full = divider_voltage(spec, spec.lead_offset_ohm + spec.total_line_ohm)
-        volts = spec.supply_volts - fingertip_quality * (spec.supply_volts - v_full)
-        count = min(count, math.floor(volts / spec.supply_volts * spec.adc_full_scale))
+        _, _, _, _, pullup_num, pullup_den, full_scale = ratios
+        if fingertip_quality is None:  # the smallest bridge's quality, P / (P + bridge)
+            bridge_num, bridge_den = min(p.bridge_ohm for p in tip_touches).as_integer_ratio()
+            q_num, q_den = pullup_num * bridge_den, pullup_num * bridge_den + bridge_num * pullup_den
+        else:
+            q_num, q_den = fingertip_quality.as_integer_ratio()
+        full_num, full_den = _from_base(ratios, spec.effective_length_mm, 0, 1)  # R_full
+        pullup = pullup_num * full_den  # P and R_full over one denominator, full_den * pullup_den
+        loop = (full_num * pullup_den + pullup) * q_den  # (R_full + P) * q_den
+        count = min(count, full_scale * (loop - q_num * pullup) // loop)
     return count
 
 

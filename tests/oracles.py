@@ -132,10 +132,15 @@ def divider_counts(spec: NerveLineSpec, resistance: Fraction) -> int:
     return math.floor(spec.adc_full_scale * resistance / (resistance + Fraction(spec.pullup_ohm)))
 
 
+def firm_ohm(spec: NerveLineSpec, position_mm: float) -> Fraction:
+    """Exact line resistance of a single firm press: the lead, then both rails out to the press."""
+    rails = Fraction(spec.flat_rail_ohm_per_mm) + Fraction(spec.string_rail_ohm_per_mm)
+    return Fraction(spec.lead_offset_ohm) + rails * Fraction(position_mm)
+
+
 def chain_counts(spec: NerveLineSpec, position_mm: float) -> int:
     """ADC counts for a single firm press, straight from the circuit laws, in exact arithmetic."""
-    rails = Fraction(spec.flat_rail_ohm_per_mm) + Fraction(spec.string_rail_ohm_per_mm)
-    return divider_counts(spec, Fraction(spec.lead_offset_ohm) + rails * Fraction(position_mm))
+    return divider_counts(spec, firm_ohm(spec, position_mm))
 
 
 def count_boundary_mm(spec: NerveLineSpec, counts: int) -> Fraction:
@@ -143,6 +148,24 @@ def count_boundary_mm(spec: NerveLineSpec, counts: int) -> Fraction:
     resistance = counts * Fraction(spec.pullup_ohm) / (spec.adc_full_scale - counts)
     rails = Fraction(spec.flat_rail_ohm_per_mm) + Fraction(spec.string_rail_ohm_per_mm)
     return (resistance - Fraction(spec.lead_offset_ohm)) / rails
+
+
+def tip_counts(spec: NerveLineSpec, quality: Fraction | float) -> int:
+    """ADC counts of a light tip touch of contact ``quality``, in exact arithmetic.
+
+    The divider ratio moves from the open line's 1 toward that of a press at
+    the full length, ``R_full / (R_full + pullup)``, in proportion to quality.
+    """
+    full = firm_ohm(spec, spec.effective_length_mm)
+    pullup = Fraction(spec.pullup_ohm)
+    return math.floor(spec.adc_full_scale * (1 - Fraction(quality) * pullup / (full + pullup)))
+
+
+def tip_boundary_quality(spec: NerveLineSpec, counts: int) -> Fraction:
+    """Exact quality at and below which a light tip touch reads ``counts`` or more: the inverse of `tip_counts`."""
+    full = firm_ohm(spec, spec.effective_length_mm)
+    pullup = Fraction(spec.pullup_ohm)
+    return (spec.adc_full_scale - counts) * (full + pullup) / (spec.adc_full_scale * pullup)
 
 
 def clamped_counts(v: float, full_scale: int) -> int:

@@ -28,12 +28,12 @@ import nerveline.config
 from nerveline import (
     ConfigError,
     FilterState,
+    Hand,
     NerveLineSpec,
     Regime,
     ScenarioError,
     TaskPhase,
     auto_calibration,
-    default_hand,
     estimate_p,
     filter_step,
     load_config,
@@ -306,7 +306,7 @@ class TestLoadConfig:
     def test_hand_defaults_when_absent(self, tmp_path):
         config = load_config(write(tmp_path, "c.yaml", "seed: 1\n"))
         assert len(config.hand.actuators) == 7
-        assert config.hand == default_hand()
+        assert config.hand == Hand()
 
     def test_hand_field_paths_in_errors(self, tmp_path):
         path = write(
@@ -1390,6 +1390,45 @@ class TestCliSweep:
         code = main(["sweep", "--config", str(DEFAULT_CONFIG), "--repeats", repeats, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: --repeats: at most 1000000 presses per position, got {repeats}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pitch,length,positions",
+        [
+            ("0.0078125", "78.125", 10_001),  # 10,000 pitches of 2^-7 mm
+            ("0.0078125", "78.12109375", 10_001),  # 9,999 pitches, and the end of the line between two spikes
+            ("0.0078125", "78.1171875", 10_000),
+            ("0.0078125", "78.11328125", 10_000),
+            ("1.0e-9", "80.0", None),  # 8e10 positions
+            ("1.0e-300", "1.0e+308", None),  # beyond the float range
+        ],
+    )
+    def test_grid_ceiling(self, tmp_path, capsys, monkeypatch, pitch, length, positions):
+        """A grid of more than `MAX_POSITIONS` positions exits 2 before it is built; one of exactly that many runs."""
+        sensor = f"{{index: 0, spike_pitch_mm: {pitch}, effective_length_mm: {length}}}"
+        pitch, length = float(pitch), float(length)
+        if positions is not None:
+            assert len(nerveline.cli._position_grid(length, pitch)) == positions
+        built = []
+
+        def one_position(*args):  # stands in for the grid, so no case here builds one
+            built.append(args)
+            return [0.0]
+
+        monkeypatch.setattr(nerveline.cli, "_position_grid", one_position)
+        config, out = tmp_path / "c.yaml", tmp_path / "s.csv"
+        config.write_text(f"seed: 1\nsensors: [{sensor}, {{index: 1}}, {{index: 2}}, {{index: 3}}]\n")
+        code = main(["sweep", "--config", str(config), "--repeats", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        if positions == nerveline.cli.MAX_POSITIONS:
+            assert (code, err, built) == (0, "", [(length, pitch)])
+            return
+        assert code == 2
+        assert err == (
+            f"error: --sensor 0: spike_pitch_mm {pitch!r} along effective_length_mm {length!r}"
+            " gives over 10000 sweep positions\n"
+        )
+        assert built == []
         assert not out.exists()
 
     def test_memory_does_not_grow_with_repeats(self, tmp_path, capsys):

@@ -35,7 +35,6 @@ from nerveline import (
     StepContext,
     TaskPhase,
     auto_calibration,
-    default_hand,
     default_sensors,
     detect_touch,
     estimate_p,
@@ -588,7 +587,7 @@ def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes, co
     """run_scenario with default arguments and controller ``config``, sensed, filtered and estimated tick by tick."""
     coefficient_a = smoothing_coefficient(DEFAULT_CUTOFF_HZ, config.dt_ms)
     calibration = {i: auto_calibration(spec) for i, spec in specs.items()}
-    hand = default_hand()
+    hand = Hand()
     names = [finger.name for finger in hand.fingers]
     grasp = posture_command(
         "grasp", hand.actuators, JointState({name: GRASP_FLEXION_RAD for name in names})

@@ -12,7 +12,6 @@ from nerveline import (
     FingerSpec,
     Hand,
     JointState,
-    default_hand,
     posture_command,
     wire_displacement,
     wire_to_angle,
@@ -57,7 +56,7 @@ class TestWirePulley:
 
 class TestHandModel:
     def test_default_hand_layout(self):
-        hand = default_hand()
+        hand = Hand()
         assert len(hand.fingers) == 5
         assert len(hand.actuators) == 7
         roles = sorted(a.role for a in hand.actuators)
@@ -81,7 +80,7 @@ class TestHandModel:
 
 class TestPostureCommand:
     def test_derives_from_joint_state(self):
-        hand = default_hand()
+        hand = Hand()
         state = JointState(flexion_rad={"thumb": 0.5, "index": 0.5, "middle": 0.5})
         command = posture_command("grasp", hand.actuators, state)
         assert set(command) == {0, 1, 2, 3, 4, 5, 6}

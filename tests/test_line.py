@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -17,8 +18,6 @@ from nerveline import (
     ContactSet,
     NerveLineSpec,
     adc_quantize,
-    bridge_quality,
-    divider_voltage,
     resolve_contacts,
     sense,
     simulate_sweep,
@@ -26,7 +25,16 @@ from nerveline import (
     solve_line_resistance,
 )
 from nerveline.line import _CHUNK, _add_noise, _coins, _sweep_presses
-from oracles import chain_counts, clamped_counts, count_boundary_mm, divider_counts, nearest_spike, nodal_line_resistance
+from oracles import (
+    chain_counts,
+    clamped_counts,
+    count_boundary_mm,
+    divider_counts,
+    nearest_spike,
+    nodal_line_resistance,
+    tip_boundary_quality,
+    tip_counts,
+)
 
 SPEC = NerveLineSpec()
 
@@ -56,6 +64,19 @@ def near_count_boundaries(draw):
     """A firm press position on SPEC at, or a few floats either side of, where some count starts."""
     counts = draw(st.integers(FIRM_COUNTS[0] + 1, FIRM_COUNTS[-1]))
     return min(ulps_from(float(count_boundary_mm(SPEC, counts)), draw(st.integers(-2, 2))), 80.0)
+
+
+PULLUP = Fraction(SPEC.pullup_ohm)
+
+
+def near_tip_boundaries(to_float):
+    """``to_float`` of the quality where some light tip count on SPEC starts, as a float or one either side of it.
+
+    Light tip touches read from ``tip_counts(SPEC, 1)`` at quality 1 up to one below full scale.
+    """
+    counts = st.integers(tip_counts(SPEC, 1) + 1, SPEC.adc_full_scale - 1)
+    boundaries = counts.map(lambda counts: float(to_float(tip_boundary_quality(SPEC, counts))))
+    return st.tuples(boundaries, st.integers(-1, 1)).map(lambda probe: ulps_from(*probe))
 
 
 @st.composite
@@ -164,8 +185,6 @@ def tally_cases(draw):
 
 class TestSpec:
     def test_default_constants(self):
-        assert SPEC.rail_ohm_per_mm == 250.0
-        assert SPEC.total_line_ohm == 20_000.0
         assert SPEC.body_limit_mm == 64.0
 
     @pytest.mark.parametrize(
@@ -315,28 +334,6 @@ class TestSolve:
             solve_line_resistance(SPEC, (ContactPoint(81.0),))
 
 
-class TestDivider:
-    def test_open_reads_supply(self):
-        assert divider_voltage(SPEC, OPEN) == 5.0
-
-    def test_known_points(self):
-        assert divider_voltage(SPEC, 100_000.0) == 2.5
-        assert divider_voltage(SPEC, 10_000.0) == pytest.approx(5.0 / 11.0, rel=1e-15)
-
-    @given(st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
-    def test_monotone_in_resistance(self, ohm):
-        assert divider_voltage(SPEC, ohm) <= divider_voltage(SPEC, ohm + 1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            divider_voltage(SPEC, -1.0)
-
-    def test_largest_finite_resistance_reads_supply(self):
-        # supply * line_ohm overflows here; the pin still reads the open-line value
-        assert divider_voltage(SPEC, 1e308) == 5.0
-        assert divider_voltage(SPEC, 1.7976931348623157e308) == 5.0
-
-
 class TestAdc:
     def test_floor_quantization(self):
         assert adc_quantize(SPEC, 0.0) == 0
@@ -447,8 +444,21 @@ class TestSense:
     def test_light_tip_touch_scales_with_bridge(self):
         # quality 0.5 from a bridge equal to the pull-up
         contact_set = ContactSet((ContactPoint(70.0, 100_000.0),))
-        assert bridge_quality(SPEC, 100_000.0) == 0.5
-        assert sense(SPEC, contact_set).counts == 629
+        assert sense(SPEC, contact_set).counts == tip_counts(SPEC, Fraction(1, 2)) == 629
+
+    @given(near_tip_boundaries(lambda quality: quality))
+    @example(0.9988269794721407)  # the float model read 236 for 237
+    @example(0.0012707722385141742)  # and 1022 for 1021
+    def test_light_tip_quality_matches_oracle(self, quality):
+        contact_set = ContactSet((ContactPoint(70.0),))
+        assert sense(SPEC, contact_set, fingertip_quality=quality).counts == tip_counts(SPEC, quality)
+
+    @given(near_tip_boundaries(lambda quality: PULLUP / quality - PULLUP))
+    @example(117.43981209630066)  # the float model read 236 for 237
+    def test_light_tip_bridge_matches_oracle(self, bridge):
+        # the smallest tip bridge decides the quality, pullup / (pullup + bridge)
+        contact_set = ContactSet((ContactPoint(75.0, 2 * bridge), ContactPoint(70.0, bridge)))
+        assert sense(SPEC, contact_set).counts == tip_counts(SPEC, PULLUP / (PULLUP + Fraction(bridge)))
 
     def test_fingertip_quality_override(self):
         contact_set = ContactSet((ContactPoint(70.0),))
