@@ -37,9 +37,7 @@ from .estimation import (
 )
 from .hand import (
     ActuatorSpec,
-    FingerSpec,
     Hand,
-    JointState,
     posture_command,
     wire_displacement,
     wire_to_angle,

@@ -26,7 +26,7 @@ from .estimation import (
     detect_touch,
     position_reached,
 )
-from .hand import Hand, JointState, posture_command
+from .hand import POSTURES, Hand, posture_command
 from .line import (
     ContactPoint,
     ContactSet,
@@ -92,17 +92,18 @@ class ControllerConfig:
 
     ``dwell_ticks`` is how many sensor ticks the controller sits in each
     phase before deciding; it must cover the base-check window so the
-    windowed average never mixes samples from an earlier phase.
+    windowed average never mixes samples from an earlier phase.  The dwell
+    and the two budgets have ceilings, so no run lasts over 259 dwells.
     """
 
     touch_threshold_p: float = bounded(90.0, gt=0, lt=100)
     base_threshold_p: float = bounded(50.0, gt=0, lt=100)
     step_mm: float = bounded(5.0, gt=0)
     wrist_rotation_deg: float = bounded(20.0)
-    max_retries: int = bounded(2, ge=0)
-    max_regrasp_steps: int = bounded(16, ge=1)
+    max_retries: int = bounded(2, ge=0, le=10)
+    max_regrasp_steps: int = bounded(16, ge=1, le=100)
     window_n: int = bounded(10, ge=1)
-    dwell_ticks: int = bounded(10, ge=1)
+    dwell_ticks: int = bounded(10, ge=1, le=1000)
     dt_ms: int = bounded(10, gt=0)
     watched_sensor_grasp: int = bounded(0, ge=0)
     watched_sensor_regrasp: int = bounded(1, ge=0)
@@ -419,11 +420,9 @@ def run_scenario(
     if missing:
         raise ConfigError(f"calibration: no calibration for sensors {missing}")
 
-    finger_names = tuple(f.name for f in run.hand.fingers)
-    grasp_state = JointState(flexion_rad={name: GRASP_FLEXION_RAD for name in finger_names})
-    open_state = JointState(flexion_rad={name: 0.0 for name in finger_names})
-    grasp_map = posture_command("grasp", run.hand.actuators, grasp_state)
-    open_map = posture_command("open", run.hand.actuators, open_state)
+    grasp, release = POSTURES
+    grasp_map = posture_command(grasp, run.hand.actuators, GRASP_FLEXION_RAD)
+    open_map = posture_command(release, run.hand.actuators, 0.0)
     context = StepContext(
         goal=scenario.goal,
         object_pose_mm=scenario.object_pose_mm,

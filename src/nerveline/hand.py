@@ -1,41 +1,34 @@
 """Wire-driven hand model: pulley kinematics and postures.
 
 Joints are driven by wires wound on motor pulleys, so wire displacement and
-joint angle are related by x = r * theta.  The hand has five fingers; the
-nerve lines on the index and middle fingers are configured as sensors, not
-here.
+joint angle are related by x = r * theta.  The hand has seven wires: a bend
+and an extend wire on each of the thumb, index and middle fingers, and one
+for the thumb's internal rotation.  An actuator names the joint it drives,
+one of the five fingers' ``<finger>_flexion`` joints or
+``thumb_internal_rotation``, or gives its displacement per posture in a
+table.  The nerve lines on the index and middle fingers are configured as
+sensors, not here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .bounds import bounded, record
 from .errors import ConfigError
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "little")
+JOINTS = (*(f"{finger}_flexion" for finger in FINGER_NAMES), "thumb_internal_rotation")
+POSTURES = ("grasp", "open")  # the postures run_scenario commands, in that order
 ACTUATOR_ROLES = ("bend", "extend", "internal_rotation")
 
 DEFAULT_JOINT_LIMITS = (0.0, math.pi / 2)
 
 
 @record(ConfigError)
-class FingerSpec:
-    """One finger of the hand, by name; actuators drive it as ``<name>_flexion``."""
-
-    name: str
-
-    @staticmethod
-    def cross_problems(values: Mapping[str, Any]) -> list[str]:
-        name = values.get("name", FINGER_NAMES[0])
-        return [] if name in FINGER_NAMES else [f"name: unknown finger name {name!r}"]
-
-
-@record(ConfigError)
 class ActuatorSpec:
-    """One wire actuator: pulley radius, role, and the joint it drives."""
+    """One wire actuator: pulley radius, role, and the joint it drives or its displacement per posture."""
 
     id: int = bounded(ge=0)
     role: str
@@ -45,23 +38,21 @@ class ActuatorSpec:
 
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
-        role = values.get("role", ACTUATOR_ROLES[0])
-        return [] if role in ACTUATOR_ROLES else [f"role: unknown role {role!r}"]
-
-
-@dataclass
-class JointState:
-    """Target joint angles in radians, keyed by finger for flexion."""
-
-    flexion_rad: dict[str, float] = field(default_factory=dict)
-    thumb_internal_rotation_rad: float = 0.0
+        role, joint = values.get("role", ACTUATOR_ROLES[0]), values.get("joint_ref")
+        problems = [] if role in ACTUATOR_ROLES else [f"role: unknown role {role!r}"]
+        if joint is not None and joint not in JOINTS:
+            problems.append(f"joint_ref: unknown joint {joint!r}")
+        elif joint is None and "joint_ref" in values and "displacement_table" in values:
+            table, needed = values["displacement_table"], " and ".join(POSTURES)
+            if not set(POSTURES) <= set(table or ()):
+                problems.append(f"displacement_table: must cover {needed} without a joint_ref, got {table!r}")
+        return problems
 
 
 @record(ConfigError)
 class Hand:
-    """A finger set plus its wire actuators; each defaults to the prototype's five fingers and seven wires."""
+    """The hand's wire actuators; the default is the prototype's seven wires."""
 
-    fingers: tuple[FingerSpec, ...] = tuple(FingerSpec(name=name) for name in FINGER_NAMES)
     actuators: tuple[ActuatorSpec, ...] = (
         ActuatorSpec(id=0, role="bend", joint_ref="thumb_flexion"),
         ActuatorSpec(id=1, role="bend", joint_ref="index_flexion"),
@@ -74,7 +65,7 @@ class Hand:
 
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
-        problems = [f"{name}: must not be empty" for name in ("fingers", "actuators") if values.get(name) == ()]
+        problems = ["actuators: must not be empty"] if values.get("actuators") == () else []
         ids = [a.id for a in values.get("actuators", ())]
         if len(set(ids)) != len(ids):
             problems.append(f"actuators: actuator ids must be unique, got {ids}")
@@ -108,45 +99,30 @@ def wire_to_angle(
     return min(max(displacement_mm / pulley_radius_mm, low), high), clamped
 
 
-def _joint_angle(state: JointState, joint_ref: str) -> float:
-    if joint_ref == "thumb_internal_rotation":
-        return state.thumb_internal_rotation_rad
-    finger, sep, kind = joint_ref.rpartition("_")
-    if sep and kind == "flexion" and finger in state.flexion_rad:
-        return state.flexion_rad[finger]
-    raise KeyError(joint_ref)
-
-
 def posture_command(
     posture: str,
     actuators: tuple[ActuatorSpec, ...],
-    joint_state: JointState | None = None,
+    flexion_rad: float | None = None,
 ) -> dict[int, float]:
     """Wire displacements that realize a named posture.
 
     Each actuator contributes its table entry for the posture if it has
-    one; otherwise the displacement is derived from ``joint_state`` through
-    the actuator's joint reference and pulley radius.
+    one; otherwise the displacement of its joint through its pulley radius,
+    the joint at ``flexion_rad`` for a ``<finger>_flexion`` joint and at 0.0
+    for ``thumb_internal_rotation``.
 
     Raises:
-        ConfigError: an actuator has neither a table entry nor a derivable
-            joint angle for this posture.
+        ConfigError: an actuator has no table entry for this posture, and
+            no joint reference or no ``flexion_rad`` to derive one from.
     """
     command: dict[int, float] = {}
     for actuator in actuators:
-        table = actuator.displacement_table
+        table, joint = actuator.displacement_table, actuator.joint_ref
         if table is not None and posture in table:
             command[actuator.id] = table[posture]
-            continue
-        if joint_state is not None and actuator.joint_ref is not None:
-            try:
-                theta = _joint_angle(joint_state, actuator.joint_ref)
-            except KeyError:
-                raise ConfigError(
-                    f"actuator {actuator.id}: no displacement for posture {posture!r} "
-                    f"and joint {actuator.joint_ref!r} is not in the target state"
-                ) from None
+        elif joint is not None and flexion_rad is not None:
+            theta = flexion_rad if joint.endswith("_flexion") else 0.0
             command[actuator.id] = wire_displacement(theta, actuator.pulley_radius_mm)
-            continue
-        raise ConfigError(f"actuator {actuator.id}: no displacement for posture {posture!r}")
+        else:
+            raise ConfigError(f"actuator {actuator.id}: no displacement for posture {posture!r}")
     return command

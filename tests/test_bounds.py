@@ -5,6 +5,7 @@ import math
 import pkgutil
 import re
 from dataclasses import dataclass, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -17,18 +18,22 @@ from nerveline import (
     ConfigError,
     ContactRule,
     ControllerConfig,
-    FingerSpec,
     Hand,
     NerveLineSpec,
     RunConfig,
     Scenario,
     ScenarioError,
     TaskPhase,
+    auto_calibration,
     default_sensors,
     load_config,
     load_scenario,
+    run_scenario,
 )
 from nerveline.bounds import check_fields
+from nerveline.hand import ACTUATOR_ROLES, JOINTS
+
+REPO = Path(__file__).resolve().parent.parent
 
 # window_n 1 and dwell_ticks 1000 keep the dwell-covers-window rule satisfied
 # for every drawn integer, so only the field's own bounds decide.
@@ -88,7 +93,8 @@ def test_loader_agrees_with_constructor(config_path, prefix, cls, base, name, va
 # valid, or breaks one field of one record in one way: a value one step past
 # a bound, a wrong type, a non-finite number, a number YAML 1.1 reads as a
 # string, an unconfigured watched sensor, a sensor index outside 0..3, an
-# empty finger list, or a value a record's cross-field rules reject.
+# empty actuator list, or a value a record's cross-field rules reject, such
+# as a misspelt joint or a table without a joint that misses a posture.
 LIVE_PHASES = [phase.value for phase in TaskPhase if phase.value not in ("Done", "Failed")]
 WRONG_TYPES = ["x", "1e300", True, None, [1], {"a": 1}, math.inf, -math.inf, math.nan, 1.5, 3]
 
@@ -113,6 +119,22 @@ def bad_value(cls, name):
 
 
 @st.composite
+def hand_blocks(draw):
+    """One to three actuators, each naming a joint, a misspelt one or none, with a table over some postures or none."""
+    actuators = []
+    for k in range(draw(st.integers(1, 3))):
+        actuator = {"id": k, "role": draw(st.sampled_from(ACTUATOR_ROLES))}
+        joint = draw(st.sampled_from([*JOINTS, "index_flexon", None]))
+        if joint is not None or draw(st.booleans()):  # a null joint is spelt out or left to the default
+            actuator["joint_ref"] = joint
+        postures = draw(st.none() | st.lists(st.sampled_from(["grasp", "open", "wave"]), unique=True))
+        if postures is not None or draw(st.booleans()):
+            actuator["displacement_table"] = None if postures is None else dict.fromkeys(postures, 6.5)
+        actuators.append(actuator)
+    return {"actuators": actuators}
+
+
+@st.composite
 def config_files(draw):
     sensors = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
     data = {
@@ -128,7 +150,6 @@ def config_files(draw):
     }
     if draw(st.booleans()):
         data["hand"] = {
-            "fingers": [{"name": "index"}, {"name": "middle"}],
             "actuators": [
                 {"id": 0, "role": "bend", "displacement_table": {"grasp": 6.5, "open": 0.0}},
                 {"id": 1, "role": "extend", "joint_ref": "index_flexion"},
@@ -157,13 +178,11 @@ def config_files(draw):
         data["controller"][key] = draw(st.sampled_from([i for i in range(6) if i not in sensors]))
     elif where == "hand":
         hand = data.setdefault("hand", {})
-        change = draw(st.sampled_from(["no_fingers", "no_actuators", "finger", "role", "joint_ref", "table", "ids"]))
-        if change == "no_fingers":
-            hand["fingers"] = []
-        elif change == "no_actuators":
+        change = draw(st.sampled_from(["no_actuators", "drawn", "role", "joint_ref", "table", "ids"]))
+        if change == "no_actuators":
             hand["actuators"] = []
-        elif change == "finger":
-            hand["fingers"] = [{"name": draw(st.sampled_from(["pinky", "", 3]))}]
+        elif change == "drawn":
+            hand.update(draw(hand_blocks()))
         else:
             actuator = {"id": 0, "role": "bend", "joint_ref": "index_flexion"}
             if change == "role":
@@ -230,11 +249,8 @@ def in_code(kind, data):
     }
     run.update((key, data[key]) for key in ("noise_sd_counts", "quantize_to_spikes", "calibration_file") if key in data)
     if "hand" in data:
-        parts = {
-            "fingers": tuple(make(FingerSpec, **finger) for finger in data["hand"].get("fingers", [])),
-            "actuators": tuple(make(ActuatorSpec, **actuator) for actuator in data["hand"].get("actuators", [])),
-        }
-        run["hand"] = None if problems else make(Hand, **{k: v for k, v in parts.items() if k in data["hand"]})
+        parts = {"actuators": tuple(make(ActuatorSpec, **actuator) for actuator in data["hand"]["actuators"])}
+        run["hand"] = None if problems else make(Hand, **parts)
     return problems or make(RunConfig, **run) or problems
 
 
@@ -250,7 +266,9 @@ def problem_texts(lines):
     return texts
 
 
-GAP_CASES = [  # each loaded with an error and built without one, before the records checked themselves
+# each loaded with an error and built without one before the records checked themselves,
+# or, the last, loaded and built without one before a run turned the hand into commands
+GAP_CASES = [
     ("config", {"seed": 1, "filter": {"coefficient_a": 0.5}, "sensors": [{"index": 2}, {"index": 3}], "controller": {}}),
     ("config", {"seed": 1, "filter": {"coefficient_a": 0.5}, "sensors": [{"index": 7}], "controller": {}}),
     ("config", {"seed": 1, "filter": {"coefficient_a": 0.5}, "sensors": [{"index": 0}, {"index": 1}], "controller": {},
@@ -260,7 +278,7 @@ GAP_CASES = [  # each loaded with an error and built without one, before the rec
     ("scenario", {"name": "x", "goal": "lift", "expected_outcome": "lifted", "object_pose_mm": {"x": math.inf, "y": 0},
                   "rules": []}),
     ("config", {"seed": 1, "filter": {"coefficient_a": 0.5}, "sensors": [{"index": 0}, {"index": 1}], "controller": {},
-                "hand": {"fingers": []}}),
+                "hand": {"actuators": [{"id": 0, "role": "bend", "joint_ref": "index_flexon"}]}}),
 ]
 
 
@@ -290,6 +308,32 @@ def test_loader_matches_constructors(tmp_path_factory, drawn):
         assert loaded == built
 
 
+MOVED_BACK = REPO / "scenarios" / "scissors_moved_back.yaml"  # retries once, so the hand closes and opens
+CALIBRATION = {i: auto_calibration(spec) for i, spec in default_sensors().items()}
+
+
+@given(hand=hand_blocks())
+@example(hand={"actuators": [{"id": 0, "role": "bend", "joint_ref": "index_flexon"}]})
+@example(hand={"actuators": [{"id": 0, "role": "bend", "displacement_table": {"grasp": 6.5}}]})
+@example(hand={"fingers": [{"name": "index"}]})
+@settings(max_examples=60, deadline=None)
+def test_every_loaded_hand_commands_both_postures(tmp_path_factory, hand):
+    """A hand ``load_config`` accepts closes and opens in a run; one it rejects is named per actuator."""
+    path = tmp_path_factory.mktemp("hand") / "c.yaml"
+    path.write_text(yaml.safe_dump({"seed": 1, "hand": hand}), encoding="utf-8")
+    try:
+        run = load_config(path)
+    except ConfigError as exc:
+        lines = str(exc).splitlines()
+        expected = ["hand.fingers: unknown key"] if "fingers" in hand else []
+        assert [line for line in lines if not re.match(r"hand\.actuators\[\d+\]\.", line)] == expected, lines
+        return
+    result = run_scenario(load_scenario(MOVED_BACK, run), run, CALIBRATION)
+    assert result.outcome == "retried_then_lifted"
+    issued = {command.name: command.args for entered in result.commands.values() for command in entered}
+    assert len(issued["close_fingers"]) == len(issued["open_fingers"]) == len(hand["actuators"])
+
+
 def test_unreadable_annotation_raises():
     """A field type the annotation reader does not know fails the record's first check, not passes it."""
 
@@ -310,8 +354,7 @@ VALID_RECORDS = [
     ContactRule(sensor=0, position_mm=1.0, phases=frozenset({TaskPhase.LIFT})),
     Scenario(name="x", goal="lift", expected_outcome="lifted"),
     DEFAULT_RUN,
-    FingerSpec(name="index"),
-    ActuatorSpec(id=0, role="bend"),
+    ActuatorSpec(id=0, role="bend", joint_ref="index_flexion"),
     Hand(),
 ]
 

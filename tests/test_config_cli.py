@@ -190,12 +190,12 @@ class TestLoadConfig:
                 "sensors[0].pullup_ohm: must be > 0, got 0\n"
                 "controller.max_retries: must be >= 0, got -1\n"
                 "calibration_file: must be a string or null, got 3\n"
-                "hand.fingers: must not be empty",
+                "hand.fingers: unknown key",
             ),
             # the watched sensors sit with the controller, after the sensors
             (
                 "seed: 1\ncalibration_file: 3\nsensors: [{index: 2}, {index: 3}]\nquantize_to_spikes: 1\n"
-                "hand: {actuators: [{id: 0, role: twist}]}\nzzz: 2\n",
+                "hand: {actuators: [{id: 0, role: twist, joint_ref: thumb_flexion}]}\nzzz: 2\n",
                 "zzz: unknown key\n"
                 "quantize_to_spikes: must be a boolean, got 1\n"
                 "controller.watched_sensor_grasp: sensor 0 is not configured\n"
@@ -298,10 +298,6 @@ class TestLoadConfig:
         actuator = config.hand.actuators[0]
         assert actuator.pulley_radius_mm == 10.0
         assert actuator.displacement_table == {"grasp": 6.5, "open": 0.0}
-        # omitted finger list keeps the stock five fingers
-        assert [f.name for f in config.hand.fingers] == [
-            "thumb", "index", "middle", "ring", "little",
-        ]
 
     def test_hand_defaults_when_absent(self, tmp_path):
         config = load_config(write(tmp_path, "c.yaml", "seed: 1\n"))
@@ -315,28 +311,21 @@ class TestLoadConfig:
             """\
             seed: 1
             hand:
-              fingers:
-                - name: pinky
               actuators:
                 - id: 0
                   role: twist
+                  joint_ref: index_flexion
+                - id: 1
+                  role: bend
+                  joint_ref: pinky_flexion
             """,
         )
         with pytest.raises(ConfigError) as excinfo:
             load_config(path)
-        message = str(excinfo.value)
-        assert "hand.fingers[0].name: unknown finger name 'pinky'" in message
-        assert "hand.actuators[0].role: unknown role 'twist'" in message
-
-    @pytest.mark.parametrize(
-        "key,value", [("sensor_length_mm", 80.0), ("joint_width_range_mm", [9.0, 14.0])]
-    )
-    def test_finger_takes_only_a_name(self, tmp_path, capsys, key, value):
-        finger = f"{{name: index, {key}: {value}}}"
-        config = write(tmp_path, "c.yaml", f"seed: 1\nhand:\n  fingers:\n    - {finger}\n")
-        code = main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal.txt")])
-        assert code == 2
-        assert f"hand.fingers[0].{key}: unknown key" in capsys.readouterr().err
+        assert str(excinfo.value).splitlines() == [
+            "hand.actuators[0].role: unknown role 'twist'",
+            "hand.actuators[1].joint_ref: unknown joint 'pinky_flexion'",
+        ]
 
     def test_hand_duplicate_actuator_ids_rejected(self, tmp_path):
         path = write(
@@ -346,8 +335,8 @@ class TestLoadConfig:
             seed: 1
             hand:
               actuators:
-                - {id: 3, role: bend}
-                - {id: 3, role: extend}
+                - {id: 3, role: bend, joint_ref: index_flexion}
+                - {id: 3, role: extend, joint_ref: index_flexion}
             """,
         )
         with pytest.raises(ConfigError, match="hand.actuators: actuator ids must be unique"):
@@ -950,7 +939,7 @@ class TestCliRun:
             ("controller: 3\n", "controller: must be a mapping, got int"),
             ("quantize_to_spikes: 1\n", "quantize_to_spikes: must be a boolean, got 1"),
             ("calibration_file: 3\n", "calibration_file: must be a string or null, got 3"),
-            ("hand: {fingers: []}\n", "hand.fingers: must not be empty"),
+            ("hand: {fingers: []}\n", "hand.fingers: unknown key"),
             (
                 "hand: {actuators: [{id: 0, role: bend, joint_ref: 3}]}\n",
                 "hand.actuators[0].joint_ref: must be a string or null, got 3",
@@ -961,6 +950,10 @@ class TestCliRun:
                 "must be a mapping of strings to finite numbers or null, got [1]",
             ),
             ("hand: {actuators: [{role: bend}]}\n", "hand.actuators[0].id: required"),
+            # a run's length has a ceiling on each of its three budgets
+            ("controller: {dwell_ticks: 1001}\n", "controller.dwell_ticks: must be <= 1000, got 1001"),
+            ("controller: {max_regrasp_steps: 101}\n", "controller.max_regrasp_steps: must be <= 100, got 101"),
+            ("controller: {max_retries: 11}\n", "controller.max_retries: must be <= 10, got 11"),
             # YAML 1.1 reads a float only with a dot and a signed exponent
             (
                 "sensors: [{index: 0, effective_length_mm: 1e300}]\n",
@@ -976,13 +969,45 @@ class TestCliRun:
             "sensors_not_list", "sensors_empty", "sensor_index", "cutoff_not_number",
             "coefficient_out_of_range", "controller_not_mapping", "quantize_not_bool",
             "calibration_file_not_string", "fingers_empty", "joint_ref_not_string",
-            "table_not_mapping", "actuator_id_missing", "length_yaml_1_1_string", "cutoff_yaml_1_1_string",
+            "table_not_mapping", "actuator_id_missing", "dwell_ceiling", "regrasp_ceiling", "retry_ceiling",
+            "length_yaml_1_1_string", "cutoff_yaml_1_1_string",
         ],
     )
     def test_config_shape_errors_name_the_field(self, tmp_path, capsys, text, message):
         config = write(tmp_path, "c.yaml", "seed: 1\n" + text)
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal.txt")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "replay", "calibrate"])
+    @pytest.mark.parametrize(
+        "hand,message",
+        [
+            (
+                "{actuators: [{id: 0, role: bend, joint_ref: index_flexon}]}",
+                "hand.actuators[0].joint_ref: unknown joint 'index_flexon'",
+            ),
+            (
+                "{actuators: [{id: 0, role: bend, displacement_table: {grasp: 6.5}}]}",
+                "hand.actuators[0].displacement_table: "
+                "must cover grasp and open without a joint_ref, got {'grasp': 6.5}",
+            ),
+            ("{fingers: [{name: index}]}", "hand.fingers: unknown key"),
+        ],
+        ids=["misspelt_joint", "table_without_open", "fingers"],
+    )
+    def test_hand_that_cannot_command_exits_two_at_load(self, tmp_path, capsys, command, hand, message):
+        """A hand block ``run`` could not turn into both posture commands fails every command, with its path."""
+        config = write(tmp_path, "c.yaml", f"seed: 1\nhand: {hand}\n")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out.csv")]
+        if command == "run":
+            argv += ["--scenario", str(SCENARIOS / "scissors_moved_back.yaml")]
+        elif command == "replay":
+            log = tmp_path / "frames.csv"
+            log.write_text("t_ms,sensor,counts\n0,0,500\n")
+            argv += ["--log", str(log)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
         "text,message",

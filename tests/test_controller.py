@@ -23,9 +23,7 @@ from nerveline import (
     ControllerConfig,
     ControllerState,
     FilterState,
-    FingerSpec,
     Hand,
-    JointState,
     NerveLineSpec,
     Regime,
     RunConfig,
@@ -530,9 +528,18 @@ class TestRunScenario:
         assert next(row[0] for row in result.rows if row[1] is TaskPhase.LIFT) == 400
         assert result.commands[400] == (Command("lift"),)
 
+    def test_default_hand_command_args(self):
+        # scissors_moved_back retries once, so the default hand both closes and opens
+        scenario = load_scenario(REPO / "scenarios" / "scissors_moved_back.yaml", BASE_RUN)
+        result = simulate(scenario, seed=12345)
+        issued = {command for entered in result.commands.values() for command in entered}
+        assert {command for command in issued if command.name.endswith("_fingers")} == {
+            Command("close_fingers", (5.235987755982988,) * 6 + (0.0,)),
+            Command("open_fingers", (0.0,) * 7),
+        }
+
     def test_custom_hand_tables_drive_grasp_command(self):
         hand = Hand(
-            fingers=(FingerSpec(name="index"),),
             actuators=(
                 ActuatorSpec(id=0, role="bend", displacement_table={"grasp": 6.5, "open": 0.0}),
                 ActuatorSpec(id=1, role="extend", displacement_table={"grasp": 3.0, "open": 0.0}),
@@ -588,11 +595,8 @@ def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes, co
     coefficient_a = smoothing_coefficient(DEFAULT_CUTOFF_HZ, config.dt_ms)
     calibration = {i: auto_calibration(spec) for i, spec in specs.items()}
     hand = Hand()
-    names = [finger.name for finger in hand.fingers]
-    grasp = posture_command(
-        "grasp", hand.actuators, JointState({name: GRASP_FLEXION_RAD for name in names})
-    )
-    release = posture_command("open", hand.actuators, JointState({name: 0.0 for name in names}))
+    grasp = posture_command("grasp", hand.actuators, GRASP_FLEXION_RAD)
+    release = posture_command("open", hand.actuators, 0.0)
     context = StepContext(
         goal=scenario.goal,
         object_pose_mm=scenario.object_pose_mm,

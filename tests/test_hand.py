@@ -1,6 +1,7 @@
 """Wire-pulley kinematics and hand model tests."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 from nerveline import (
     ActuatorSpec,
     ConfigError,
-    FingerSpec,
     Hand,
-    JointState,
     posture_command,
     wire_displacement,
     wire_to_angle,
@@ -57,47 +56,54 @@ class TestWirePulley:
 class TestHandModel:
     def test_default_hand_layout(self):
         hand = Hand()
-        assert len(hand.fingers) == 5
         assert len(hand.actuators) == 7
         roles = sorted(a.role for a in hand.actuators)
         assert roles == ["bend"] * 3 + ["extend"] * 3 + ["internal_rotation"]
 
     def test_duplicate_actuator_ids_rejected(self):
-        actuator = ActuatorSpec(id=0, role="bend")
+        actuator = ActuatorSpec(id=0, role="bend", joint_ref="index_flexion")
         with pytest.raises(ConfigError, match="unique"):
-            Hand(fingers=(), actuators=(actuator, actuator))
+            Hand(actuators=(actuator, actuator))
 
     def test_actuator_validation(self):
-        with pytest.raises(ConfigError, match="role"):
-            ActuatorSpec(id=0, role="twist")
+        with pytest.raises(ConfigError, match="^role: unknown role 'twist'$"):
+            ActuatorSpec(id=0, role="twist", joint_ref="index_flexion")
         with pytest.raises(ConfigError, match="pulley_radius_mm"):
-            ActuatorSpec(id=0, role="bend", pulley_radius_mm=0.0)
+            ActuatorSpec(id=0, role="bend", joint_ref="index_flexion", pulley_radius_mm=0.0)
 
     def test_finger_validation(self):
-        with pytest.raises(ConfigError, match="finger name"):
-            FingerSpec(name="pinky")
+        # a joint is one of the five fingers' flexion joints or the thumb's internal rotation
+        with pytest.raises(ConfigError, match="^joint_ref: unknown joint 'pinky_flexion'$"):
+            ActuatorSpec(id=0, role="bend", joint_ref="pinky_flexion")
+        with pytest.raises(ConfigError, match="^joint_ref: unknown joint 'index_flexon'$"):
+            ActuatorSpec(id=0, role="bend", joint_ref="index_flexon")
+        ActuatorSpec(id=0, role="bend", joint_ref="little_flexion")
+
+    @pytest.mark.parametrize("table", [None, {}, {"grasp": 6.5}, {"open": 0.0, "wave": 1.0}])
+    def test_table_without_joint_covers_both_postures(self, table):
+        message = f"^displacement_table: must cover grasp and open without a joint_ref, got {re.escape(repr(table))}$"
+        with pytest.raises(ConfigError, match=message):
+            ActuatorSpec(id=0, role="bend", displacement_table=table)
+        ActuatorSpec(id=0, role="bend", joint_ref="index_flexion", displacement_table=table)
 
 
 class TestPostureCommand:
-    def test_derives_from_joint_state(self):
-        hand = Hand()
-        state = JointState(flexion_rad={"thumb": 0.5, "index": 0.5, "middle": 0.5})
-        command = posture_command("grasp", hand.actuators, state)
+    def test_derives_from_flexion_angle(self):
+        command = posture_command("grasp", Hand().actuators, 0.5)
         assert set(command) == {0, 1, 2, 3, 4, 5, 6}
         assert command[1] == 2.5  # 5 mm pulley, 0.5 rad
-        assert command[6] == 0.0  # internal rotation not set, defaults to 0
+        assert command[6] == 0.0  # the thumb's internal rotation stays at 0
 
     def test_table_wins_over_derivation(self):
         actuator = ActuatorSpec(
             id=0, role="bend", joint_ref="index_flexion", displacement_table={"grasp": 9.0}
         )
-        state = JointState(flexion_rad={"index": 0.5})
-        assert posture_command("grasp", (actuator,), state) == {0: 9.0}
+        assert posture_command("grasp", (actuator,), 0.5) == {0: 9.0}
 
     def test_unknown_posture_names_actuator(self):
-        actuator = ActuatorSpec(id=3, role="bend", joint_ref="index_flexion")
-        with pytest.raises(ConfigError, match="actuator 3.*'open'"):
-            posture_command("open", (actuator,), JointState(flexion_rad={"thumb": 0.1}))
+        actuator = ActuatorSpec(id=3, role="bend", displacement_table={"grasp": 6.5, "open": 0.0})
+        with pytest.raises(ConfigError, match="actuator 3.*'wave'"):
+            posture_command("wave", (actuator,))
 
     def test_no_state_and_no_table_rejected(self):
         actuator = ActuatorSpec(id=2, role="bend", joint_ref="index_flexion")
