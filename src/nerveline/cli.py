@@ -14,11 +14,11 @@ import random
 import sys
 from dataclasses import replace
 from itertools import chain, islice
-from typing import Iterable, TypeVar
+from typing import Any, Iterable, TypeVar
 
 from .config import RunConfig, load_config, load_scenario
 from .controller import SENSOR_COUNT, TraceRow, run_scenario
-from .errors import ConfigError, ScenarioError
+from .errors import CalibrationError, ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
     _channel,
@@ -49,6 +49,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return config if args.seed is None else replace(config, seed=args.seed)
 
 
+def _calibrated(sensor: int, spec: NerveLineSpec, **noise: Any) -> CalibrationData:
+    """`auto_calibration` of line ``sensor``, naming the sensor when its poses do not order."""
+    try:
+        return auto_calibration(spec, **noise)
+    except CalibrationError as exc:
+        raise CalibrationError(f"sensor {sensor}: {exc}") from None
+
+
 def _calibration_table(config: RunConfig) -> dict[int, CalibrationData]:
     if config.calibration_file is not None:
         try:
@@ -57,14 +65,12 @@ def _calibration_table(config: RunConfig) -> dict[int, CalibrationData]:
             raise ValueError(f"{config.calibration_file}: {exc}") from None
         missing = sorted(set(config.sensors) - set(table))
         if missing:
-            raise ConfigError(
-                f"calibration_file: no calibration for sensors {missing} in {config.calibration_file}"
-            )
+            raise ConfigError(f"calibration_file: no calibration for sensors {missing} in {config.calibration_file}")
         return table
-    by_spec: dict[NerveLineSpec, CalibrationData] = {}  # identical lines calibrate once
-    for spec in config.sensors.values():
+    by_spec: dict[NerveLineSpec, CalibrationData] = {}  # identical lines calibrate once, named by the lowest index
+    for i, spec in sorted(config.sensors.items()):
         if spec not in by_spec:
-            by_spec[spec] = auto_calibration(spec)
+            by_spec[spec] = _calibrated(i, spec)
     return {i: by_spec[spec] for i, spec in config.sensors.items()}
 
 
@@ -264,9 +270,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     rng = random.Random(config.seed)
     table = {
-        sensor: auto_calibration(
-            config.sensors[sensor], noise_sd_counts=config.noise_sd_counts, rng=rng
-        )
+        sensor: _calibrated(sensor, config.sensors[sensor], noise_sd_counts=config.noise_sd_counts, rng=rng)
         for sensor in sorted(config.sensors)
     }
     write_calibration(args.out, table)
@@ -321,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -103,13 +103,9 @@ class CalibrationData:
 
     def __post_init__(self) -> None:
         if not self.v_min < self.v_mid:
-            raise CalibrationError(
-                f"v_min < v_mid violated (v_min={self.v_min}, v_mid={self.v_mid})"
-            )
+            raise CalibrationError(f"v_min < v_mid violated (v_min={self.v_min}, v_mid={self.v_mid})")
         if not self.v_mid < self.v_max:
-            raise CalibrationError(
-                f"v_mid < v_max violated (v_mid={self.v_mid}, v_max={self.v_max})"
-            )
+            raise CalibrationError(f"v_mid < v_max violated (v_mid={self.v_mid}, v_max={self.v_max})")
 
 
 def calibrate(

@@ -3,11 +3,11 @@
 Joints are driven by wires wound on motor pulleys, so wire displacement and
 joint angle are related by x = r * theta.  The hand has seven wires: a bend
 and an extend wire on each of the thumb, index and middle fingers, and one
-for the thumb's internal rotation.  An actuator names the joint it drives,
-one of the five fingers' ``<finger>_flexion`` joints or
-``thumb_internal_rotation``, or gives its displacement per posture in a
-table.  The nerve lines on the index and middle fingers are configured as
-sensors, not here.
+for the thumb's internal rotation; a joint's bend and extend wires are
+commanded alike.  An actuator names the joint it drives, one of the five
+fingers' ``<finger>_flexion`` joints or ``thumb_internal_rotation``, or
+gives its displacement per posture in a table.  The nerve lines on the
+index and middle fingers are configured as sensors, not here.
 """
 
 from __future__ import annotations
@@ -21,25 +21,22 @@ from .errors import ConfigError
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "little")
 JOINTS = (*(f"{finger}_flexion" for finger in FINGER_NAMES), "thumb_internal_rotation")
 POSTURES = ("grasp", "open")  # the postures run_scenario commands, in that order
-ACTUATOR_ROLES = ("bend", "extend", "internal_rotation")
 
 DEFAULT_JOINT_LIMITS = (0.0, math.pi / 2)
 
 
 @record(ConfigError)
 class ActuatorSpec:
-    """One wire actuator: pulley radius, role, and the joint it drives or its displacement per posture."""
+    """One wire actuator: pulley radius, and the joint it drives or its displacement per posture."""
 
     id: int = bounded(ge=0)
-    role: str
     pulley_radius_mm: float = bounded(5.0, gt=0)
     joint_ref: str | None = None
     displacement_table: Mapping[str, float] | None = None
 
     @staticmethod
     def cross_problems(values: Mapping[str, Any]) -> list[str]:
-        role, joint = values.get("role", ACTUATOR_ROLES[0]), values.get("joint_ref")
-        problems = [] if role in ACTUATOR_ROLES else [f"role: unknown role {role!r}"]
+        problems, joint = [], values.get("joint_ref")
         if joint is not None and joint not in JOINTS:
             problems.append(f"joint_ref: unknown joint {joint!r}")
         elif joint is None and "joint_ref" in values and "displacement_table" in values:
@@ -53,14 +50,14 @@ class ActuatorSpec:
 class Hand:
     """The hand's wire actuators; the default is the prototype's seven wires."""
 
-    actuators: tuple[ActuatorSpec, ...] = (
-        ActuatorSpec(id=0, role="bend", joint_ref="thumb_flexion"),
-        ActuatorSpec(id=1, role="bend", joint_ref="index_flexion"),
-        ActuatorSpec(id=2, role="bend", joint_ref="middle_flexion"),
-        ActuatorSpec(id=3, role="extend", joint_ref="thumb_flexion"),
-        ActuatorSpec(id=4, role="extend", joint_ref="index_flexion"),
-        ActuatorSpec(id=5, role="extend", joint_ref="middle_flexion"),
-        ActuatorSpec(id=6, role="internal_rotation", joint_ref="thumb_internal_rotation"),
+    actuators: tuple[ActuatorSpec, ...] = (  # bend wires 0-2, extend wires 3-5
+        ActuatorSpec(id=0, joint_ref="thumb_flexion"),
+        ActuatorSpec(id=1, joint_ref="index_flexion"),
+        ActuatorSpec(id=2, joint_ref="middle_flexion"),
+        ActuatorSpec(id=3, joint_ref="thumb_flexion"),
+        ActuatorSpec(id=4, joint_ref="index_flexion"),
+        ActuatorSpec(id=5, joint_ref="middle_flexion"),
+        ActuatorSpec(id=6, joint_ref="thumb_internal_rotation"),
     )
 
     @staticmethod

@@ -37,7 +37,8 @@ class NerveLineSpec:
     The default values describe the prototype line: 80 mm effective length,
     spikes every 5 mm, 250 ohm/mm combined rail resistance (50 flat + 200
     string), a 10 kohm lead offset between the connector and the start of
-    the sensitive region, a 100 kohm pull-up, 5 V supply and a 10-bit ADC.
+    the sensitive region, a 100 kohm pull-up and a 10-bit ratiometric ADC,
+    whose count is the pin's fraction of the supply whatever the supply is.
     """
 
     effective_length_mm: float = bounded(80.0, gt=0)
@@ -46,7 +47,6 @@ class NerveLineSpec:
     string_rail_ohm_per_mm: float = bounded(200.0, gt=0)
     lead_offset_ohm: float = bounded(10_000.0, ge=0)
     pullup_ohm: float = bounded(100_000.0, gt=0)
-    supply_volts: float = bounded(5.0, gt=0)
     adc_full_scale: int = bounded(1023, gt=0)
     body_fraction: float = bounded(0.8, gt=0, le=1)
 
@@ -240,19 +240,19 @@ def _divided(ratios: tuple[int, ...], num: int, den: int) -> int:
 
 def adc_quantize(
     spec: NerveLineSpec,
-    volts: float,
+    ratio: float,
     noise_sd_counts: float = 0.0,
     rng: random.Random | None = None,
 ) -> int:
-    """Quantize a pin voltage to ADC counts, optionally with Gaussian noise.
+    """Quantize a pin voltage, as a fraction of the supply, to ADC counts, optionally with Gaussian noise.
 
-    Counts are floor(volts / supply * full_scale); noise is added in count
-    units, clamped to the converter range and rounded.  Returns the counts
-    as an int; `sense` is what timestamps them in an `AdcReading`.
+    Counts are floor(ratio * full_scale); noise is added in count units,
+    clamped to the converter range and rounded.  Returns the counts as an
+    int; `sense` is what timestamps them in an `AdcReading`.
     """
-    if not 0.0 <= volts <= spec.supply_volts:
-        raise ValueError(f"volts {volts} outside [0, {spec.supply_volts}]")
-    return _with_noise(spec, math.floor(volts / spec.supply_volts * spec.adc_full_scale), noise_sd_counts, rng)
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"ratio {ratio} outside [0, 1]")
+    return _with_noise(spec, math.floor(ratio * spec.adc_full_scale), noise_sd_counts, rng)
 
 
 def _with_noise(spec: NerveLineSpec, counts: int, noise_sd_counts: float, rng: random.Random | None) -> int:

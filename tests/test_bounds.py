@@ -31,7 +31,7 @@ from nerveline import (
     run_scenario,
 )
 from nerveline.bounds import check_fields
-from nerveline.hand import ACTUATOR_ROLES, JOINTS
+from nerveline.hand import JOINTS
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -123,7 +123,7 @@ def hand_blocks(draw):
     """One to three actuators, each naming a joint, a misspelt one or none, with a table over some postures or none."""
     actuators = []
     for k in range(draw(st.integers(1, 3))):
-        actuator = {"id": k, "role": draw(st.sampled_from(ACTUATOR_ROLES))}
+        actuator = {"id": k}
         joint = draw(st.sampled_from([*JOINTS, "index_flexon", None]))
         if joint is not None or draw(st.booleans()):  # a null joint is spelt out or left to the default
             actuator["joint_ref"] = joint
@@ -151,8 +151,8 @@ def config_files(draw):
     if draw(st.booleans()):
         data["hand"] = {
             "actuators": [
-                {"id": 0, "role": "bend", "displacement_table": {"grasp": 6.5, "open": 0.0}},
-                {"id": 1, "role": "extend", "joint_ref": "index_flexion"},
+                {"id": 0, "displacement_table": {"grasp": 6.5, "open": 0.0}},
+                {"id": 1, "joint_ref": "index_flexion"},
             ],
         }
     where = draw(st.sampled_from(["none", "top", "filter", "sensor", "index", "controller", "watched", "hand"]))
@@ -178,15 +178,15 @@ def config_files(draw):
         data["controller"][key] = draw(st.sampled_from([i for i in range(6) if i not in sensors]))
     elif where == "hand":
         hand = data.setdefault("hand", {})
-        change = draw(st.sampled_from(["no_actuators", "drawn", "role", "joint_ref", "table", "ids"]))
+        change = draw(st.sampled_from(["no_actuators", "drawn", "pulley", "joint_ref", "table", "ids"]))
         if change == "no_actuators":
             hand["actuators"] = []
         elif change == "drawn":
             hand.update(draw(hand_blocks()))
         else:
-            actuator = {"id": 0, "role": "bend", "joint_ref": "index_flexion"}
-            if change == "role":
-                actuator["role"] = draw(st.sampled_from(["twist", None, 1]))
+            actuator = {"id": 0, "joint_ref": "index_flexion"}
+            if change == "pulley":
+                actuator["pulley_radius_mm"] = draw(bad_value(ActuatorSpec, "pulley_radius_mm"))
             elif change == "joint_ref":
                 actuator["joint_ref"] = draw(st.sampled_from([3, True, ["index_flexion"]]))
             elif change == "table":
@@ -278,7 +278,7 @@ GAP_CASES = [
     ("scenario", {"name": "x", "goal": "lift", "expected_outcome": "lifted", "object_pose_mm": {"x": math.inf, "y": 0},
                   "rules": []}),
     ("config", {"seed": 1, "filter": {"coefficient_a": 0.5}, "sensors": [{"index": 0}, {"index": 1}], "controller": {},
-                "hand": {"actuators": [{"id": 0, "role": "bend", "joint_ref": "index_flexon"}]}}),
+                "hand": {"actuators": [{"id": 0, "joint_ref": "index_flexon"}]}}),
 ]
 
 
@@ -313,8 +313,8 @@ CALIBRATION = {i: auto_calibration(spec) for i, spec in default_sensors().items(
 
 
 @given(hand=hand_blocks())
-@example(hand={"actuators": [{"id": 0, "role": "bend", "joint_ref": "index_flexon"}]})
-@example(hand={"actuators": [{"id": 0, "role": "bend", "displacement_table": {"grasp": 6.5}}]})
+@example(hand={"actuators": [{"id": 0, "joint_ref": "index_flexon"}]})
+@example(hand={"actuators": [{"id": 0, "displacement_table": {"grasp": 6.5}}]})
 @example(hand={"fingers": [{"name": "index"}]})
 @settings(max_examples=60, deadline=None)
 def test_every_loaded_hand_commands_both_postures(tmp_path_factory, hand):
@@ -354,7 +354,7 @@ VALID_RECORDS = [
     ContactRule(sensor=0, position_mm=1.0, phases=frozenset({TaskPhase.LIFT})),
     Scenario(name="x", goal="lift", expected_outcome="lifted"),
     DEFAULT_RUN,
-    ActuatorSpec(id=0, role="bend", joint_ref="index_flexion"),
+    ActuatorSpec(id=0, joint_ref="index_flexion"),
     Hand(),
 ]
 

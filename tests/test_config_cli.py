@@ -136,7 +136,7 @@ class TestLoadConfig:
             noise_sd_counts: -1
             sensors:
               - index: 0
-                supply_volts: 0
+                adc_full_scale: 0
             """,
         )
         with pytest.raises(ConfigError) as excinfo:
@@ -144,16 +144,17 @@ class TestLoadConfig:
         message = str(excinfo.value)
         assert "seed: required" in message
         assert "noise_sd_counts" in message
-        assert r"sensors[0].supply_volts" in message
+        assert r"sensors[0].adc_full_scale" in message
 
     @pytest.mark.parametrize(
         "text,message",
         [
             (
-                "seed: 1\nsensors: [{index: 0, bogus: 1, pullup_ohm: 0, supply_volts: 0}]\n",
+                "seed: 1\nsensors: [{index: 0, bogus: 1, pullup_ohm: 0, supply_volts: 0, adc_full_scale: 0}]\n",
                 "sensors[0].bogus: unknown key\n"
+                "sensors[0].supply_volts: unknown key\n"
                 "sensors[0].pullup_ohm: must be > 0, got 0\n"
-                "sensors[0].supply_volts: must be > 0, got 0",
+                "sensors[0].adc_full_scale: must be > 0, got 0",
             ),
             (
                 "seed: 1\ncontroller: {window_n: 20, dwell_ticks: 10}\n",
@@ -195,13 +196,14 @@ class TestLoadConfig:
             # the watched sensors sit with the controller, after the sensors
             (
                 "seed: 1\ncalibration_file: 3\nsensors: [{index: 2}, {index: 3}]\nquantize_to_spikes: 1\n"
-                "hand: {actuators: [{id: 0, role: twist, joint_ref: thumb_flexion}]}\nzzz: 2\n",
+                "hand: {actuators: [{id: 0, role: twist, joint_ref: thumb_flexon}]}\nzzz: 2\n",
                 "zzz: unknown key\n"
                 "quantize_to_spikes: must be a boolean, got 1\n"
                 "controller.watched_sensor_grasp: sensor 0 is not configured\n"
                 "controller.watched_sensor_regrasp: sensor 1 is not configured\n"
                 "calibration_file: must be a string or null, got 3\n"
-                "hand.actuators[0].role: unknown role 'twist'",
+                "hand.actuators[0].role: unknown key\n"
+                "hand.actuators[0].joint_ref: unknown joint 'thumb_flexon'",
             ),
             # a cutoff so low that the coefficient rounds to 1 is reported under the key in the file
             (
@@ -222,7 +224,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "text,specs,checks",
-        [(None, 1, 25), (TWO_SPECS, 2, 34)],
+        [(None, 1, 24), (TWO_SPECS, 2, 32)],
         ids=["shipped", "two_specs"],
     )
     def test_one_spec_per_distinct_block(self, tmp_path, monkeypatch, text, specs, checks):
@@ -288,7 +290,6 @@ class TestLoadConfig:
             hand:
               actuators:
                 - id: 0
-                  role: bend
                   pulley_radius_mm: 10.0
                   displacement_table: {grasp: 6.5, open: 0.0}
             """,
@@ -313,17 +314,16 @@ class TestLoadConfig:
             hand:
               actuators:
                 - id: 0
-                  role: twist
+                  pulley_radius_mm: 0.0
                   joint_ref: index_flexion
                 - id: 1
-                  role: bend
                   joint_ref: pinky_flexion
             """,
         )
         with pytest.raises(ConfigError) as excinfo:
             load_config(path)
         assert str(excinfo.value).splitlines() == [
-            "hand.actuators[0].role: unknown role 'twist'",
+            "hand.actuators[0].pulley_radius_mm: must be > 0, got 0.0",
             "hand.actuators[1].joint_ref: unknown joint 'pinky_flexion'",
         ]
 
@@ -335,8 +335,8 @@ class TestLoadConfig:
             seed: 1
             hand:
               actuators:
-                - {id: 3, role: bend, joint_ref: index_flexion}
-                - {id: 3, role: extend, joint_ref: index_flexion}
+                - {id: 3, joint_ref: index_flexion}
+                - {id: 3, joint_ref: index_flexion}
             """,
         )
         with pytest.raises(ConfigError, match="hand.actuators: actuator ids must be unique"):
@@ -913,6 +913,15 @@ class TestCliRun:
         assert main(argv) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(nerveline.cli, "run_scenario", exhausted)
+        argv = ["run", "--config", str(DEFAULT_CONFIG), "--scenario", str(SCENARIOS / "scissors_present.yaml")]
+        assert main(argv + ["--out", str(tmp_path / "trace.csv")]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     @pytest.mark.parametrize("content", UNLOADABLE_YAML, ids=UNLOADABLE_YAML_IDS)
     @pytest.mark.parametrize("command", ["calibrate", "run"])
     def test_unloadable_yaml_exits_two(self, tmp_path, capsys, command, content):
@@ -941,15 +950,15 @@ class TestCliRun:
             ("calibration_file: 3\n", "calibration_file: must be a string or null, got 3"),
             ("hand: {fingers: []}\n", "hand.fingers: unknown key"),
             (
-                "hand: {actuators: [{id: 0, role: bend, joint_ref: 3}]}\n",
+                "hand: {actuators: [{id: 0, joint_ref: 3}]}\n",
                 "hand.actuators[0].joint_ref: must be a string or null, got 3",
             ),
             (
-                "hand: {actuators: [{id: 0, role: bend, displacement_table: [1]}]}\n",
+                "hand: {actuators: [{id: 0, displacement_table: [1]}]}\n",
                 "hand.actuators[0].displacement_table: "
                 "must be a mapping of strings to finite numbers or null, got [1]",
             ),
-            ("hand: {actuators: [{role: bend}]}\n", "hand.actuators[0].id: required"),
+            ("hand: {actuators: [{joint_ref: index_flexion}]}\n", "hand.actuators[0].id: required"),
             # a run's length has a ceiling on each of its three budgets
             ("controller: {dwell_ticks: 1001}\n", "controller.dwell_ticks: must be <= 1000, got 1001"),
             ("controller: {max_regrasp_steps: 101}\n", "controller.max_regrasp_steps: must be <= 100, got 101"),
@@ -983,11 +992,11 @@ class TestCliRun:
         "hand,message",
         [
             (
-                "{actuators: [{id: 0, role: bend, joint_ref: index_flexon}]}",
+                "{actuators: [{id: 0, joint_ref: index_flexon}]}",
                 "hand.actuators[0].joint_ref: unknown joint 'index_flexon'",
             ),
             (
-                "{actuators: [{id: 0, role: bend, displacement_table: {grasp: 6.5}}]}",
+                "{actuators: [{id: 0, displacement_table: {grasp: 6.5}}]}",
                 "hand.actuators[0].displacement_table: "
                 "must cover grasp and open without a joint_ref, got {'grasp': 6.5}",
             ),
@@ -1044,7 +1053,7 @@ class TestCliRun:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_huge_bridges_read_as_open_line(self, tmp_path, capsys):
-        # a * b overflows in the ladder fold and supply * ohm in the divider
+        # a * b overflows in a float ladder fold
         scenario = write(
             tmp_path,
             "s.yaml",
@@ -1962,6 +1971,11 @@ class TestCalibrationTable:
         assert table == {i: auto_calibration(spec) for i, spec in config.sensors.items()}
 
 
+# a second line whose noise-free open and base poses read the same count, by a huge pull-up or a tiny length
+UNORDERED_PULLUP = "sensors: [{index: 0}, {index: 1, pullup_ohm: 1.0e+308, lead_offset_ohm: 1.0e+308}]\n"
+UNORDERED_LENGTH = "sensors: [{index: 0}, {index: 1, effective_length_mm: 1.0e-300, spike_pitch_mm: 1.0e-300}]\n"
+
+
 class TestCliCalibrate:
     def test_noise_free_output_exact(self, tmp_path):
         out = tmp_path / "calibration.txt"
@@ -2035,6 +2049,37 @@ class TestCliCalibrate:
             argv += ["--log", str(log)]
         assert main(argv) == 2
         assert f"error: {calibration}: line 3: blank line not allowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sensors,command,message",
+        [
+            (UNORDERED_PULLUP, "sweep", "sensor 1: v_min < v_mid violated (v_min=511, v_mid=511)"),
+            (UNORDERED_PULLUP, "calibrate", "sensor 1: v_min < v_mid violated (v_min=511, v_mid=511)"),
+            (UNORDERED_LENGTH, "run", "sensor 1: v_min < v_mid violated (v_min=93, v_mid=93)"),
+            (UNORDERED_LENGTH, "replay", "sensor 1: v_min < v_mid violated (v_min=93, v_mid=93)"),
+            ("noise_sd_counts: 1.0e+300\n", "calibrate", "sensor 0: v_min < v_mid violated (v_min=614, v_mid=563)"),
+            # one line under two indices, listed high first, calibrates once under the lower
+            (
+                "sensors: [{index: 0}, {index: 1}, {index: 3, pullup_ohm: 1.0e+308, lead_offset_ohm: 1.0e+308},"
+                " {index: 2, pullup_ohm: 1.0e+308, lead_offset_ohm: 1.0e+308}]\n",
+                "run",
+                "sensor 2: v_min < v_mid violated (v_min=511, v_mid=511)",
+            ),
+        ],
+        ids=["pullup_sweep", "pullup_calibrate", "length_run", "length_replay", "noise_calibrate", "lowest_index"],
+    )
+    def test_line_that_cannot_calibrate_names_its_sensor(self, tmp_path, capsys, sensors, command, message):
+        """A line whose calibration poses do not order fails every command, naming the lowest index with that line."""
+        config = write(tmp_path, "c.yaml", "seed: 1\n" + sensors)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out.csv")]
+        if command == "run":
+            argv += ["--scenario", str(SCENARIOS / "no_scissors.yaml")]
+        elif command == "replay":
+            log = tmp_path / "frames.csv"
+            log.write_text("t_ms,sensor,counts\n0,0,500\n")
+            argv += ["--log", str(log)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_sensor_in_calibration_file(self, tmp_path, capsys):
         calibration = tmp_path / "calibration.txt"

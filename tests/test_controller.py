@@ -541,8 +541,8 @@ class TestRunScenario:
     def test_custom_hand_tables_drive_grasp_command(self):
         hand = Hand(
             actuators=(
-                ActuatorSpec(id=0, role="bend", displacement_table={"grasp": 6.5, "open": 0.0}),
-                ActuatorSpec(id=1, role="extend", displacement_table={"grasp": 3.0, "open": 0.0}),
+                ActuatorSpec(id=0, displacement_table={"grasp": 6.5, "open": 0.0}),
+                ActuatorSpec(id=1, displacement_table={"grasp": 3.0, "open": 0.0}),
             ),
         )
         result = simulate(SCISSORS_PRESENT, seed=12345, hand=hand)

@@ -57,34 +57,34 @@ class TestHandModel:
     def test_default_hand_layout(self):
         hand = Hand()
         assert len(hand.actuators) == 7
-        roles = sorted(a.role for a in hand.actuators)
-        assert roles == ["bend"] * 3 + ["extend"] * 3 + ["internal_rotation"]
+        joints = [a.joint_ref for a in hand.actuators]  # three bend wires, their extend wires, the rotation
+        assert joints == ["thumb_flexion", "index_flexion", "middle_flexion"] * 2 + ["thumb_internal_rotation"]
 
     def test_duplicate_actuator_ids_rejected(self):
-        actuator = ActuatorSpec(id=0, role="bend", joint_ref="index_flexion")
+        actuator = ActuatorSpec(id=0, joint_ref="index_flexion")
         with pytest.raises(ConfigError, match="unique"):
             Hand(actuators=(actuator, actuator))
 
     def test_actuator_validation(self):
-        with pytest.raises(ConfigError, match="^role: unknown role 'twist'$"):
-            ActuatorSpec(id=0, role="twist", joint_ref="index_flexion")
         with pytest.raises(ConfigError, match="pulley_radius_mm"):
-            ActuatorSpec(id=0, role="bend", joint_ref="index_flexion", pulley_radius_mm=0.0)
+            ActuatorSpec(id=0, joint_ref="index_flexion", pulley_radius_mm=0.0)
+        with pytest.raises(ConfigError, match="^id: must be >= 0, got -1$"):
+            ActuatorSpec(id=-1, joint_ref="index_flexion")
 
     def test_finger_validation(self):
         # a joint is one of the five fingers' flexion joints or the thumb's internal rotation
         with pytest.raises(ConfigError, match="^joint_ref: unknown joint 'pinky_flexion'$"):
-            ActuatorSpec(id=0, role="bend", joint_ref="pinky_flexion")
+            ActuatorSpec(id=0, joint_ref="pinky_flexion")
         with pytest.raises(ConfigError, match="^joint_ref: unknown joint 'index_flexon'$"):
-            ActuatorSpec(id=0, role="bend", joint_ref="index_flexon")
-        ActuatorSpec(id=0, role="bend", joint_ref="little_flexion")
+            ActuatorSpec(id=0, joint_ref="index_flexon")
+        ActuatorSpec(id=0, joint_ref="little_flexion")
 
     @pytest.mark.parametrize("table", [None, {}, {"grasp": 6.5}, {"open": 0.0, "wave": 1.0}])
     def test_table_without_joint_covers_both_postures(self, table):
         message = f"^displacement_table: must cover grasp and open without a joint_ref, got {re.escape(repr(table))}$"
         with pytest.raises(ConfigError, match=message):
-            ActuatorSpec(id=0, role="bend", displacement_table=table)
-        ActuatorSpec(id=0, role="bend", joint_ref="index_flexion", displacement_table=table)
+            ActuatorSpec(id=0, displacement_table=table)
+        ActuatorSpec(id=0, joint_ref="index_flexion", displacement_table=table)
 
 
 class TestPostureCommand:
@@ -96,17 +96,17 @@ class TestPostureCommand:
 
     def test_table_wins_over_derivation(self):
         actuator = ActuatorSpec(
-            id=0, role="bend", joint_ref="index_flexion", displacement_table={"grasp": 9.0}
+            id=0, joint_ref="index_flexion", displacement_table={"grasp": 9.0}
         )
         assert posture_command("grasp", (actuator,), 0.5) == {0: 9.0}
 
     def test_unknown_posture_names_actuator(self):
-        actuator = ActuatorSpec(id=3, role="bend", displacement_table={"grasp": 6.5, "open": 0.0})
+        actuator = ActuatorSpec(id=3, displacement_table={"grasp": 6.5, "open": 0.0})
         with pytest.raises(ConfigError, match="actuator 3.*'wave'"):
             posture_command("wave", (actuator,))
 
     def test_no_state_and_no_table_rejected(self):
-        actuator = ActuatorSpec(id=2, role="bend", joint_ref="index_flexion")
+        actuator = ActuatorSpec(id=2, joint_ref="index_flexion")
         with pytest.raises(ConfigError, match="actuator 2"):
             posture_command("grasp", (actuator,))
 

@@ -193,7 +193,6 @@ class TestSpec:
             ("effective_length_mm", 0.0),
             ("spike_pitch_mm", -1.0),
             ("pullup_ohm", 0.0),
-            ("supply_volts", 0.0),
             ("body_fraction", 1.5),
             ("lead_offset_ohm", -1.0),
         ],
@@ -336,34 +335,35 @@ class TestSolve:
 
 class TestAdc:
     def test_floor_quantization(self):
+        # the pin voltage as a fraction of the supply: the ADC is ratiometric
         assert adc_quantize(SPEC, 0.0) == 0
-        assert adc_quantize(SPEC, 5.0) == 1023
-        assert adc_quantize(SPEC, 2.5) == 511  # 511.5 floors down
+        assert adc_quantize(SPEC, 1.0) == 1023
+        assert adc_quantize(SPEC, 0.5) == 511  # 511.5 floors down
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            adc_quantize(SPEC, 5.1)
-        with pytest.raises(ValueError, match="outside"):
-            adc_quantize(SPEC, -0.1)
+        with pytest.raises(ValueError, match=r"^ratio 1\.02 outside \[0, 1\]$"):
+            adc_quantize(SPEC, 1.02)
+        with pytest.raises(ValueError, match=r"^ratio -0\.02 outside \[0, 1\]$"):
+            adc_quantize(SPEC, -0.02)
 
     def test_noise_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):
-            adc_quantize(SPEC, 2.5, noise_sd_counts=4.0)
+            adc_quantize(SPEC, 0.5, noise_sd_counts=4.0)
 
     def test_noise_is_seeded_and_clamped(self):
         rng = random.Random(42)
-        first = adc_quantize(SPEC, 2.5, noise_sd_counts=4.0, rng=rng)
+        first = adc_quantize(SPEC, 0.5, noise_sd_counts=4.0, rng=rng)
         assert type(first) is int
-        assert first == adc_quantize(SPEC, 2.5, noise_sd_counts=4.0, rng=random.Random(42))
+        assert first == adc_quantize(SPEC, 0.5, noise_sd_counts=4.0, rng=random.Random(42))
         big = random.Random(3)
         for _ in range(200):
-            counts = adc_quantize(SPEC, 5.0, noise_sd_counts=500.0, rng=big)
+            counts = adc_quantize(SPEC, 1.0, noise_sd_counts=500.0, rng=big)
             assert 0 <= counts <= 1023
 
     def test_huge_noise_clamped_before_rounding(self):
         rng = random.Random(1)
         for _ in range(50):
-            counts = adc_quantize(SPEC, 2.5, 1e308, rng)
+            counts = adc_quantize(SPEC, 0.5, 1e308, rng)
             assert 0 <= counts <= SPEC.adc_full_scale
 
     def test_timestamp_carried(self):
