@@ -14,7 +14,7 @@ import random
 import sys
 from dataclasses import replace
 from itertools import chain, islice
-from typing import Any, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 from .config import RunConfig, load_config, load_scenario
 from .controller import SENSOR_COUNT, TraceRow, run_scenario
@@ -278,49 +278,103 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+# per command: its function, its help, and each option's add_argument keywords
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, dict[str, Any]]]] = {
+    "sweep": (cmd_sweep, "press along one line and tabulate p statistics", {
+        "--config": {"required": True},
+        "--seed": {"type": int, "default": None},
+        "--sensor": {"type": int, "default": 0},
+        "--repeats": {"type": int, "default": 100},
+        "--jitter-mm": {"type": float, "default": 2.5},
+        "--out": {"default": "sweep.csv"},
+        "--frames-out": {"default": None, "help": "also write a replayable frame log"},
+    }),
+    "run": (cmd_run, "run a scripted scenario to completion", {
+        "--config": {"required": True},
+        "--scenario": {"required": True},
+        "--seed": {"type": int, "default": None},
+        "--out": {"default": None, "help": "trace CSV path (default <name>_trace.csv)"},
+        "--no-spikes": {"action": "store_true", "help": "model a smooth skin"},
+    }),
+    "replay": (cmd_replay, "re-estimate from a recorded frame log", {
+        "--config": {"required": True},
+        "--log": {"required": True},
+        "--out": {"default": "replay.csv"},
+    }),
+    "calibrate": (cmd_calibrate, "capture calibration triplets", {
+        "--config": {"required": True},
+        "--seed": {"type": int, "default": None},
+        "--out": {"default": "calibration.txt"},
+    }),
+}
+
+
+# per command: the namespace of its defaults, and each option's action
+Plain = dict[str, tuple[dict[str, Any], dict[str, argparse.Action]]]
+
+
 @functools.cache  # once per process, on the first main call; importing builds nothing
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, Plain]:
+    """The parser, and what `_plain_args` reads of it."""
     parser = argparse.ArgumentParser(
         prog="nerveline",
         description="Simulate and analyze resistive nerve-line tactile sensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    plain = {}
+    for name, (func, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        actions = {option: command.add_argument(option, **keywords) for option, keywords in options.items()}
+        defaults = {"command": name, "func": func, **{action.dest: action.default for action in actions.values()}}
+        plain[name] = defaults, actions
+    return parser, plain
 
-    sweep = sub.add_parser("sweep", help="press along one line and tabulate p statistics")
-    sweep.add_argument("--config", required=True)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--sensor", type=int, default=0)
-    sweep.add_argument("--repeats", type=int, default=100)
-    sweep.add_argument("--jitter-mm", type=float, default=2.5)
-    sweep.add_argument("--out", default="sweep.csv")
-    sweep.add_argument("--frames-out", default=None, help="also write a replayable frame log")
-    sweep.set_defaults(func=cmd_sweep)
 
-    run = sub.add_parser("run", help="run a scripted scenario to completion")
-    run.add_argument("--config", required=True)
-    run.add_argument("--scenario", required=True)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--out", default=None, help="trace CSV path (default <name>_trace.csv)")
-    run.add_argument("--no-spikes", action="store_true", help="model a smooth skin")
-    run.set_defaults(func=cmd_run)
+def _plain_args(argv: list[str], plain: Plain) -> argparse.Namespace | None:
+    """What ``parse_args(argv)`` gives a plain argv, or None for any other.
 
-    replay = sub.add_parser("replay", help="re-estimate from a recorded frame log")
-    replay.add_argument("--config", required=True)
-    replay.add_argument("--log", required=True)
-    replay.add_argument("--out", default="replay.csv")
-    replay.set_defaults(func=cmd_replay)
+    A plain argv is a command, then whole option names, each followed by a value that does not start with ``-``,
+    or alone for a flag, with every required option given and each value one its option's type accepts.
+    """
+    if not argv or argv[0] not in plain:
+        return None
+    defaults, actions = plain[argv[0]]
+    values = dict(defaults)
+    given = set()
+    tokens = iter(argv[1:])
+    for option in tokens:
+        action = actions.get(option)
+        if action is None:
+            return None
+        if action.nargs == 0:  # a flag
+            value = action.const
+        else:
+            value = next(tokens, "-")  # a missing value is read as one that starts with -
+            if value[:1] == "-":
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except ValueError:
+                    return None
+        values[action.dest] = value
+        given.add(option)
+    if any(action.required and option not in given for option, action in actions.items()):
+        return None
+    return argparse.Namespace(**values)
 
-    calibrate_cmd = sub.add_parser("calibrate", help="capture calibration triplets")
-    calibrate_cmd.add_argument("--config", required=True)
-    calibrate_cmd.add_argument("--seed", type=int, default=None)
-    calibrate_cmd.add_argument("--out", default="calibration.txt")
-    calibrate_cmd.set_defaults(func=cmd_calibrate)
 
-    return parser
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parse_args(argv)``: `_plain_args` reads a plain argv, and argparse every other, so it alone words
+    every usage, help and error text."""
+    parser, plain = _build_parser()
+    args = _plain_args(argv, plain)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ConfigError, ScenarioError, ValueError, OSError) as exc:

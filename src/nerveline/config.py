@@ -31,7 +31,7 @@ from .controller import (
     sensor_index_problem,
 )
 from .errors import ConfigError, ScenarioError
-from .estimation import DEFAULT_CUTOFF_HZ, smoothing_coefficient
+from .estimation import DEFAULT_CUTOFF_HZ, _read_text, smoothing_coefficient
 from .line import NerveLineSpec
 
 
@@ -124,8 +124,7 @@ def _parse_yaml(text: str) -> Any:
 
 def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any]:
     try:
-        with open(path, encoding="utf-8") as handle:  # not Path.read_text, which costs a path object
-            raw = _parse_yaml(handle.read())
+        raw = _parse_yaml(_read_text(path, "utf-8"))
     except OSError:  # a missing or unreadable file keeps its own message
         raise
     except Exception as err:

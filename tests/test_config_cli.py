@@ -67,6 +67,15 @@ MIDPOINT_SCENARIO = (
 )
 
 
+# argparse's usage lines, as it wraps them at 80 columns
+SWEEP_USAGE = (
+    "usage: nerveline sweep [-h] --config CONFIG [--seed SEED] [--sensor SENSOR]\n"
+    "                       [--repeats REPEATS] [--jitter-mm JITTER_MM] [--out OUT]\n"
+    "                       [--frames-out FRAMES_OUT]\n"
+)
+TOP_USAGE = "usage: nerveline [-h] {sweep,run,replay,calibrate} ...\n"
+
+
 SHIPPED_YAML = sorted([DEFAULT_CONFIG, *SCENARIOS.glob("*.yaml")])
 
 # the cases of TestCliRun::test_unloadable_yaml_exits_two
@@ -1235,6 +1244,248 @@ class TestCliEntryPoint:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert (done.returncode, done.stdout) == (0, f"{len(scenarios)} False\n"), done.stderr
+
+
+# what the argv property draws: the commands, every option, spellings only argparse reads, and awkward values
+ARGV_WORDS = ["sweep", "run", "replay", "calibrate", "bogus"]
+ARGV_OPTIONS = sorted({option for _, _, options in nerveline.cli._COMMANDS.values() for option in options})
+ARGV_SPELLINGS = ["-h", "--help", "--", "--conf", "--rep", "--s", "--no", "--config=c.yaml", "--seed=-5", "--repeats="]
+ARGV_VALUES = ["c.yaml", "0", "-5", "-x", "1_0", " 7", "nan", "0x10", "", "-", "many"]
+
+
+def _parse_outcome(parse, argv):
+    """``("args", sorted attributes)`` of what ``parse(argv)`` gives, or ``("exit", code, stdout, stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+    return "args", repr(sorted(vars(args).items()))  # repr, so that nan equals nan and 1 differs from 1.0
+
+
+ARGV_TOKEN = st.sampled_from(ARGV_WORDS + ARGV_OPTIONS + ARGV_SPELLINGS + ARGV_VALUES)
+ARGV_COMMAND = st.sampled_from(ARGV_WORDS[:4]).map(lambda word: [word])
+ARGV_HEAD = st.one_of(ARGV_COMMAND, ARGV_COMMAND, ARGV_COMMAND, st.lists(ARGV_TOKEN, max_size=1))  # mostly a command
+ARGV_VALUE = st.sampled_from(["0", "1_0", " 7", "c.yaml"])  # the first three suit every option
+
+
+def _argv_parts(options):
+    """A command's required options, an option-value pair, and something only argparse reads."""
+    return (
+        [option for option in options if options[option].get("required")],
+        st.tuples(st.sampled_from(sorted(options)), ARGV_VALUE),
+        st.tuples(st.sampled_from(sorted(options)), st.sampled_from(ARGV_VALUES)) | st.tuples(ARGV_TOKEN),
+    )
+
+
+ARGV_PARTS = {command: _argv_parts(options) for command, (_, _, options) in nerveline.cli._COMMANDS.items()}
+ARGV_PARTS[""] = _argv_parts(dict.fromkeys(ARGV_OPTIONS, {}))  # after no command, or a word that is none
+
+
+@st.composite
+def argvs(draw):
+    """An argv that is often plain: a command, its required options and option-value pairs, with any token anywhere."""
+    head = draw(ARGV_HEAD)
+    required, pair, odd = ARGV_PARTS[head[0] if head and head[0] in ARGV_PARTS else ""]
+    pairs = [(option, draw(ARGV_VALUE)) for option in required] if draw(st.integers(0, 3)) else []
+    pairs += draw(st.lists(st.one_of(pair, pair, pair, st.just(("--no-spikes",))), max_size=4))
+    if not draw(st.integers(0, 2)):
+        pairs += draw(st.lists(odd, min_size=1, max_size=2))
+    return head + [token for tokens in pairs for token in tokens]
+
+
+class TestArgparseTexts:
+    """Every help, usage and error text of the command line, byte for byte, as argparse words it at 80 columns."""
+
+    HELP = {
+        "nerveline": (
+            TOP_USAGE + "\n"
+            "Simulate and analyze resistive nerve-line tactile sensors.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {sweep,run,replay,calibrate}\n"
+            "    sweep               press along one line and tabulate p statistics\n"
+            "    run                 run a scripted scenario to completion\n"
+            "    replay              re-estimate from a recorded frame log\n"
+            "    calibrate           capture calibration triplets\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "sweep": (
+            SWEEP_USAGE + "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --config CONFIG\n"
+            "  --seed SEED\n"
+            "  --sensor SENSOR\n"
+            "  --repeats REPEATS\n"
+            "  --jitter-mm JITTER_MM\n"
+            "  --out OUT\n"
+            "  --frames-out FRAMES_OUT\n"
+            "                        also write a replayable frame log\n"
+        ),
+        "run": (
+            "usage: nerveline run [-h] --config CONFIG --scenario SCENARIO [--seed SEED]\n"
+            "                     [--out OUT] [--no-spikes]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help           show this help message and exit\n"
+            "  --config CONFIG\n"
+            "  --scenario SCENARIO\n"
+            "  --seed SEED\n"
+            "  --out OUT            trace CSV path (default <name>_trace.csv)\n"
+            "  --no-spikes          model a smooth skin\n"
+        ),
+        "replay": (
+            "usage: nerveline replay [-h] --config CONFIG --log LOG [--out OUT]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help       show this help message and exit\n"
+            "  --config CONFIG\n"
+            "  --log LOG\n"
+            "  --out OUT\n"
+        ),
+        "calibrate": (
+            "usage: nerveline calibrate [-h] --config CONFIG [--seed SEED] [--out OUT]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help       show this help message and exit\n"
+            "  --config CONFIG\n"
+            "  --seed SEED\n"
+            "  --out OUT\n"
+        ),
+    }
+
+    @staticmethod
+    def parsed(argv, capsys):
+        """``(exit code, stdout, stderr)`` of ``main(argv)`` when it exits while parsing."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out, err = capsys.readouterr()
+        return excinfo.value.code, out, err
+
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command == "nerveline" else [command, "--help"]
+        assert self.parsed(argv, capsys) == (0, self.HELP[command], "")
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            ([], TOP_USAGE + "nerveline: error: the following arguments are required: command\n"),
+            (
+                ["bogus"],
+                TOP_USAGE + "nerveline: error: argument command: invalid choice: 'bogus'"
+                " (choose from 'sweep', 'run', 'replay', 'calibrate')\n",
+            ),
+            (["sweep"], SWEEP_USAGE + "nerveline sweep: error: the following arguments are required: --config\n"),
+            (
+                ["sweep", "--config", "c", "--repeats", "many"],
+                SWEEP_USAGE + "nerveline sweep: error: argument --repeats: invalid int value: 'many'\n",
+            ),
+            (
+                ["sweep", "--config", "c", "--jitter-mm", "x"],
+                SWEEP_USAGE + "nerveline sweep: error: argument --jitter-mm: invalid float value: 'x'\n",
+            ),
+            (["sweep", "--config", "c", "--bogus"], TOP_USAGE + "nerveline: error: unrecognized arguments: --bogus\n"),
+            (["sweep", "--config"], SWEEP_USAGE + "nerveline sweep: error: argument --config: expected one argument\n"),
+            (
+                ["sweep", "--config", "c", "--seed"],
+                SWEEP_USAGE + "nerveline sweep: error: argument --seed: expected one argument\n",
+            ),
+        ],
+        ids=["no_command", "bogus", "no_config", "repeats_many", "jitter_x", "unknown_option", "config_no_value",
+             "seed_no_value"],
+    )
+    def test_usage_errors(self, monkeypatch, capsys, argv, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.parsed(argv, capsys) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv,seed,repeats",
+        [(["sweep", "--config=c", "--rep", "5"], None, 5), (["sweep", "--config", "c", "--seed", "-5"], -5, 100)],
+        ids=["equals_and_abbreviation", "negative_seed"],
+    )
+    def test_argparse_spellings_still_parse(self, monkeypatch, argv, seed, repeats):
+        """A spelling only argparse reads still runs: the command sees the values, not a usage error."""
+        seen = []
+
+        def stop(args):
+            seen.append(args)
+            raise ConfigError("stopped once parsed")
+
+        monkeypatch.setattr(nerveline.cli, "_load_config", stop)
+        assert main(argv) == 2
+        (args,) = seen
+        assert (args.config, args.seed, args.repeats) == ("c", seed, repeats)
+
+    @settings(max_examples=250, deadline=None)
+    @given(argvs())
+    @example(["sweep", "--config", "c.yaml", "--seed", "-5"])
+    @example(["run", "--config", "c.yaml", "--scenario", "s", "--no-spikes", "--no-spikes"])
+    @example(["sweep", "--config", "c.yaml", "--jitter-mm", "nan", "--repeats", "1_0", "--sensor", " 7"])
+    @example(["calibrate", "--config", "c.yaml", "--seed", "0x10"])
+    @example(["replay", "--config", "", "--log", "c.yaml", "--out", "-"])
+    def test_plain_argv_parses_as_argparse_does(self, argv):
+        """Every argv gives the namespace ``parse_args`` gives, or its exit code and texts."""
+        parser, _ = _build_parser()
+        assert _parse_outcome(nerveline.cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
+
+
+class TestInputFiles:
+    """What reading each input file reports: the same OSError texts, line ends and decode errors for every file."""
+
+    @staticmethod
+    def argv(tmp_path, role, path):
+        """An argv that reads ``path`` as the input file ``role``, every other input a good one."""
+        config = str(DEFAULT_CONFIG)
+        if role == "calibration_file":
+            config = str(write(tmp_path, "c.yaml", f"seed: 1\ncalibration_file: {path}\n"))
+        argv = {
+            "config": ["calibrate", "--config", str(path)],
+            "scenario": ["run", "--config", config, "--scenario", str(path)],
+            "log": ["replay", "--config", config, "--log", str(path)],
+            "calibration_file": ["run", "--config", config, "--scenario", str(SCENARIOS / "scissors_present.yaml")],
+        }[role]
+        return argv + ["--out", str(tmp_path / "out.csv")]
+
+    @pytest.mark.parametrize("role", ["config", "scenario", "log", "calibration_file"])
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_path_exits_two(self, tmp_path, capsys, role, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+            message = f"error: [Errno 21] Is a directory: '{path}'\n"
+        else:
+            message = f"error: [Errno 2] No such file or directory: '{path}'\n"
+        assert main(self.argv(tmp_path, role, path)) == 2
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_config_line_ends_read_as_newlines(self, tmp_path, monkeypatch, newline):
+        """A config saved with CRLF or lone-CR line ends is its LF copy, read without ``yaml.safe_load``."""
+        text = DEFAULT_CONFIG.read_bytes()
+        assert b"\r" not in text
+        path = tmp_path / "c.yaml"
+        path.write_bytes(text.replace(b"\n", newline))
+
+        def pure_loader(stream):
+            raise AssertionError("reached yaml.safe_load")
+
+        monkeypatch.setattr(yaml, "safe_load", pure_loader)
+        assert load_config(path) == load_config(DEFAULT_CONFIG)
+
+    def test_undecodable_config_keeps_the_codec_text(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"seed: \xff\n")
+        assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not valid YAML: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"
+        )
 
 
 class TestCliAcrossHashSeeds:
