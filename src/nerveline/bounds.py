@@ -135,7 +135,7 @@ class Table(NamedTuple):
     field holds a tuple of them.
     """
 
-    names: dict[str, None]  # every field, in order; a dict for fast lookup
+    names: dict[str, Any]  # every field, in order, to its default (MISSING when it has none)
     required: tuple[str, ...]  # the fields without a default
     checks: tuple[tuple[Any, ...], ...]
     nested: tuple[tuple[str, type, bool], ...]
@@ -160,7 +160,7 @@ def table(cls: type) -> Table:
         expected += " or null" if optional else ""
         checks.append((f.name, optional, integer, f.metadata.get("limits", ()), test, expected))
     required = tuple(f.name for f in every if f.default is MISSING and f.default_factory is MISSING)
-    return Table(dict.fromkeys(f.name for f in every), required, tuple(checks), tuple(nested))
+    return Table({f.name: f.default for f in every}, required, tuple(checks), tuple(nested))
 
 
 def field_problems(cls: type, values: Mapping[str, Any]) -> list[str]:

@@ -9,13 +9,13 @@ itself: a field's type comes from its annotation, its bounds from ``bounds.bound
 and its cross-field rules from the record's ``cross_problems`` (see ``bounds``).  This
 module maps file shapes onto those records, prefixes their messages with the path, and
 adds the rules only a file can break: unknown keys, a missing seed, the filter block,
-the top-level tick, duplicate sensors, phase names and a rule's reference to the
-configured lines.
+duplicate sensors, phase names and a rule's reference to the configured lines.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import MISSING
 from pathlib import Path
 from typing import AbstractSet, Any
 
@@ -23,7 +23,6 @@ from .bounds import field_problems, number_problem, table
 from .controller import (
     SENSOR_COUNT,
     ContactRule,
-    ControllerConfig,
     RunConfig,
     Scenario,
     TaskPhase,
@@ -169,7 +168,8 @@ def _build(cls: type, data: dict[str, Any], path: str, errors: list[str], **pars
     are reported under ``path`` (``"sensors[0]."``) ahead of its nested
     records'.  Returns None when any of these went wrong.  The constructor
     checks a clean record; its problems are worked out here, with their
-    paths, only once something is wrong.
+    paths, only once something is wrong, on the defaults of the fields
+    ``data`` leaves out, as in the constructor, but not of a failed part.
     """
     since = len(errors)
     names, required, _, nested = table(cls)
@@ -194,7 +194,8 @@ def _build(cls: type, data: dict[str, Any], path: str, errors: list[str], **pars
         except ValueError as exc:
             own = [path + problem for problem in str(exc).split("\n")]
     else:
-        own += [path + problem for problem in field_problems(cls, values)]
+        defaults = {name: default for name, default in names.items() if default is not MISSING and name not in failed}
+        own += [path + problem for problem in field_problems(cls, defaults | values)]
     errors[since:since] = own
     return None
 
@@ -273,9 +274,9 @@ def _parse_filter(data: Any, dt_ms: int, errors: list[str]) -> float | None:
         return None
 
 
-# the file spells filter_coefficient_a as a filter block, and adds the controller's tick
-_TOP_KEYS = table(RunConfig).names.keys() - {"filter_coefficient_a"} | {"filter", "dt_ms"}
-_OWN_KEYS = _TOP_KEYS - {"sensors", "controller", "filter", "dt_ms"}
+# the file spells filter_coefficient_a as a filter block
+_TOP_KEYS = table(RunConfig).names.keys() - {"filter_coefficient_a"} | {"filter"}
+_OWN_KEYS = _TOP_KEYS - {"sensors", "filter"}
 _SEED_REQUIRED = "seed: required; runs must not fall back to wall-clock entropy"
 _CONFIG_ORDER = (
     "", "seed", "noise_sd_counts", "dt_ms", "quantize_to_spikes",
@@ -292,25 +293,13 @@ def load_config(path: str | Path) -> RunConfig:
     """
     data = _load_yaml_mapping(path, ConfigError)
     errors = _unknown_keys(data, _TOP_KEYS, "")
-    # the top-level tick is the controller's unless its block sets its own
-    dt_ms = data.get("dt_ms", ControllerConfig.dt_ms)
-    dt_problems = field_problems(ControllerConfig, {"dt_ms": dt_ms})
-    if dt_problems:
-        errors.extend(dt_problems)
-        dt_ms = ControllerConfig.dt_ms  # reported; keep checking the rest
-
-    block = data.get("controller")
-    if block is None:
-        block = {}
-    if isinstance(block, dict):
-        block = {"dt_ms": dt_ms, **block}
-    controller = _build_part(ControllerConfig, False, block, "controller", errors)
-    # the controller's tick is the filter's
-    coefficient = _parse_filter(data.get("filter"), dt_ms if controller is None else controller.dt_ms, errors)
+    dt_ms = data.get("dt_ms", RunConfig.dt_ms)
+    if field_problems(RunConfig, {"dt_ms": dt_ms}):
+        dt_ms = RunConfig.dt_ms  # RunConfig reports it; the filter keeps the default tick
+    coefficient = _parse_filter(data.get("filter"), dt_ms, errors)
     sensors = _parse_sensors(data["sensors"], errors) if "sensors" in data else default_sensors()
     own = {key: value for key, value in data.items() if key in _OWN_KEYS}
-    parts = {"sensors": sensors, "controller": controller, "filter_coefficient_a": coefficient}
-    config = _build(RunConfig, own, "", errors, **parts)
+    config = _build(RunConfig, own, "", errors, sensors=sensors, filter_coefficient_a=coefficient)
     if errors:  # in a file's terms
         errors = [error.replace("filter_coefficient_a:", "filter.coefficient_a:") for error in errors]
         errors = [_SEED_REQUIRED if error == "seed: required" else error for error in errors]

@@ -104,7 +104,6 @@ class ControllerConfig:
     max_regrasp_steps: int = bounded(16, ge=1, le=100)
     window_n: int = bounded(10, ge=1)
     dwell_ticks: int = bounded(10, ge=1, le=1000)
-    dt_ms: int = bounded(10, gt=0)
     watched_sensor_grasp: int = bounded(0, ge=0)
     watched_sensor_regrasp: int = bounded(1, ge=0)
 
@@ -190,16 +189,17 @@ class RunConfig:
     """Everything a reproducible run needs besides the scenario itself.
 
     ``load_config`` builds one from a file, deriving the filter coefficient
-    from the cutoff at the controller tick; one built in code gets the same
-    checks: typed and bounded fields, at least one sensor, each keyed by
-    its index in 0..3, a coefficient in [0, 1), and both watched sensors
-    configured.
+    from the cutoff at the run's one tick, ``dt_ms``; one built in code gets
+    the same checks: typed and bounded fields, at least one sensor, each
+    keyed by its index in 0..3, a coefficient in [0, 1), and both watched
+    sensors configured.
     """
 
     seed: int = bounded()
     sensors: Mapping[Any, NerveLineSpec]  # keyed by sensor index, which cross_problems checks
-    controller: ControllerConfig
     filter_coefficient_a: float
+    dt_ms: int = bounded(10, gt=0)
+    controller: ControllerConfig = ControllerConfig()
     noise_sd_counts: float = bounded(0.0, ge=0)
     quantize_to_spikes: bool = True
     calibration_file: str | None = None
@@ -398,8 +398,8 @@ def run_scenario(
 
     Args:
         scenario: world script and expected outcome.
-        run: the lines, controller, seed, filter coefficient, ADC noise,
-            skin and hand of the run, as ``load_config`` gives them.
+        run: the lines, controller, tick, seed, filter coefficient, ADC
+            noise, skin and hand of the run, as ``load_config`` gives them.
         calibration: reference triplet per configured sensor.
 
     Returns:
@@ -467,7 +467,7 @@ def run_scenario(
                 if history is not None:
                     history.append(sample[1:])
                 rows.append((t_ms, phase, i, raw) + sample)
-            t_ms += config.dt_ms
+            t_ms += run.dt_ms
         state, commands = step(state, histories, config, context)
     return ScenarioResult(
         outcome=_outcome(state, scenario.goal),

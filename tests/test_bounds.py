@@ -41,10 +41,10 @@ CONTROLLER_BASE = {"window_n": 1, "dwell_ticks": 1000}
 
 CASES = [("sensors[0].", NerveLineSpec, {}, f.name) for f in fields(NerveLineSpec)] + [
     ("controller.", ControllerConfig, CONTROLLER_BASE, f.name) for f in fields(ControllerConfig)
-]
+] + [("", RunConfig, {}, "dt_ms")]  # the run's tick, a top-level key
 
 COEFFICIENT_A = 0.7609427763893117  # the shipped config's, from a 5 Hz cutoff at a 10 ms tick
-DEFAULT_RUN = RunConfig(seed=0, sensors=default_sensors(), controller=ControllerConfig(), filter_coefficient_a=0.5)
+DEFAULT_RUN = RunConfig(seed=0, sensors=default_sensors(), filter_coefficient_a=0.5)
 
 values = st.one_of(st.integers(min_value=-1000, max_value=1000), st.floats(), st.booleans())
 
@@ -65,7 +65,7 @@ def config_path(tmp_path_factory):
 @example(value=0)
 def test_loader_agrees_with_constructor(config_path, prefix, cls, base, name, value):
     try:
-        cls(**{**base, name: value})
+        replace(DEFAULT_RUN, **{name: value}) if cls is RunConfig else cls(**{**base, name: value})
         accepted = True
     except ValueError:
         accepted = False
@@ -75,6 +75,8 @@ def test_loader_agrees_with_constructor(config_path, prefix, cls, base, name, va
     block = {**base, name: value}
     if cls is NerveLineSpec:
         data = {"seed": 1, "sensors": [{"index": 0, **block}] + [{"index": i} for i in (1, 2, 3)]}
+    elif cls is RunConfig:
+        data = {"seed": 1, **block}
     else:
         data = {"seed": 1, "controller": block}
     config_path.write_text(yaml.safe_dump(data), encoding="utf-8")
@@ -157,7 +159,7 @@ def config_files(draw):
         }
     where = draw(st.sampled_from(["none", "top", "filter", "sensor", "index", "controller", "watched", "hand"]))
     if where == "top":
-        name = draw(st.sampled_from(["seed", "noise_sd_counts", "quantize_to_spikes", "calibration_file"]))
+        name = draw(st.sampled_from(["seed", "dt_ms", "noise_sd_counts", "quantize_to_spikes", "calibration_file"]))
         data[name] = draw(bad_value(RunConfig, name))
     elif where == "filter":
         data["filter"]["coefficient_a"] = draw(st.sampled_from([1.0, math.nextafter(0.0, -1.0)] + WRONG_TYPES))
@@ -247,7 +249,9 @@ def in_code(kind, data):
         "controller": make(ControllerConfig, **data["controller"]),
         "filter_coefficient_a": data["filter"]["coefficient_a"],
     }
-    run.update((key, data[key]) for key in ("noise_sd_counts", "quantize_to_spikes", "calibration_file") if key in data)
+    run.update(
+        (key, data[key]) for key in ("dt_ms", "noise_sd_counts", "quantize_to_spikes", "calibration_file") if key in data
+    )
     if "hand" in data:
         parts = {"actuators": tuple(make(ActuatorSpec, **actuator) for actuator in data["hand"]["actuators"])}
         run["hand"] = None if problems else make(Hand, **parts)

@@ -54,8 +54,8 @@ COEFFICIENT_A = 0.7609427763893117
 
 NOISY = "seed: 7\nnoise_sd_counts: 3.0\n"
 
-# the controller ticks every 40 ms while the top-level tick says 10 ms
-CONTROLLER_TICK = "seed: 1\ndt_ms: 10\ncontroller:\n  dt_ms: 40\n"
+# the run, its controller and its filter tick every 40 ms, not the default 10 ms
+CONTROLLER_TICK = "seed: 1\ndt_ms: 40\n"
 
 # sensor 1 differs from the other three lines in its pull-up
 TWO_SPECS = "seed: 1\nsensors: [{index: 0}, {index: 1, pullup_ohm: 50000}, {index: 2}, {index: 3}]\n"
@@ -116,7 +116,7 @@ class TestLoadConfig:
         config = load_config(write(tmp_path, "c.yaml", "seed: 1\n"))
         assert sorted(config.sensors) == [0, 1, 2, 3]
         assert config.sensors[0].pullup_ohm == 100_000.0
-        assert config.controller.dt_ms == 10
+        assert config.dt_ms == 10
         assert config.controller.max_retries == 2
 
     def test_missing_seed_rejected(self, tmp_path):
@@ -214,6 +214,12 @@ class TestLoadConfig:
                 "hand.actuators[0].role: unknown key\n"
                 "hand.actuators[0].joint_ref: unknown joint 'thumb_flexon'",
             ),
+            # a controller block that failed is not replaced by the default one, which watches sensors 0 and 1
+            (
+                "seed: 1\nsensors: [{index: 2}, {index: 3}]\n"
+                "controller: {watched_sensor_grasp: 2, watched_sensor_regrasp: 3, bogus: 1}\n",
+                "controller.bogus: unknown key",
+            ),
             # a cutoff so low that the coefficient rounds to 1 is reported under the key in the file
             (
                 "seed: 1\nfilter: {cutoff_hz: 1.0e-300}\n",
@@ -223,7 +229,7 @@ class TestLoadConfig:
         ids=[
             "unknown_key_then_bounds", "dwell_objection", "bound_over_objection",
             "identical_bad_blocks", "true_after_one", "one_per_top_level_key", "watched_after_sensors",
-            "cutoff_too_low",
+            "failed_block_not_defaulted", "cutoff_too_low",
         ],
     )
     def test_whole_error_texts_pinned(self, tmp_path, text, message):
@@ -233,7 +239,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "text,specs,checks",
-        [(None, 1, 24), (TWO_SPECS, 2, 32)],
+        [(None, 1, 24), (TWO_SPECS, 2, 22)],
         ids=["shipped", "two_specs"],
     )
     def test_one_spec_per_distinct_block(self, tmp_path, monkeypatch, text, specs, checks):
@@ -271,12 +277,11 @@ class TestLoadConfig:
             load_config(path)
 
     def test_top_level_dt_flows_into_controller(self, tmp_path):
-        config = load_config(write(tmp_path, "c.yaml", "seed: 1\ndt_ms: 20\n"))
-        assert config.controller.dt_ms == 20
-        explicit = write(
-            tmp_path, "c2.yaml", "seed: 1\ndt_ms: 20\ncontroller:\n  dt_ms: 5\n"
-        )
-        assert load_config(explicit).controller.dt_ms == 5
+        """The top-level tick is the run's, which its controller keeps; the controller block has no tick."""
+        assert load_config(write(tmp_path, "c.yaml", CONTROLLER_TICK)).dt_ms == 40
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write(tmp_path, "c2.yaml", "seed: 1\ncontroller:\n  dt_ms: 40\n"))
+        assert str(excinfo.value) == "controller.dt_ms: unknown key"
 
     @pytest.mark.parametrize(
         "value,problem", [(0, "must be > 0, got 0"), (2.5, "must be an integer, got 2.5")]
@@ -968,6 +973,21 @@ class TestCliRun:
                 "must be a mapping of strings to finite numbers or null, got [1]",
             ),
             ("hand: {actuators: [{joint_ref: index_flexion}]}\n", "hand.actuators[0].id: required"),
+            ("sensors: [5]\n", "sensors[0]: must be a mapping, got int"),
+            # an unhashable value: its block is built on its own
+            ("sensors: [{index: 0, pullup_ohm: [1]}]\n", "sensors[0].pullup_ohm: must be a finite number, got [1]"),
+            ("filter: 5\n", "filter: must be a mapping, got int"),
+            ("hand: {actuators: 5}\n", "hand.actuators: must be a list, got int"),
+            # a block with an unknown key still meets its rules across fields, on the defaults it leaves out
+            (
+                "controller: {window_n: 20, bogus: 1}\n",
+                "controller.bogus: unknown key\ncontroller.dwell_ticks: must cover window_n (20), got 10",
+            ),
+            (
+                "hand: {actuators: [{id: 0, bogus: 1}]}\n",
+                "hand.actuators[0].bogus: unknown key\n"
+                "hand.actuators[0].displacement_table: must cover grasp and open without a joint_ref, got None",
+            ),
             # a run's length has a ceiling on each of its three budgets
             ("controller: {dwell_ticks: 1001}\n", "controller.dwell_ticks: must be <= 1000, got 1001"),
             ("controller: {max_regrasp_steps: 101}\n", "controller.max_regrasp_steps: must be <= 100, got 101"),
@@ -987,7 +1007,9 @@ class TestCliRun:
             "sensors_not_list", "sensors_empty", "sensor_index", "cutoff_not_number",
             "coefficient_out_of_range", "controller_not_mapping", "quantize_not_bool",
             "calibration_file_not_string", "fingers_empty", "joint_ref_not_string",
-            "table_not_mapping", "actuator_id_missing", "dwell_ceiling", "regrasp_ceiling", "retry_ceiling",
+            "table_not_mapping", "actuator_id_missing", "sensor_not_mapping", "unhashable_sensor_value",
+            "filter_not_mapping", "actuators_not_list", "unknown_key_keeps_dwell_rule",
+            "unknown_key_keeps_table_rule", "dwell_ceiling", "regrasp_ceiling", "retry_ceiling",
             "length_yaml_1_1_string", "cutoff_yaml_1_1_string",
         ],
     )
@@ -995,6 +1017,11 @@ class TestCliRun:
         config = write(tmp_path, "c.yaml", "seed: 1\n" + text)
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal.txt")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_empty_config_exits_two(self, tmp_path, capsys):
+        config = write(tmp_path, "c.yaml", "")
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal.txt")]) == 2
+        assert capsys.readouterr().err == "error: seed: required; runs must not fall back to wall-clock entropy\n"
 
     @pytest.mark.parametrize("command", ["run", "sweep", "replay", "calibrate"])
     @pytest.mark.parametrize(
@@ -1043,6 +1070,10 @@ class TestCliRun:
             ),
             ("rules: [{position_mm: 1.0, phases: [Lower]}]\n", "rules[0].sensor: required"),
             (
+                "rules: [{sensor: 0, position_mm: 1.0, phases: Lift}]\n",
+                "rules[0].phases: must be a list of phase names, got str",
+            ),
+            (
                 "object_pose_mm: {x: .inf, y: 0}\n",
                 "object_pose_mm.x: must be a finite number, got inf",
             ),
@@ -1051,7 +1082,7 @@ class TestCliRun:
         ],
         ids=[
             "name_empty", "rules_not_list", "rule_not_mapping", "phases_empty",
-            "terminal_phase", "sensor_missing", "pose_not_finite", "noise_sd_counts",
+            "terminal_phase", "sensor_missing", "phases_not_list", "pose_not_finite", "noise_sd_counts",
         ],
     )
     def test_scenario_shape_errors_name_the_field(self, tmp_path, capsys, text, message):

@@ -68,8 +68,7 @@ OPERATE_CONTEXT = StepContext(
 BASE_RUN = RunConfig(
     seed=0,
     sensors=default_sensors(),
-    controller=CONFIG,
-    filter_coefficient_a=smoothing_coefficient(DEFAULT_CUTOFF_HZ, CONFIG.dt_ms),
+    filter_coefficient_a=smoothing_coefficient(DEFAULT_CUTOFF_HZ, RunConfig.dt_ms),
 )
 
 
@@ -338,12 +337,19 @@ class TestConfigValidation:
             ("max_retries", -1),
             ("max_regrasp_steps", 0),
             ("window_n", 0),
-            ("dt_ms", 0),
         ],
     )
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             ControllerConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "value,problem", [(0, "must be > 0, got 0"), (2.5, "must be an integer, got 2.5")]
+    )
+    def test_run_tick_bound(self, value, problem):
+        with pytest.raises(ConfigError) as excinfo:
+            replace(BASE_RUN, dt_ms=value)
+        assert str(excinfo.value) == f"dt_ms: {problem}"
 
     def test_dwell_must_cover_window(self):
         with pytest.raises(ValueError, match="dwell_ticks"):
@@ -520,6 +526,8 @@ class TestRunScenario:
         result = simulate(NO_SCISSORS, seed=1)
         stamps = [t_ms for t_ms, _, sensor, *_ in result.rows if sensor == 0]
         assert stamps == list(range(0, 1400, 10))
+        result = simulate(NO_SCISSORS, seed=1, dt_ms=40)
+        assert [t_ms for t_ms, _, sensor, *_ in result.rows if sensor == 0] == list(range(0, 5600, 40))
 
     def test_commands_only_on_phase_entry(self):
         result = simulate(SCISSORS_PRESENT, seed=12345)
@@ -592,7 +600,8 @@ class TestRunScenario:
 
 def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes, config):
     """run_scenario with default arguments and controller ``config``, sensed, filtered and estimated tick by tick."""
-    coefficient_a = smoothing_coefficient(DEFAULT_CUTOFF_HZ, config.dt_ms)
+    dt_ms = RunConfig.dt_ms
+    coefficient_a = smoothing_coefficient(DEFAULT_CUTOFF_HZ, dt_ms)
     calibration = {i: auto_calibration(spec) for i, spec in specs.items()}
     hand = Hand()
     grasp = posture_command("grasp", hand.actuators, GRASP_FLEXION_RAD)
@@ -637,7 +646,7 @@ def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes, co
                 estimate = estimate_p(filtered, calibration[i])
                 histories[i].append(estimate)
                 rows.append((t_ms, state.phase, i, reading.counts, filtered, estimate.p, estimate.regime))
-            t_ms += config.dt_ms
+            t_ms += dt_ms
         state, commands = step(state, histories, config, context)
     if state.phase is TaskPhase.FAILED:
         outcome = "failed"
@@ -648,7 +657,7 @@ def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes, co
     return ScenarioResult(
         outcome=outcome,
         final_phase=state.phase,
-        ticks=t_ms // config.dt_ms,
+        ticks=t_ms // dt_ms,
         retries=state.retries_used,
         regrasp_steps=state.regrasp_steps,
         failure_reason=state.failure_reason,

@@ -129,6 +129,11 @@ class TestCalibrate:
         data = calibrate([1000, 1001], [500, 501], [100, 100], window=2)
         assert (data.v_max, data.v_mid, data.v_min) == (1000, 500, 100)
 
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError) as excinfo:
+            calibrate([1023], [236], [93], window=0)
+        assert str(excinfo.value) == "window must be >= 1, got 0"
+
     def test_short_stream_named_in_error(self):
         with pytest.raises(ValueError, match="base stream has 42"):
             calibrate([1023] * 100, [236] * 100, [93] * 42)

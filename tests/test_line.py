@@ -209,6 +209,12 @@ class TestContactPoint:
             ContactPoint(30.0, bridge_ohm)
         assert str(excinfo.value) == f"bridge_ohm must be finite and non-negative, got {bridge_ohm}"
 
+    @pytest.mark.parametrize("position_mm", [-1.0, math.inf, math.nan])
+    def test_position_must_be_finite_and_non_negative(self, position_mm):
+        with pytest.raises(ValueError) as excinfo:
+            ContactPoint(position_mm)
+        assert str(excinfo.value) == f"position_mm must be finite and non-negative, got {position_mm}"
+
 
 class TestSnap:
     def test_exact_spike_stays_put(self):

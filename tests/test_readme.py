@@ -1,11 +1,11 @@
-"""README examples run as written: the library snippet and the command-line sessions."""
+"""README examples run as written: the library snippet, the configuration and the command-line sessions."""
 
 import re
 import shlex
 import shutil
 from pathlib import Path
 
-from nerveline import Regime, estimate_p
+from nerveline import Regime, estimate_p, load_config
 from nerveline.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -40,6 +40,13 @@ def test_library_use_block(capsys):
     assert capsys.readouterr().out == f"{estimate}\n"
     assert estimate.regime is Regime.BODY
     assert round(estimate.p) == 43
+
+
+def test_configuration_block_is_the_shipped_config(tmp_path):
+    (block,) = _blocks(_section("Configuration"), "yaml")
+    path = tmp_path / "c.yaml"
+    path.write_text(block, encoding="utf-8")
+    assert load_config(path) == load_config(REPO / "configs" / "default.yaml")
 
 
 def test_command_line_sessions(tmp_path, monkeypatch, capsys):

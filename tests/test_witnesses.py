@@ -1,11 +1,11 @@
 """Every key a config or scenario file can set moves an output.
 
 Each field of the records the loaders build, and each key a file spells in
-its own way (the filter block and the top-level tick), has a witness: one
-valid change to the shipped config or to a shipped scenario, the command
-that runs it, and the output the change moves.  The fields come from the
-records' own tables, so a field added without a witness fails here, and a
-key that changes no output cannot be kept unnoticed.
+its own way (the filter block), has a witness: one valid change to the
+shipped config or to a shipped scenario, the command that runs it, and the
+output the change moves.  The fields come from the records' own tables, so
+a field added without a witness fails here, and a key that changes no
+output cannot be kept unnoticed.
 """
 
 import copy
@@ -34,7 +34,7 @@ from nerveline.cli import _calibration_table, main
 
 REPO = Path(__file__).resolve().parent.parent
 RECORDS = (RunConfig, NerveLineSpec, ControllerConfig, Hand, ActuatorSpec, Scenario, ContactRule)
-FILE_KEYS = ("filter.cutoff_hz", "filter.coefficient_a", "dt_ms")  # spelt in the file, not as a field
+FILE_KEYS = ("filter.cutoff_hz", "filter.coefficient_a")  # spelt in the file, not as a field
 FIELDS = sorted({f"{cls.__name__}.{name}" for cls in RECORDS for name in table(cls).names} | set(FILE_KEYS))
 
 # a hand of two wires whose close_fingers args differ: the index flexion, then the thumb's rotation at 0
@@ -69,6 +69,7 @@ WITNESSES = {
     "RunConfig.sensors": Witness("run", "file", {"config.sensors": [{"index": 0}, {"index": 1}]}),
     "RunConfig.controller": Witness("run", "stdout", {"config.controller": {"max_retries": 0}}, scenario="no_scissors"),
     "RunConfig.filter_coefficient_a": Witness("run", "file", {"config.filter": {"coefficient_a": 0.5}}),
+    "RunConfig.dt_ms": Witness("run", "file", {"config.dt_ms": 20}),
     "RunConfig.noise_sd_counts": Witness("calibrate", "file", {"config.noise_sd_counts": 2.0}),
     "RunConfig.quantize_to_spikes": Witness(
         "run", "file", {"config.quantize_to_spikes": False}, {"scenario.rules.0.position_mm": 72.0}
@@ -121,7 +122,6 @@ WITNESSES = {
         scenario="scissors_regrasp",
     ),
     "ControllerConfig.dwell_ticks": Witness("run", "stdout", {"config.controller.dwell_ticks": 20}),
-    "ControllerConfig.dt_ms": Witness("run", "file", {"config.controller.dt_ms": 20}),
     "ControllerConfig.watched_sensor_grasp": Witness("run", "exit", {"config.controller.watched_sensor_grasp": 2}),
     "ControllerConfig.watched_sensor_regrasp": Witness(
         "run", "exit", {"config.controller.watched_sensor_regrasp": 2}, scenario="scissors_regrasp"
@@ -162,7 +162,6 @@ WITNESSES = {
     # the file's own spellings
     "filter.cutoff_hz": Witness("run", "file", {"config.filter.cutoff_hz": 2.0}),
     "filter.coefficient_a": Witness("replay", "file", {"config.filter": {"coefficient_a": 0.5}}),
-    "dt_ms": Witness("run", "file", {"config.dt_ms": 20}),
 }
 
 
