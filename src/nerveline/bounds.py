@@ -63,24 +63,11 @@ def number_problem(value: Any, integer: bool = False, limits: Limits = ()) -> st
     if integer and (isinstance(value, bool) or not isinstance(value, int)):
         return f"must be an integer, got {value!r}"
     if not is_finite_number(value):
-        return f"must be a finite number, got {_number_text(value)}"
+        return f"must be a finite number, got {value!r}"
     for symbol, bound in limits:
         if not _COMPARISONS[symbol](value, bound):
             return f"must be {symbol} {bound}, got {value}"
     return None
-
-
-def _number_text(value: Any) -> str:
-    """``repr(value)``; for a string that reads as a finite number, also how YAML 1.1 spells that number."""
-    try:
-        spelling = repr(float(value)) if isinstance(value, str) else "nan"
-    except ValueError:
-        spelling = "nan"
-    if spelling in ("nan", "inf", "-inf"):
-        return repr(value)
-    if "." not in spelling:  # a YAML 1.1 float has a dot and a signed exponent, as PyYAML writes it
-        spelling = spelling.replace("e", ".0e", 1)
-    return f"the string {value!r} (YAML reads {spelling} as a number)"
 
 
 Reader = tuple[Callable[[Any], bool], str, str]

@@ -1,8 +1,8 @@
 """YAML run-configuration and scenario loading with strict validation.
 
-Plain block YAML, the subset the shipped files are written in, is read here line by
-line, and every other text goes to ``yaml.safe_load``; either way the result, or the
-error, is that loader's.  Every violation is reported with the path of the offending
+A subset of YAML 1.1 is read here, to what ``yaml.safe_load`` reads, and a text outside
+it is refused with the number of its first line outside, so PyYAML is only the tests'
+oracle.  Every violation is reported with the path of the offending
 field, for example ``sensors[0].pullup_ohm``, and all violations in a file are
 collected into a single error rather than stopping at the first.  Each record checks
 itself: a field's type comes from its annotation, its bounds from ``bounds.bounded``
@@ -17,9 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import MISSING
 from pathlib import Path
-from typing import AbstractSet, Any
+from typing import AbstractSet, Any, Iterator, NoReturn
 
-from .bounds import field_problems, number_problem, table
+from .bounds import field_problems, is_finite_number, number_problem, table
 from .controller import (
     SENSOR_COUNT,
     ContactRule,
@@ -30,7 +30,7 @@ from .controller import (
     sensor_index_problem,
 )
 from .errors import ConfigError, ScenarioError
-from .estimation import DEFAULT_CUTOFF_HZ, _read_text, smoothing_coefficient
+from .estimation import DEFAULT_CUTOFF_HZ, _read_lines, smoothing_coefficient
 from .line import NerveLineSpec
 
 
@@ -39,102 +39,130 @@ def default_sensors() -> dict[int, NerveLineSpec]:
     return {i: NerveLineSpec() for i in range(SENSOR_COUNT)}
 
 
-# Plain block YAML, the shipped files' subset: keys are plain words; scalars are plain
-# words, ints, floats, true and false.  A word the safe loader reads as a bool or null
-# is no plain word, and a key over 1,024 characters stops its scanner.
+# The reader's subset of YAML 1.1: keys are plain words; a scalar is an int, a float with digits round a dot
+# and maybe a signed exponent, .inf, -.inf, .nan, true, false, null, ~, a plain word or a single-quoted
+# string.  A word opens with a letter, _, / or ./ or ../; one the safe loader reads as a bool or null is
+# no plain word, and a key over 1,024 characters stops its scanner.
 _NOT_WORD = r"(?!(?:[Yy]es|YES|[Nn]o|NO|[Oo]n|ON|[Oo]ff|OFF|[Tt]rue|TRUE|[Ff]alse|FALSE|[Nn]ull|NULL)(?![\w./-]))"
-_SCALAR = re.compile(rf"(-?0|-?[1-9][0-9]*)|(-?[0-9]+\.[0-9]+)|(true|false)|{_NOT_WORD}[A-Za-z_][A-Za-z0-9_./-]*")
+_SCALAR = re.compile(  # a group per kind: word (tried first), int, float, .inf or .nan, bool, null, quoted
+    rf"(?=[A-Za-z_/.])({_NOT_WORD}(?:[A-Za-z_/]|\.\.?/)[A-Za-z0-9_./-]*)|(-?0|-?[1-9][0-9]*)"
+    r"|(-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?)|(-?\.inf|\.nan)|(true|false)|(null|~)|('(?:[^']|'')*')"
+)
+_READ = (str, int, float, lambda text: float(text.replace(".", "")), "true".__eq__, lambda text: None,
+         lambda text: text[1:-1].replace("''", "'"))  # what each of _SCALAR's groups reads as
 _ENTRY = re.compile(rf"({_NOT_WORD}[A-Za-z_][A-Za-z0-9_./-]{{0,1023}}):(?: +(.*))?")  # a key and its value
+_NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # as float reads one; compiled by an error only
+_TOKEN = re.compile(r"'(?:[^']|'')*'|[^ ,:'\[\]{}]+(?:: )?|\S")  # of a flow collection; a key keeps its ': '
 
 
-def _scalar(text: str) -> Any:
-    kind = _SCALAR.fullmatch(text).lastindex  # an AttributeError outside the subset
-    return text if kind is None else int(text) if kind == 1 else float(text) if kind == 2 else text == "true"
+def _unread(n: int, text: str) -> NoReturn:
+    """Raise the error for ``text`` on line ``n``; a number YAML 1.1 reads as a string gets its spelling."""
+    number = float(text) if re.fullmatch(_NUMBER, text) else None
+    spelling = repr(number) if "." in repr(number) else repr(number).replace("e", ".0e")
+    hint = f"; {spelling} is read as a number" if is_finite_number(number) else ""
+    raise ValueError(f"line {n}: cannot read {text!r}{hint}")
 
 
-def _flow(text: str) -> Any:
-    """A value on its key's line: a scalar, or a one-level flow list or mapping of them."""
-    if text[0] + text[-1] not in ("[]", "{}"):
-        return _scalar(text)
-    items = [item.strip(" ") for item in text[1:-1].split(",")] if text[1:-1].strip(" ") else []
-    if text[0] == "[":
-        return [_scalar(item) for item in items]
-    pairs = [_ENTRY.fullmatch(item).groups() for item in items]
-    return {key: _scalar(value) for key, value in pairs}
+def _flow(text: str, n: int, depth: int) -> Any:
+    """``text``, a value on line ``n``: a scalar, or a flow list or mapping ``depth`` levels deep."""
+    if text[0] not in "[{":
+        return _READ[(_SCALAR.fullmatch(text) or _unread(n, text)).lastindex - 1](text)
+    tokens = iter(_TOKEN.findall(text))
+    try:
+        value = _collection(next(tokens), tokens, n, depth, text)
+    except StopIteration:  # a collection left open
+        _unread(n, text)
+    return value if next(tokens, None) is None else _unread(n, text)
 
 
-def _node(lines: list[tuple[int, str]], at: int, depth: int) -> tuple[int, Any]:
+def _collection(opener: str, tokens: Iterator[str], n: int, depth: int, text: str) -> Any:
+    """The flow list or mapping that ``opener`` opens in ``text``, read from ``tokens`` to its close."""
+    if depth > 64:
+        raise ValueError(f"line {n}: nested deeper than 64 levels")
+    close, keys, items = ("]" if opener == "[" else "}"), [], []
+    token = next(tokens)
+    while token != close:
+        if close == "}":
+            keys.append((_ENTRY.fullmatch(token) or _unread(n, text))[1])
+            if keys.count(keys[-1]) > 1:
+                raise ValueError(f"line {n}: duplicate key {keys[-1]!r} (first at line {n})")
+            token = next(tokens)
+        items.append(_collection(token, tokens, n, depth + 1, text) if token in ("[", "{")
+                     else _flow(token, n, depth + 1))
+        token = next(tokens)
+        if token == ",":
+            token = next(tokens)
+        elif token != close:
+            _unread(n, text)
+    return items if close == "]" else dict(zip(keys, items))
+
+
+def _node(lines: list[tuple[int, str, int]], at: int, depth: int) -> tuple[int, Any]:
     """The value that starts at ``lines[at]``, and the index of the line after it.
 
-    A line is its indent and its content, and the last is ``(-1, "")``.  An item's
-    line is rewritten in place as its content at the column that content starts in.
+    A line is its indent, its content and its number, and the last is ``(-1, "", 0)``.  An
+    item's line is rewritten in place as its content at the column that content starts in.
     """
-    indent, content = lines[at]
-    if content[0] in "[{" or ":" not in content and content[:2] != "- ":
-        return at + 1, _flow(content)
-    if depth > 64:  # real files nest 4 deep, the pure loader fails near 500
-        raise ValueError("nested deeper than 64 levels")
+    indent, content, n = lines[at]
+    if content[0] in "[{'" or ":" not in content and content[:2] != "- ":
+        return at + 1, _flow(content, n, depth)
+    if depth > 64:  # real files nest 4 deep
+        raise ValueError(f"line {n}: nested deeper than 64 levels")
     if content[:2] == "- ":
         items = []
         while lines[at][0] == indent and lines[at][1][:2] == "- ":
             rest = lines[at][1][2:].lstrip(" ")
-            lines[at] = (indent + len(lines[at][1]) - len(rest), rest)
+            lines[at] = (indent + len(lines[at][1]) - len(rest), rest, lines[at][2])
             at, item = _node(lines, at, depth + 1)
             items.append(item)
         return at, items
-    mapping = {}
+    mapping, first = {}, at
     while lines[at][0] == indent:
-        key, value = _ENTRY.fullmatch(lines[at][1]).groups()
+        _, content, n = lines[at]
+        key, value = (_ENTRY.fullmatch(content) or _unread(n, content)).groups()
+        if key in mapping:
+            m = next(line[2] for line in lines[first:at] if line[0] == indent and line[1].startswith(key + ":"))
+            raise ValueError(f"line {n}: duplicate key {key!r} (first at line {m})")
         at += 1
         if value is not None:
-            mapping[key] = _flow(value)
+            mapping[key] = _flow(value, n, depth + 1)
         elif lines[at][0] > indent or lines[at][0] == indent and lines[at][1][:2] == "- ":
             at, mapping[key] = _node(lines, at, depth + 1)
         else:
-            raise ValueError(f"{key}: a null value")
+            mapping[key] = None
     return at, mapping
 
 
-def _parse_yaml(text: str) -> Any:
-    """``yaml.safe_load(text)``: the same object or the same exception, None for an empty document.
+def _parse_yaml(lines: list[str]) -> Any:
+    """What ``yaml.safe_load`` reads in ``lines``, a document in the subset; None for an empty one.
 
-    Plain block YAML is read here line by line.  Its characters are printable ASCII
-    and LF: no tab, and no CR, at which YAML ends a line and so a comment.  A comment
-    runs from a ``#`` that opens a line or follows a space to the line's end.  Every
-    other text, and every text the reader fails on, goes to ``yaml.safe_load``.
+    Block mappings and lists hold flow lists and mappings on a line, nested at most 64 deep, in
+    printable ASCII: no tab.  A comment runs from a ``#`` that opens a line, or follows a space
+    outside quotes, to the line's end.  Raises ValueError ``line N: ...`` for the first line outside.
     """
-    if text.isascii() and text.replace("\n", "").isprintable():
-        lines = []
-        for line in text.split("\n"):
-            content = line.lstrip(" ")
-            if content[:1] not in ("", "#"):
-                lines.append((len(line) - len(content), content.partition(" #")[0].rstrip(" ")))
-        lines.append((-1, ""))
-        try:
-            at, value = _node(lines, 0, 1)
-            if at == len(lines) - 1:
-                return value
-        except Exception:  # outside the subset: the pure loader's result or error is the one reported
-            pass
-    import yaml  # here alone, so a process that reads only plain block YAML never loads it
-
-    return yaml.safe_load(text)
+    rows = []
+    for n, line in enumerate(lines, start=1):
+        content = line.lstrip(" ")
+        if not line.isprintable():
+            _unread(n, content)
+        if content[:1] not in ("", "#"):
+            cut = content.find(" #")
+            while cut > 0 and content.count("'", 0, cut) % 2:  # that ' #' is inside quotes
+                cut = content.find(" #", cut + 1)
+            rows.append((len(line) - len(content), (content[:cut] if cut > 0 else content).rstrip(" "), n))
+    rows.append((-1, "", 0))
+    at, value = _node(rows, 0, 1) if len(rows) > 1 else (0, None)
+    return value if at == len(rows) - 1 else _unread(rows[at][2], rows[at][1])
 
 
 def _load_yaml_mapping(path: str | Path, exc: type[ValueError]) -> dict[str, Any]:
     try:
-        raw = _parse_yaml(_read_text(path, "utf-8"))
-    except OSError:  # a missing or unreadable file keeps its own message
-        raise
-    except Exception as err:
-        # undecodable bytes, nesting beyond the parser's recursion, or any
-        # failure of a tag constructor on its scalar (``!!int 'x'``, ``!!bool x``)
-        raise exc(f"{path}: not valid YAML: {err}") from None
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
+        raw = _parse_yaml(_read_lines(path))
+    except ValueError as err:  # a line outside the subset, by its number; an OSError keeps its own message
+        raise exc(f"{path}: {err}") from None
+    if not isinstance(raw, (dict, type(None))):
         raise exc(f"{path}: top level must be a mapping, got {type(raw).__name__}")
-    return raw
+    return raw or {}
 
 
 def _unknown_keys(data: dict[str, Any], allowed: AbstractSet[str], path: str) -> list[str]:

@@ -284,30 +284,22 @@ def _parse_int(raw: str, lineno: int) -> int:
     return value
 
 
-def _read_text(path: str | Path, encoding: str) -> str:
-    """The text of file ``path``, as ``open(path, encoding=encoding).read()`` gives it, read in binary.
-
-    ``\\r\\n`` and ``\\r`` are read as ``\\n``.  The whole file is decoded in one call, so a
-    ``UnicodeDecodeError`` names its byte's offset in the file.  An ``OSError`` has open's text, a directory's too.
-    """
-    with open(path, "rb", buffering=0) as handle:  # unbuffered: one read sized from the file, no text layer
-        text = handle.read().decode(encoding)
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
 def _read_lines(path: str | Path) -> list[str]:
     """The lines of an ASCII text file, broken only at ``\\n``; ``\\r\\n`` and ``\\r`` are read as ``\\n``.
 
     Raises:
+        OSError: open's text, a directory's too.
         ValueError: a byte outside ASCII, named by its line number.
     """
+    with open(path, "rb", buffering=0) as handle:  # unbuffered: one read sized from the file, no text layer
+        data = handle.read()
     try:
-        text = _read_text(path, "ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        head = exc.object[: exc.start]
+        head = data[: exc.start]
         lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise ValueError(f"line {lineno}: byte {exc.object[exc.start]:#04x} is not ASCII") from None
-    lines = text.split("\n")
+        raise ValueError(f"line {lineno}: byte {data[exc.start]:#04x} is not ASCII") from None
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     if not lines[-1]:  # a final newline ends the last line and opens none
         lines.pop()
     return lines

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import os
+import re
 import statistics
 import string
 import subprocess
@@ -94,6 +95,21 @@ UNLOADABLE_YAML_IDS = [
     "deep_nesting", "bad_timestamp", "bad_int", "not_utf8",
     "empty_int", "empty_float", "empty_timestamp", "bad_bool",
 ]
+
+# a text of each kind outside the reader's subset, and what the reader says of it
+REFUSED_YAML = {
+    "tab": ("seed:\t1\n", "line 1: cannot read 'seed:\\t1'"),
+    "tag": ("seed: !!int 1\n", "line 1: cannot read '!!int 1'"),
+    "anchor": ("seed: &s 1\n", "line 1: cannot read '&s 1'"),
+    "alias": ("seed: 1\ndt_ms: *s\n", "line 2: cannot read '*s'"),
+    "double_quote": ('seed: 1\nname: "x"\n', "line 2: cannot read '\"x\"'"),
+    "block_scalar": ("seed: 1\nname: |\n  x\n", "line 2: cannot read '|'"),
+    "multi_line_scalar": ("seed: 1\nname: x\n  y\n", "line 3: cannot read 'y'"),
+    "second_document": ("seed: 1\n---\nseed: 2\n", "line 2: cannot read '---'"),
+    "deep_flow": ("x: " + "[" * 3000 + "]" * 3000 + "\n", "line 1: nested deeper than 64 levels"),
+    "deep_block": ("- " * 8000 + "x\n", "line 1: nested deeper than 64 levels"),
+    "yaml_1_1_string": ("seed: 1\nnoise_sd_counts: 1e300\n", "line 2: cannot read '1e300'; 1.0e+300 is read as a number"),
+}
 
 
 def write(tmp_path, name, text):
@@ -386,8 +402,29 @@ class TestLoadConfig:
             load_config(path)
 
     def test_not_yaml_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="not valid YAML"):
+        with pytest.raises(ConfigError, match=r"c.yaml: line 1: cannot read '\[unclosed'$"):
             load_config(write(tmp_path, "c.yaml", "seed: [unclosed\n"))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("seed: 1\nseed: 2\n", "line 2: duplicate key 'seed' (first at line 1)"),
+            (
+                "seed: 1\ncontroller:\n  window_n: 5\n  dwell_ticks: 10\n  window_n: 10\n",
+                "line 5: duplicate key 'window_n' (first at line 3)",
+            ),
+            (
+                "seed: 1\nsensors: [{index: 0, index: 1}, {index: 2}]\n",
+                "line 2: duplicate key 'index' (first at line 2)",
+            ),
+        ],
+        ids=["top_level", "nested_block", "flow_mapping"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, capsys, text, message):
+        """A key given twice in one mapping is refused with both lines, not read as its last value."""
+        config = write(tmp_path, "c.yaml", text)
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
     def test_non_mapping_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="top level"):
@@ -459,7 +496,7 @@ class TestLoadScenario:
             object_pose_mm: {x: 1}
             expected_outcome: maybe
             goal: juggle
-            name: ""
+            name: ''
             """,
         )
         with pytest.raises(ScenarioError) as excinfo:
@@ -529,8 +566,8 @@ class TestLoadScenario:
             load_scenario(path, config)
 
 
-# pieces of YAML, including those that must keep a text off the line reader:
-# tags, anchors, aliases, tabs, ``?``, block scalars, directives, CR, non-ASCII
+# pieces of YAML, including those outside the reader's subset: tags, anchors,
+# aliases, tabs, ``?``, block scalars, directives, CR, non-ASCII
 YAML_PIECES = [
     "a", "seed", "x", "1", "-2", "0.5", ".inf", ".nan", "1e3", "0x1f", "1_0", "true", "No", "null",
     "~", "2020-01-01", "2001-12-14 21:59:43.10", ":", ": ", "- ", "-", ",", ", ", "[", "]", "{", "}",
@@ -591,7 +628,7 @@ def _mostly(near, inside, outside):
 def _block_lines(draw, near, indent=0, depth=0, as_list=None):
     """Lines of a block mapping or list at column ``indent``.
 
-    They are in the line reader's subset, or with ``near`` now and then just outside it.
+    They are in the reader's subset, or with ``near`` now and then just outside it.
     """
     keys = _mostly(near, _PLAIN_KEYS, BOOL_NULL_WORDS)
     scalars = _mostly(near, _PLAIN_SCALARS, _NEAR_SCALARS)
@@ -632,10 +669,10 @@ YAML_TEXTS = st.one_of(
     _edited(st.builds(yaml.safe_dump, _VALUES, default_flow_style=st.sampled_from([False, True, None]))),
     st.lists(st.sampled_from(YAML_PIECES), max_size=30).map("".join),
     st.booleans().flatmap(_block_lines).map(lambda lines: "\n".join(lines) + "\n"),
-    # around the depth of 64 beyond which the line reader hands a text on,
-    # and far beyond the ~500 levels where the pure loader's recursion gives
-    # out (a bound that moves with the caller's stack); only block nesting
-    # goes that deep here, because the pure scanner is quadratic in flow depth
+    # around the depth of 64 beyond which the reader refuses a text, and far
+    # beyond the ~500 levels where the pure loader's recursion gives out (a
+    # bound that moves with the caller's stack); only block nesting goes that
+    # deep here, because the pure scanner is quadratic in flow depth
     st.builds(_nested, st.sampled_from(["flow", "block", "flow_map"]), st.integers(1, 80)),
     st.builds(_nested, st.just("block"), st.integers(1000, 1100)),
 )
@@ -666,7 +703,7 @@ def _safe_load_mapping(path):
 
 class TestYamlFastPath:
     @given(YAML_TEXTS)
-    # the pure loader ends a line, and so a comment, at CR (a file read as text has none)
+    # the safe loader ends a line, and so a comment, at CR, as reading a file does
     @example("seed: 1 # c\rdt_ms: 10\n")  # pure: an extra key
     @example("seed: 1 # c\rd: e: f\n")  # pure: ScannerError
     # a mapping 600 levels deep; pure: RecursionError
@@ -679,8 +716,7 @@ class TestYamlFastPath:
     @example("sensor: !\n")  # ''; pure: None
     @example("- " * 8000 + "x")  # an 8,000-deep list; pure: RecursionError
     @example(UNLOADABLE_YAML[0].decode())  # 1,000-deep flow; pure: RecursionError
-    # lists 64 levels deep, read line by line, and 65, which go to the pure loader,
-    # as every nested flow collection does
+    # collections 64 levels deep, which the reader reads, and 65, which it refuses
     @example(_nested("block", 64))
     @example(_nested("block", 65))
     @example(_nested("flow_map", 64))
@@ -694,52 +730,65 @@ class TestYamlFastPath:
             path.write_text(text, encoding="utf-8")
             expected = _verdict(_safe_load_mapping, path)
             got = _verdict(lambda p: _load_yaml_mapping(p, ConfigError), path)
-        # repr tells 1 from 1.0 and True, and a nan equals itself
-        assert repr(got) == repr(expected)
-        if "\r" in text:  # which reading the file as text turned into LF
-            assert repr(_verdict(nerveline.config._parse_yaml, text)) == repr(_verdict(yaml.safe_load, text))
+        refused = re.match(rf"ConfigError: {re.escape(str(path))}: line ([1-9][0-9]*): ", str(got))
+        if refused:  # outside the subset: the error names one of the text's lines, read as the file is read
+            assert int(refused[1]) <= len(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+        else:  # repr tells 1 from 1.0 and True, and a nan equals itself
+            assert repr(got) == repr(expected)
 
     @pytest.mark.parametrize("word", BOOL_NULL_WORDS)
     def test_bool_and_null_words_are_not_plain_words(self, word):
+        # true, false and null read as the safe loader reads them, and only as values; the other words not at all
         for text in (f"{word}: 1\n", f"a: {word}\n", f"- {word}\n", f"a: [{word}]\n", f"a: {{{word}: 1}}\n"):
-            assert repr(_verdict(nerveline.config._parse_yaml, text)) == repr(_verdict(yaml.safe_load, text))
+            got = _verdict(nerveline.config._parse_yaml, text.split("\n"))
+            if word in ("true", "false", "null") and not text.startswith(word) and "{" not in text:
+                assert repr(got) == repr(yaml.safe_load(text))
+            else:
+                assert got.startswith("ValueError: line 1: cannot read "), (text, got)
 
-    def test_shipped_files_take_the_fast_path(self, monkeypatch):
-        def pure_loader(text):
-            raise AssertionError("fell back to the pure loader")
-
-        def generic_constructor(self, node):
-            raise AssertionError("built by PyYAML's generic constructor")
-
-        monkeypatch.setattr(yaml, "safe_load", pure_loader)
-        monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_document", generic_constructor)
+    def test_shipped_files_take_the_fast_path(self):
+        """Every shipped file is in the reader's subset, and reads as the safe loader reads it."""
         for path in SHIPPED_YAML:
-            assert _load_yaml_mapping(path, ConfigError)
+            assert _load_yaml_mapping(path, ConfigError) == yaml.safe_load(path.read_text(encoding="ascii"))
 
     @pytest.mark.parametrize(
-        "text",
+        "text,verdict",
         [
-            "a:\tb\n", "a: {x: 1?0}\n", "a: !\n", "a: &x 1\nb: *x\n", "a: \u00e9\n", "a: @b\n",
-            "- " * 8200 + "x",  # nested past 64 levels
-            "a: 1 # c\rb: 2\n", "a: 'b'\n",
+            ("a:\tb\n", "line 1: cannot read 'a:\\tb'"),
+            ("a: {x: 1?0}\n", "line 1: cannot read '1?0'"),
+            ("a: !\n", "line 1: cannot read '!'"),
+            ("a: &x 1\nb: *x\n", "line 1: cannot read '&x 1'"),
+            ("a: \u00e9\n", "line 1: byte 0xc3 is not ASCII"),
+            ("a: @b\n", "line 1: cannot read '@b'"),
+            ("- " * 8200 + "x", "line 1: nested deeper than 64 levels"),
+            # inside the subset: a file's CR ends a line, as it does for the safe loader, and a
+            # single-quoted scalar is read as yaml.safe_dump writes one
+            ("a: 1 # c\rb: 2\n", {"a": 1, "b": 2}),
+            ("a: 'b'\n", {"a": "b"}),
         ],
         ids=["tab", "question_mark", "bare_tag", "alias", "non_ascii", "at_sign", "over_16_kib", "cr", "quoted"],
     )
-    def test_texts_outside_the_gate_skip_libyaml(self, monkeypatch, text):
-        # each text is outside the line reader's subset, so the pure loader reads it
-        seen = []
-        safe_load = yaml.safe_load
+    def test_texts_outside_the_gate_skip_libyaml(self, tmp_path, text, verdict):
+        """Texts that once went to PyYAML: each is refused by its line, or read as the safe loader reads it."""
+        path = tmp_path / "in.yaml"
+        path.write_bytes(text.encode("utf-8"))
+        got = _verdict(lambda p: _load_yaml_mapping(p, ConfigError), path)
+        if isinstance(verdict, dict):
+            assert got == verdict == yaml.safe_load(text)
+        else:
+            assert got == f"ConfigError: {path}: {verdict}"
 
-        def recording(stream):
-            seen.append(stream)
-            return safe_load(stream)
-
-        monkeypatch.setattr(yaml, "safe_load", recording)
-        _verdict(nerveline.config._parse_yaml, text)  # not from a file, which would turn CR into LF
-        assert seen == [text]
+    @pytest.mark.parametrize("text,message", REFUSED_YAML.values(), ids=REFUSED_YAML)
+    def test_texts_outside_the_subset_exit_two(self, tmp_path, capsys, text, message):
+        config = tmp_path / "c.yaml"
+        config.write_text(text, encoding="ascii")
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
     def test_pure_loader_alone_gives_the_same_results(self, tmp_path, monkeypatch):
-        # as if every text were outside the line reader's subset
+        """PyYAML's pure loader, in the reader's place, loads the shipped files to the same records and
+        refuses every text the reader refuses, each by its line."""
+
         def load_all():
             config = load_config(DEFAULT_CONFIG)
             loaded = [config, *(load_scenario(path, config) for path in sorted(SCENARIOS.glob("*.yaml")))]
@@ -750,14 +799,12 @@ class TestYamlFastPath:
                 errors.append(_verdict(load_config, bad))
             return loaded, errors
 
-        def outside(lines, at, depth):
-            raise ValueError("outside the subset")
-
-        fast = load_all()
-        monkeypatch.setattr(nerveline.config, "_node", outside)
+        own = load_all()
+        monkeypatch.setattr(nerveline.config, "_parse_yaml", lambda lines: yaml.safe_load("\n".join(lines)) or {})
         pure = load_all()
-        assert pure == fast
-        assert all("not valid YAML" in message for message in pure[1])
+        assert pure[0] == own[0]
+        assert all(re.match(r"ConfigError: .*: line 1: ", message) for message in own[1]), own[1]
+        assert all(isinstance(message, str) for message in pure[1]), pure[1]
 
 
 class TestCliRun:
@@ -948,7 +995,7 @@ class TestCliRun:
             argv = ["run", "--config", str(DEFAULT_CONFIG), "--scenario", str(bad)]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert f"{bad}: not valid YAML" in err
+        assert err.startswith(f"error: {bad}: line 1: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -992,15 +1039,19 @@ class TestCliRun:
             ("controller: {dwell_ticks: 1001}\n", "controller.dwell_ticks: must be <= 1000, got 1001"),
             ("controller: {max_regrasp_steps: 101}\n", "controller.max_regrasp_steps: must be <= 100, got 101"),
             ("controller: {max_retries: 11}\n", "controller.max_retries: must be <= 10, got 11"),
-            # YAML 1.1 reads a float only with a dot and a signed exponent
+            # YAML 1.1 reads a float only with a dot and a signed exponent: the reader refuses
+            # such a plain token by its line, with the spelling read as a number, and a quoted one is a string
             (
                 "sensors: [{index: 0, effective_length_mm: 1e300}]\n",
-                "sensors[0].effective_length_mm: must be a finite number, "
-                "got the string '1e300' (YAML reads 1.0e+300 as a number)",
+                "$config: line 2: cannot read '1e300'; 1.0e+300 is read as a number",
             ),
             (
                 "filter: {cutoff_hz: 5.0e0}\n",
-                "filter.cutoff_hz: must be a finite number, got the string '5.0e0' (YAML reads 5.0 as a number)",
+                "$config: line 2: cannot read '5.0e0'; 5.0 is read as a number",
+            ),
+            (
+                "sensors: [{index: 0, effective_length_mm: '1e300'}]\n",
+                "sensors[0].effective_length_mm: must be a finite number, got '1e300'",
             ),
         ],
         ids=[
@@ -1010,13 +1061,13 @@ class TestCliRun:
             "table_not_mapping", "actuator_id_missing", "sensor_not_mapping", "unhashable_sensor_value",
             "filter_not_mapping", "actuators_not_list", "unknown_key_keeps_dwell_rule",
             "unknown_key_keeps_table_rule", "dwell_ceiling", "regrasp_ceiling", "retry_ceiling",
-            "length_yaml_1_1_string", "cutoff_yaml_1_1_string",
+            "length_yaml_1_1_string", "cutoff_yaml_1_1_string", "quoted_length",
         ],
     )
     def test_config_shape_errors_name_the_field(self, tmp_path, capsys, text, message):
         config = write(tmp_path, "c.yaml", "seed: 1\n" + text)
         assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "cal.txt")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n".replace("$config", str(config))
 
     def test_empty_config_exits_two(self, tmp_path, capsys):
         config = write(tmp_path, "c.yaml", "")
@@ -1256,25 +1307,38 @@ class TestCliEntryPoint:
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
-    def test_shipped_files_leave_out_yaml(self):
-        """Importing the CLI and loading the shipped config and scenarios loads no ``yaml``: they are plain block YAML."""
+    def test_shipped_files_leave_out_yaml(self, tmp_path):
+        """Loading the shipped config and scenarios, and refusing every text outside the subset, loads no ``yaml``."""
         probe = textwrap.dedent(
             """\
             import sys
+            from nerveline import ConfigError
             from nerveline.cli import load_config, load_scenario
             config = load_config(sys.argv[1])
-            for path in sys.argv[2:]:
+            split = sys.argv.index("--")
+            for path in sys.argv[2:split]:
                 load_scenario(path, config)
-            print(len(sys.argv) - 2, "yaml" in sys.modules)
+            for path in sys.argv[split + 1:]:
+                try:
+                    load_config(path)
+                except ConfigError as exc:
+                    assert ": line " in str(exc), exc
+                else:
+                    raise AssertionError(path)
+            print(split - 2, len(sys.argv) - split - 1, "yaml" in sys.modules)
             """
         )
         scenarios = sorted(str(path) for path in SCENARIOS.glob("*.yaml"))
+        refused = [*UNLOADABLE_YAML, *(text.encode("ascii") for text, _ in REFUSED_YAML.values())]
+        for k, content in enumerate(refused):
+            (tmp_path / f"bad{k}.yaml").write_bytes(content)
+        bad = [str(tmp_path / f"bad{k}.yaml") for k in range(len(refused))]
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         done = subprocess.run(
-            [sys.executable, "-c", probe, str(DEFAULT_CONFIG), *scenarios],
+            [sys.executable, "-c", probe, str(DEFAULT_CONFIG), *scenarios, "--", *bad],
             env=env, capture_output=True, text=True, timeout=120,
         )
-        assert (done.returncode, done.stdout) == (0, f"{len(scenarios)} False\n"), done.stderr
+        assert (done.returncode, done.stdout) == (0, f"{len(scenarios)} {len(refused)} False\n"), done.stderr
 
 
 # what the argv property draws: the commands, every option, spellings only argparse reads, and awkward values
@@ -1497,26 +1561,20 @@ class TestInputFiles:
         assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
-    def test_config_line_ends_read_as_newlines(self, tmp_path, monkeypatch, newline):
-        """A config saved with CRLF or lone-CR line ends is its LF copy, read without ``yaml.safe_load``."""
+    def test_config_line_ends_read_as_newlines(self, tmp_path, newline):
+        """A config saved with CRLF or lone-CR line ends is its LF copy."""
         text = DEFAULT_CONFIG.read_bytes()
         assert b"\r" not in text
         path = tmp_path / "c.yaml"
         path.write_bytes(text.replace(b"\n", newline))
-
-        def pure_loader(stream):
-            raise AssertionError("reached yaml.safe_load")
-
-        monkeypatch.setattr(yaml, "safe_load", pure_loader)
         assert load_config(path) == load_config(DEFAULT_CONFIG)
 
-    def test_undecodable_config_keeps_the_codec_text(self, tmp_path, capsys):
+    def test_undecodable_config_names_the_line(self, tmp_path, capsys):
+        """A config is read as ASCII, as every other input file is, so a stray byte is named by its line."""
         path = tmp_path / "c.yaml"
-        path.write_bytes(b"seed: \xff\n")
+        path.write_bytes(b"seed: 1\r\ndt_ms: \xff\n")
         assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "out.txt")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {path}: not valid YAML: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"
-        )
+        assert capsys.readouterr().err == f"error: {path}: line 2: byte 0xff is not ASCII\n"
 
 
 class TestCliAcrossHashSeeds:
@@ -2299,6 +2357,26 @@ class TestCliCalibrate:
         )
         assert code == 0
         assert "outcome=lifted steps=50" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["", " ~", " null"], ids=["empty", "tilde", "null"])
+    def test_null_calibration_file_calibrates_from_the_config(self, tmp_path, capsys, value):
+        """Each spelling of null leaves ``calibration_file`` at its default: calibrate from the lines."""
+        config = write(tmp_path, "c.yaml", f"seed: 12345\ncalibration_file:{value}\n")
+        assert load_config(config).calibration_file is None
+        argv = ["run", "--config", str(config), "--scenario", str(SCENARIOS / "scissors_present.yaml")]
+        assert main(argv + ["--out", str(tmp_path / "trace.csv")]) == 0
+        assert capsys.readouterr().out.endswith("outcome=lifted steps=50\n")
+
+    @pytest.mark.parametrize("spelling", ["./calibration.txt", "../cal/calibration.txt"])
+    def test_relative_calibration_file_feeds_run(self, tmp_path, monkeypatch, capsys, spelling):
+        """A calibration path relative to the working directory is a plain word, read as the file it names."""
+        (tmp_path / "cal").mkdir()
+        monkeypatch.chdir(tmp_path / "cal")
+        assert main(["calibrate", "--config", str(DEFAULT_CONFIG), "--out", "calibration.txt"]) == 0
+        config = write(tmp_path, "c.yaml", f"seed: 12345\ncalibration_file: {spelling}\n")
+        argv = ["run", "--config", str(config), "--scenario", str(SCENARIOS / "scissors_present.yaml")]
+        assert main(argv + ["--out", str(tmp_path / "trace.csv")]) == 0
+        assert capsys.readouterr().out.endswith("outcome=lifted steps=50\n")
 
     @pytest.mark.parametrize("command", ["run", "sweep", "replay"])
     def test_calibration_value_beyond_float_range_exits_two(self, tmp_path, capsys, command):
