@@ -22,7 +22,6 @@ from .errors import CalibrationError, ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
     _channel,
-    _estimator,
     _read_lines,
     _write_lines,
     auto_calibration,
@@ -137,9 +136,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for quantize in (True, False)
     ]
 
-    estimate = _estimator(calibration)
+    channel = _channel(0.0, calibration)  # a = 0 passes each count through exactly
     read = {counts for run in runs for tally, _ in run for counts, _ in tally}
-    p_nums, p_den = _common_ratios({counts: estimate(counts)[0] for counts in read})  # p once per distinct count
+    p_nums, p_den = _common_ratios({counts: channel(counts)[1] for counts in read})  # p once per distinct count
     lines = [SWEEP_HEADER + "\n"]
     for position, *rows in zip(positions, *runs):
         line = f"{float(position)!r}"
@@ -232,7 +231,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         if lines[0] != FRAMES_HEADER:
             raise ValueError(f"line 1: expected header {FRAMES_HEADER!r}, got {lines[0]!r}")
         out_lines = []
-        for lineno, line in enumerate(islice(lines, 1, None), start=2):
+        for line in islice(lines, 1, None):
             # a line passes only as the text of three plain decimal integers, so it
             # is its own head; any failure goes to _frame_problem for the message
             try:
@@ -250,7 +249,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     raise ValueError
             except (KeyError, ValueError):
                 limits = {key: (kept[0], kept[2]) for key, kept in sensors.items()}
-                raise ValueError(_frame_problem(lineno, line, limits)) from None
+                # every frame before this one was accepted, and the header is line 1
+                raise ValueError(_frame_problem(len(out_lines) + 2, line, limits)) from None
             state[2] = t_ms
             sample = channel(counts)
             if sample is not last:  # else a held sample: the channel repeats its tuple, and its text repeats

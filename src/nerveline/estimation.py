@@ -170,40 +170,18 @@ class ContactEstimate(NamedTuple):
     regime: Regime
 
 
-def _estimator(calibration: CalibrationData) -> Callable[[float], tuple[float, Regime]]:
-    """The three-point map of one calibration, v -> (p, regime), with its floats taken once.
+def _channel(a: float, calibration: CalibrationData) -> Callable[[float], tuple[float, float, Regime]]:
+    """One sensor's smoother of coefficient ``a`` and three-point map: each raw count -> (filtered, p, regime).
 
-    Piecewise linear in the triplet: values between v_mid and v_max land on
-    the fingertip branch (p in (80, 100)); values at or below v_mid land on
-    the body branch (p in [0, 80]), clamped at 0 below v_min.  Values at or
-    above v_max mean no contact and report p = 100.  NaN is not checked.
+    The values are those of `filter_step`, from an unseeded state, and `estimate_p`, whose arithmetic the map
+    repeats inline on floats taken from ``calibration`` once.  A count that leaves the filtered value where it was
+    returns the very tuple before it, as does each later sample of it: the output is a pure function of the last
+    filtered value and the count.  With ``a`` = 0 every count passes through exactly.  NaN is not checked.
     """
-    v_max = float(calibration.v_max)
-    v_mid = float(calibration.v_mid)
-    v_min = float(calibration.v_min)
+    v_max, v_mid, v_min = float(calibration.v_max), float(calibration.v_mid), float(calibration.v_min)
     tip_counts, body_counts = v_max - v_mid, v_mid - v_min
     tip_p, body_p = 100.0 - BODY_SPLIT_P, BODY_SPLIT_P
     none, fingertip, body = Regime.NONE, Regime.FINGERTIP, Regime.BODY
-
-    def estimate(v: float) -> tuple[float, Regime]:
-        if v >= v_max:
-            return 100.0, none
-        if v > v_mid:
-            return 100.0 - (v_max - v) / tip_counts * tip_p, fingertip
-        p = (v - v_min) / body_counts * body_p
-        return (0.0 if p < 0.0 else body_p if p > body_p else p), body  # min(max(p, 0.0), body_p)
-
-    return estimate
-
-
-def _channel(a: float, calibration: CalibrationData) -> Callable[[float], tuple[float, float, Regime]]:
-    """One sensor's smoother of coefficient ``a`` and estimator: each raw count -> (filtered, p, regime).
-
-    The values are those of `filter_step`, from an unseeded state, and `estimate_p`.  A count that leaves the
-    filtered value where it was returns the very tuple before it, as does each later sample of it: the output is a
-    pure function of the last filtered value and the count.
-    """
-    estimate = _estimator(calibration)
     last, held = (None,), None  # the last sample's tuple, its None seeding the filter, and the count it stands still at
 
     def channel(raw: float) -> tuple[float, float, Regime]:
@@ -211,25 +189,39 @@ def _channel(a: float, calibration: CalibrationData) -> Callable[[float], tuple[
         if raw == held:
             return last
         previous = last[0]
-        filtered = float(raw) if previous is None else a * previous + (1.0 - a) * raw
-        if filtered == previous:
+        v = float(raw) if previous is None else a * previous + (1.0 - a) * raw
+        if v == previous:
             held = raw
-            return last
-        p, regime = estimate(filtered)
-        last, held = (filtered, p, regime), None
+        elif v >= v_max:
+            last, held = (v, 100.0, none), None
+        elif v > v_mid:
+            last, held = (v, 100.0 - (v_max - v) / tip_counts * tip_p, fingertip), None
+        else:
+            p = (v - v_min) / body_counts * body_p
+            last, held = (v, 0.0 if p < 0.0 else body_p if p > body_p else p, body), None  # min(max(p, 0.0), body_p)
         return last
 
     return channel
 
 
 def estimate_p(v: float, calibration: CalibrationData) -> ContactEstimate:
-    """Map a (filtered) ADC value in counts to the contact-point ratio (see `_estimator`).
+    """Map a (filtered) ADC value in counts to the contact-point ratio: the reference of `_channel`'s map.
 
-    NaN is rejected with a ValueError.
+    Piecewise linear in the triplet: values between v_mid and v_max land on
+    the fingertip branch (p in (80, 100)); values at or below v_mid land on
+    the body branch (p in [0, 80]), clamped at 0 below v_min.  Values at or
+    above v_max mean no contact and report p = 100.  NaN is rejected with a
+    ValueError.
     """
     if math.isnan(v):
         raise ValueError(f"v must be a number, got {v}")
-    return ContactEstimate(*_estimator(calibration)(v))
+    v_max, v_mid, v_min = float(calibration.v_max), float(calibration.v_mid), float(calibration.v_min)
+    if v >= v_max:
+        return ContactEstimate(100.0, Regime.NONE)
+    if v > v_mid:
+        return ContactEstimate(100.0 - (v_max - v) / (v_max - v_mid) * (100.0 - BODY_SPLIT_P), Regime.FINGERTIP)
+    p = (v - v_min) / (v_mid - v_min) * BODY_SPLIT_P
+    return ContactEstimate(min(max(p, 0.0), BODY_SPLIT_P), Regime.BODY)
 
 
 def detect_touch(estimate: tuple[float, Regime], threshold_p: float = 90.0) -> bool:

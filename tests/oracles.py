@@ -4,7 +4,8 @@
 ``simulate_sweep`` and ``estimate_p`` and the ``statistics`` module, one
 ``p`` value per press.  ``replay_reference`` is the frame-by-frame replay loop as it stood before
 ``cmd_replay`` accepted frames by lookup: three ``int()`` calls, a
-re-formatted copy of each line, and the public ``filter_step`` on every frame.  The nodal solver here shares no code with the series-parallel fold it
+re-formatted copy of each line, and the public ``filter_step`` and
+``estimate_p`` on every frame.  The nodal solver here shares no code with the series-parallel fold it
 checks: it builds the full two-rail ladder as a resistor graph, contracts
 zero-resistance edges, and solves the conductance Laplacian by Gaussian
 elimination over exact rationals.  Floats are exact rationals, so the
@@ -26,7 +27,6 @@ from pathlib import Path
 
 from nerveline import FilterState, NerveLineSpec, RunConfig, estimate_p, filter_step, simulate_sweep
 from nerveline.cli import FRAMES_HEADER, REPLAY_HEADER, SWEEP_HEADER, _calibration_table, _position_grid
-from nerveline.estimation import _estimator
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -189,7 +189,7 @@ def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, st
     """
     calibration = _calibration_table(config)
     sensors = {
-        sensor: [spec.adc_full_scale, _estimator(calibration[sensor]), None, FilterState(config.filter_coefficient_a)]
+        sensor: [spec.adc_full_scale, calibration[sensor], None, FilterState(config.filter_coefficient_a)]
         for sensor, spec in config.sensors.items()
     }
     try:
@@ -215,14 +215,14 @@ def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, st
             state = sensors.get(sensor)
             if state is None:
                 raise ValueError(f"line {lineno}: sensor {sensor} is not configured")
-            full_scale, estimate, previous, smoother = state
+            full_scale, triplet, previous, smoother = state
             if not 0 <= counts <= full_scale:
                 raise ValueError(f"line {lineno}: counts {counts} outside 0..{full_scale}")
             if previous is not None and t_ms <= previous:
                 raise ValueError(f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}")
             state[2] = t_ms
             state[3], filtered = filter_step(smoother, counts)
-            p, regime = estimate(filtered)
+            p, regime = estimate_p(filtered, triplet)
             out_lines.append(f"{head},{filtered!r},{p!r},{regime._value_}\n")
     except ValueError as exc:
         return None, str(exc)

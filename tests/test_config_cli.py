@@ -2011,6 +2011,46 @@ def mutated_frame_lines(draw):
     return [",".join(fields) for fields in lines]
 
 
+# spellings that int() refuses or reads from a text that is not its plain decimal
+NOT_PLAIN = ["+5", "05", "-0", " 5", "5 ", "5_0", "0x5", "", "--5", "00", "1.5", "1" * 5000]
+
+
+@st.composite
+def corrupted_frame_logs(draw):
+    """A valid frame log (as ``drawn_replays``) with frame k broken one way ``_frame_problem`` names.
+
+    Returns its lines and the message that names line k + 2 (the header is line 1).
+    """
+    _, frames = draw(drawn_replays())
+    k = draw(st.integers(0, len(frames) - 1))
+    t_ms, sensor, counts = frames[k]
+    earlier = [t for t, i, _ in frames[:k] if i == sensor]  # a t_ms can fall only after one of its sensor
+    fields = [str(t_ms), str(sensor), str(counts)]
+    kind = draw(st.sampled_from(["fields", "integer", "sensor", "counts", "t_ms"][: 5 if earlier else 4]))
+    if kind == "fields":
+        n = draw(st.sampled_from([1, 2, 4, 5]))
+        fields = (fields + ["5", "5"])[:n]
+        problem = f"expected 3 fields, got {n}"
+    elif kind == "integer":
+        fields[draw(st.integers(0, 2))] = draw(st.sampled_from(NOT_PLAIN))
+        problem = f"fields must be integers, got {','.join(fields)!r}"
+    elif kind == "sensor":
+        bad = draw(st.one_of(st.integers(4, 10**6), st.integers(-(10**6), -1)))
+        fields[1] = str(bad)
+        problem = f"sensor {bad} is not configured"
+    elif kind == "counts":
+        bad = draw(st.one_of(st.integers(1024, 10**9), st.integers(-(10**9), -1)))
+        fields[2] = str(bad)
+        problem = f"counts {bad} outside 0..1023"
+    else:
+        bad = earlier[-1] - draw(st.integers(0, 60))
+        fields[0] = str(bad)
+        problem = f"t_ms {bad} not after t_ms {earlier[-1]} of sensor {sensor}"
+    lines = [f"{t},{i},{c}" for t, i, c in frames]
+    lines[k] = ",".join(fields)
+    return lines, f"line {k + 2}: {problem}"
+
+
 def _replay_of_regrasp_run(tmp_path, config, skin=()):
     """Trace rows of ``nerveline run`` on scissors_regrasp and the replay.csv path of its counts."""
     trace = tmp_path / "trace.csv"
@@ -2104,6 +2144,25 @@ class TestCliReplay:
                 assert (code, stderr.getvalue(), out.read_bytes()) == (0, "", expected_out.encode())
             else:
                 assert (code, stderr.getvalue(), out.read_bytes()) == (2, f"error: {log}: {message}\n", b"kept\n")
+
+    @given(corrupted_frame_logs())
+    @settings(max_examples=100, deadline=None)
+    def test_failing_frame_names_its_line(self, corrupted):
+        """The first bad frame is named by its line, in the words of the one check it fails, and --out is kept."""
+        lines, message = corrupted
+        with tempfile.TemporaryDirectory() as tmp:
+            log, out = Path(tmp) / "frames.csv", Path(tmp) / "replay.csv"
+            log.write_text("t_ms,sensor,counts\n" + "".join(line + "\n" for line in lines))
+            out.write_bytes(b"kept\n")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(["replay", "--config", str(DEFAULT_CONFIG), "--log", str(log), "--out", str(out)])
+            assert (code, stdout.getvalue(), stderr.getvalue(), out.read_bytes()) == (
+                2,
+                "",
+                f"error: {log}: {message}\n",
+                b"kept\n",
+            )
 
     @pytest.mark.parametrize(
         "frame_lines,message",

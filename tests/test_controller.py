@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nerveline.controller
-import nerveline.estimation
 from nerveline import (
     ActuatorSpec,
     Command,
@@ -784,25 +783,34 @@ MULTI_CONTACT = Scenario(
 
 
 class TestEstimatorCalls:
-    """run_scenario estimates a sample once: a sample that leaves its sensor's filter where it was repeats its row."""
+    """run_scenario estimates a sample once: a sample that leaves its sensor's filter where it was repeats its row.
+
+    A channel builds a new tuple exactly when it estimates, and hands back the tuple before it otherwise, so the
+    fresh tuples it returns count its estimates.
+    """
 
     @pytest.mark.parametrize("name,calls,rows", [("no_scissors", 4, 560), ("scissors_regrasp", 257, 760)])
     def test_shipped_config_estimator_calls(self, monkeypatch, name, calls, rows):
         config = load_config(REPO / "configs" / "default.yaml")
         scenario = load_scenario(REPO / "scenarios" / f"{name}.yaml", config)
         estimated = []
-        original = nerveline.estimation._estimator
+        original = nerveline.controller._channel
 
-        def counting(calibration):
-            estimate = original(calibration)
+        def counting(a, calibration):
+            channel = original(a, calibration)
+            last = None
 
-            def counted(v):
-                estimated.append(v)
-                return estimate(v)
+            def counted(raw):
+                nonlocal last
+                sample = channel(raw)
+                if sample is not last:
+                    estimated.append(sample)
+                    last = sample
+                return sample
 
             return counted
 
-        monkeypatch.setattr(nerveline.estimation, "_estimator", counting)
+        monkeypatch.setattr(nerveline.controller, "_channel", counting)
         result = run_scenario(scenario, config, {i: auto_calibration(spec) for i, spec in config.sensors.items()})
         assert result.outcome == scenario.expected_outcome
         assert (len(estimated), len(result.rows)) == (calls, rows)

@@ -23,7 +23,7 @@ from nerveline import (
     smoothing_coefficient,
     write_calibration,
 )
-from nerveline.estimation import BODY_SPLIT_P, _channel, _estimator
+from nerveline.estimation import BODY_SPLIT_P, _channel
 
 CAL = CalibrationData(v_max=1023, v_mid=236, v_min=93)
 
@@ -115,6 +115,30 @@ class TestChannel:
                 ]
                 assert (sample is before) == (filtered == standing)
                 before = sample
+
+
+class TestSweepChannel:
+    """A channel at a = 0 gives `estimate_p` of every count it reads, as the sweep reads each distinct count's p."""
+
+    def test_every_count_of_the_full_scale(self):
+        channel = _channel(0.0, CAL)
+        for counts in range(NerveLineSpec().adc_full_scale + 1):
+            p, regime = channel(counts)[1:]
+            expected = estimate_p(counts, CAL)
+            assert (repr(p), regime) == (repr(expected.p), expected.regime)
+
+    @given(
+        st.lists(st.one_of(st.integers(0, 1023), st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=30)
+    )
+    @example([236.0, 236, math.nextafter(236.0, math.inf), 93.0, -0.0, 1022.9999999999995, 1023])
+    @settings(max_examples=150)
+    def test_drawn_values_in_turn(self, values):
+        """One channel, as the sweep uses it: whatever it read before, each finite value passes through exactly."""
+        channel = _channel(0.0, CAL)
+        for v in values:
+            p, regime = channel(v)[1:]
+            expected = estimate_p(v, CAL)
+            assert (repr(p), regime) == (repr(expected.p), expected.regime)
 
 
 class TestCalibrate:
@@ -268,7 +292,8 @@ class TestEstimatorMatchesReference:
         calibration = CalibrationData(v_max=v_max, v_mid=v_mid, v_min=v_min)
         expected = reference_estimate_p(v, calibration)
         public = estimate_p(v, calibration)
-        for p, regime in (_estimator(calibration)(v), (public.p, public.regime)):
+        # a fresh channel at a = 0 passes v through exactly, so its map is checked on the same draws
+        for p, regime in (_channel(0.0, calibration)(v)[1:], (public.p, public.regime)):
             assert repr(p) == repr(expected.p)
             assert regime is expected.regime
 
