@@ -1,8 +1,7 @@
 """The repository's gates that are too slow for Tier-1: every benchmark catalogue operation against its
 digest, the peak memory of the longest sweeps, and the longest failing run.
 
-    python3 tools/gates.py                        # all three
-    python3 tools/gates.py catalogue longest-run  # the named ones
+    python3 tools/gates.py
 
 It runs from any working directory and needs only the standard library.  Each gate prints its
 report, which is also appended to ``$GITHUB_STEP_SUMMARY`` when that is set.  The exit status is 1,
@@ -11,7 +10,6 @@ with each failure on stderr, when any gate fails.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -128,21 +126,15 @@ def longest_run() -> Gate:
     return report, failures
 
 
-# in the order they run, whatever the order named: a child's ru_maxrss counts this process's RSS at the spawn, so
-# the in-process catalogue, which grows it, runs after the children are measured
+# in the order they run: a child's ru_maxrss counts this process's RSS at the spawn, so the in-process
+# catalogue, which grows it, runs after the children are measured
 GATES = {"sweep-memory": sweep_memory, "longest-run": longest_run, "catalogue": catalogue}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("gates", nargs="*", metavar="GATE", help=f"any of {', '.join(GATES)}; all when none is named")
-    names = parser.parse_args(argv).gates or list(GATES)
-    for name in names:
-        if name not in GATES:
-            parser.error(f"unknown gate {name!r}; choose from {', '.join(GATES)}")
+def main() -> int:
     failed = []
-    for name in (name for name in GATES if name in names):
-        report, failures = GATES[name]()
+    for name, gate in GATES.items():
+        report, failures = gate()
         print("\n".join(report), flush=True)
         summary = os.environ.get("GITHUB_STEP_SUMMARY")
         if summary:
