@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, TypeVar
 
 from .config import RunConfig, load_config, load_scenario
 from .controller import SENSOR_COUNT, TraceRow, run_scenario
-from .errors import CalibrationError, ConfigError, ScenarioError
+from .errors import CalibrationError, ConfigError
 from .estimation import (
     CalibrationData,
     _channel,
@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, ScenarioError and CalibrationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

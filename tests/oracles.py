@@ -1,11 +1,15 @@
 """Independent oracles used by the test suite.
 
+``reference_estimate_p`` is the three-point map in float arithmetic of its
+own: ``estimate_p`` reads ``_channel``'s map, so every reference loop here
+and in the tests maps a filtered value through this copy instead.
 ``sweep_csv_reference`` builds ``sweep.csv`` from the public
-``simulate_sweep`` and ``estimate_p`` and the ``statistics`` module, one
-``p`` value per press.  ``replay_reference`` is the frame-by-frame replay loop as it stood before
-``cmd_replay`` accepted frames by lookup: three ``int()`` calls, a
-re-formatted copy of each line, and the public ``filter_step`` and
-``estimate_p`` on every frame.  The nodal solver here shares no code with the series-parallel fold it
+``simulate_sweep``, ``reference_estimate_p`` and the ``statistics`` module,
+one ``p`` value per press.  ``replay_reference`` is the frame-by-frame
+replay loop as it stood before ``cmd_replay`` accepted frames by lookup:
+three ``int()`` calls, a re-formatted copy of each line, and the public
+``filter_step`` and ``reference_estimate_p`` on every frame.  The nodal
+solver here shares no code with the series-parallel fold it
 checks: it builds the full two-rail ladder as a resistor graph, contracts
 zero-resistance edges, and solves the conductance Laplacian by Gaussian
 elimination over exact rationals.  Floats are exact rationals, so the
@@ -25,8 +29,9 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
-from nerveline import FilterState, NerveLineSpec, RunConfig, estimate_p, filter_step, simulate_sweep
+from nerveline import ContactEstimate, FilterState, NerveLineSpec, Regime, RunConfig, filter_step, simulate_sweep
 from nerveline.cli import FRAMES_HEADER, REPLAY_HEADER, SWEEP_HEADER, _calibration_table, _position_grid
+from nerveline.estimation import BODY_SPLIT_P
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -181,6 +186,25 @@ def nearest_spike(spec: NerveLineSpec, position_mm: float) -> tuple[int, bool]:
     return lower + (beyond > Fraction(1, 2)), beyond == Fraction(1, 2)
 
 
+def reference_estimate_p(v, calibration):
+    """`estimate_p` as it was before the per-calibration map, kept verbatim as the reference of `_channel`'s map,
+    which `estimate_p` now reads."""
+    if math.isnan(v):
+        raise ValueError(f"v must be a number, got {v}")
+    v_max = float(calibration.v_max)
+    v_mid = float(calibration.v_mid)
+    v_min = float(calibration.v_min)
+    if v >= v_max:
+        return ContactEstimate(p=100.0, regime=Regime.NONE)
+    if v > v_mid:
+        tip_span = 100.0 - BODY_SPLIT_P
+        p = 100.0 - (v_max - v) / (v_max - v_mid) * tip_span
+        return ContactEstimate(p=p, regime=Regime.FINGERTIP)
+    p = (v - v_min) / (v_mid - v_min) * BODY_SPLIT_P
+    p = min(max(p, 0.0), BODY_SPLIT_P)
+    return ContactEstimate(p=p, regime=Regime.BODY)
+
+
 def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, str | None]:
     """``(replay.csv text, None)`` for an accepted frame log, ``(None, message)`` for a rejected one.
 
@@ -222,7 +246,7 @@ def replay_reference(config: RunConfig, log: str | Path) -> tuple[str | None, st
                 raise ValueError(f"line {lineno}: t_ms {t_ms} not after t_ms {previous} of sensor {sensor}")
             state[2] = t_ms
             state[3], filtered = filter_step(smoother, counts)
-            p, regime = estimate_p(filtered, triplet)
+            p, regime = reference_estimate_p(filtered, triplet)
             out_lines.append(f"{head},{filtered!r},{p!r},{regime._value_}\n")
     except ValueError as exc:
         return None, str(exc)
@@ -241,7 +265,7 @@ def sweep_csv_reference(config: RunConfig, sensor: int, jitter_mm: float, repeat
         column = []
         for row in range(len(positions)):
             tally = Counter(counts for _, counts in samples[row * repeats : (row + 1) * repeats])
-            p_values = [estimate_p(counts, calibration).p for counts, k in tally.items() for _ in range(k)]
+            p_values = [reference_estimate_p(counts, calibration).p for counts, k in tally.items() for _ in range(k)]
             column.append(f"{statistics.fmean(p_values)!r},{statistics.pvariance(p_values)!r}")
         columns.append(column)
     rows = (f"{float(position)!r},{spiked},{smooth}\n" for position, spiked, smooth in zip(positions, *columns))

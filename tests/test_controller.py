@@ -34,7 +34,6 @@ from nerveline import (
     auto_calibration,
     default_sensors,
     detect_touch,
-    estimate_p,
     filter_step,
     load_config,
     load_scenario,
@@ -47,6 +46,7 @@ from nerveline import (
 )
 from nerveline.controller import GRASP_FLEXION_RAD
 from nerveline.estimation import DEFAULT_CUTOFF_HZ
+from oracles import reference_estimate_p
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -642,7 +642,7 @@ def reference_run(scenario, specs, seed, noise_sd_counts, quantize_to_spikes, co
                     t_ms=t_ms,
                 )
                 filters[i], filtered = filter_step(filters[i], reading.counts)
-                estimate = estimate_p(filtered, calibration[i])
+                estimate = reference_estimate_p(filtered, calibration[i])
                 histories[i].append(estimate)
                 rows.append((t_ms, state.phase, i, reading.counts, filtered, estimate.p, estimate.regime))
             t_ms += dt_ms

@@ -23,7 +23,8 @@ from nerveline import (
     smoothing_coefficient,
     write_calibration,
 )
-from nerveline.estimation import BODY_SPLIT_P, _channel
+from nerveline.estimation import _channel
+from oracles import reference_estimate_p
 
 CAL = CalibrationData(v_max=1023, v_mid=236, v_min=93)
 
@@ -85,7 +86,7 @@ class TestFilter:
 
 
 class TestChannel:
-    """_channel gives the values of filter_step and estimate_p, and its last tuple again exactly when the filter stands still."""
+    """_channel gives the values of filter_step and the reference map, and its last tuple again exactly when the filter stands still."""
 
     @given(
         st.one_of(
@@ -106,7 +107,7 @@ class TestChannel:
             for _ in range(samples):
                 standing = state.last
                 state, filtered = filter_step(state, count)
-                expected = estimate_p(filtered, CAL)
+                expected = reference_estimate_p(filtered, CAL)
                 sample = channel(count)
                 assert [repr(sample[0]), repr(sample[1]), sample[2]] == [
                     repr(filtered),
@@ -118,13 +119,13 @@ class TestChannel:
 
 
 class TestSweepChannel:
-    """A channel at a = 0 gives `estimate_p` of every count it reads, as the sweep reads each distinct count's p."""
+    """A channel at a = 0 gives the reference map of every count it reads, as the sweep reads each distinct count's p."""
 
     def test_every_count_of_the_full_scale(self):
         channel = _channel(0.0, CAL)
         for counts in range(NerveLineSpec().adc_full_scale + 1):
             p, regime = channel(counts)[1:]
-            expected = estimate_p(counts, CAL)
+            expected = reference_estimate_p(counts, CAL)
             assert (repr(p), regime) == (repr(expected.p), expected.regime)
 
     @given(
@@ -137,7 +138,7 @@ class TestSweepChannel:
         channel = _channel(0.0, CAL)
         for v in values:
             p, regime = channel(v)[1:]
-            expected = estimate_p(v, CAL)
+            expected = reference_estimate_p(v, CAL)
             assert (repr(p), regime) == (repr(expected.p), expected.regime)
 
 
@@ -221,24 +222,6 @@ class TestEstimateP:
         below = estimate_p(236.0, CAL).p
         above = estimate_p(236.0 + 1e-9, CAL).p
         assert abs(above - below) < 1e-9
-
-
-def reference_estimate_p(v, calibration):
-    """`estimate_p` as it was before the per-calibration map, kept verbatim as the reference."""
-    if math.isnan(v):
-        raise ValueError(f"v must be a number, got {v}")
-    v_max = float(calibration.v_max)
-    v_mid = float(calibration.v_mid)
-    v_min = float(calibration.v_min)
-    if v >= v_max:
-        return ContactEstimate(p=100.0, regime=Regime.NONE)
-    if v > v_mid:
-        tip_span = 100.0 - BODY_SPLIT_P
-        p = 100.0 - (v_max - v) / (v_max - v_mid) * tip_span
-        return ContactEstimate(p=p, regime=Regime.FINGERTIP)
-    p = (v - v_min) / (v_mid - v_min) * BODY_SPLIT_P
-    p = min(max(p, 0.0), BODY_SPLIT_P)
-    return ContactEstimate(p=p, regime=Regime.BODY)
 
 
 def _nudged(v, steps):

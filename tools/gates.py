@@ -1,11 +1,12 @@
 """The repository's gates that are too slow for Tier-1: every benchmark catalogue operation against its
-digest, the peak memory of the longest sweeps, and the longest failing run.
+digest, the peak memory of the longest sweeps, the longest failing run, and the benchmark harness's
+own tests, which install a wrapper on every function ``bench/tracing.py`` names.
 
     python3 tools/gates.py
 
-It runs from any working directory and needs only the standard library.  Each gate prints its
-report, which is also appended to ``$GITHUB_STEP_SUMMARY`` when that is set.  The exit status is 1,
-with each failure on stderr, when any gate fails.
+It runs from any working directory and needs the standard library, and pytest for the harness tests.
+Each gate prints its report, which is also appended to ``$GITHUB_STEP_SUMMARY`` when that is set.  The
+exit status is 1, with each failure on stderr, when any gate fails.
 """
 
 from __future__ import annotations
@@ -126,9 +127,18 @@ def longest_run() -> Gate:
     return report, failures
 
 
+def bench_tests() -> Gate:
+    """``bench/tests`` under ``-X dev -W error``, in a child of its own."""
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/tests"]
+    child = subprocess.run(argv, cwd=REPO, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    lines = child.stdout.splitlines()
+    report = ["### Benchmark harness tests", "", lines[-1] if lines else f"exit {child.returncode}, no output"]
+    return report, [f"exit {child.returncode}\n{child.stdout}"] if child.returncode else []
+
+
 # in the order they run: a child's ru_maxrss counts this process's RSS at the spawn, so the in-process
-# catalogue, which grows it, runs after the children are measured
-GATES = {"sweep-memory": sweep_memory, "longest-run": longest_run, "catalogue": catalogue}
+# catalogue, which grows it, runs after the children
+GATES = {"sweep-memory": sweep_memory, "longest-run": longest_run, "bench-tests": bench_tests, "catalogue": catalogue}
 
 
 def main() -> int:
