@@ -18,7 +18,7 @@ from .controller import (
     run_scenario,
     step,
 )
-from .config import default_sensors, load_config, load_scenario
+from .config import default_sensors, load_config, load_scenario, read_calibration
 from .errors import CalibrationError, ConfigError, ScenarioError
 from .estimation import (
     CalibrationData,
@@ -31,7 +31,6 @@ from .estimation import (
     estimate_p,
     filter_step,
     position_reached,
-    read_calibration,
     smoothing_coefficient,
     write_calibration,
 )

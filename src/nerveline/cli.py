@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import random
 import sys
 from dataclasses import replace
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, TypeVar
 
-from .config import RunConfig, load_config, load_scenario
+from .config import RunConfig, load_config, load_scenario, read_calibration
 from .controller import SENSOR_COUNT, TraceRow, run_scenario
 from .errors import CalibrationError, ConfigError
 from .estimation import (
@@ -25,7 +26,6 @@ from .estimation import (
     _read_lines,
     _write_lines,
     auto_calibration,
-    read_calibration,
     write_calibration,
 )
 from .line import NerveLineSpec, _sweep_presses
@@ -58,10 +58,7 @@ def _calibrated(sensor: int, spec: NerveLineSpec, **noise: Any) -> CalibrationDa
 
 def _calibration_table(config: RunConfig) -> dict[int, CalibrationData]:
     if config.calibration_file is not None:
-        try:
-            table = read_calibration(config.calibration_file)
-        except ValueError as exc:
-            raise ValueError(f"{config.calibration_file}: {exc}") from None
+        table = read_calibration(config.calibration_file)
         missing = sorted(set(config.sensors) - set(table))
         if missing:
             raise ConfigError(f"calibration_file: no calibration for sensors {missing} in {config.calibration_file}")
@@ -108,8 +105,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if args.sensor not in config.sensors:
         raise ConfigError(f"--sensor: sensor {args.sensor} is not configured")
-    if args.repeats > MAX_REPEATS:  # checked before anything is drawn
+    if args.repeats < 1:  # checked before anything is drawn
+        raise ValueError(f"--repeats: must be >= 1, got {args.repeats}")
+    if args.repeats > MAX_REPEATS:
         raise ValueError(f"--repeats: at most {MAX_REPEATS} presses per position, got {args.repeats}")
+    if not 0.0 <= args.jitter_mm < math.inf:
+        raise ValueError(f"--jitter-mm: must be finite and non-negative, got {args.jitter_mm}")
     spec = config.sensors[args.sensor]
     length, pitch = spec.effective_length_mm, spec.spike_pitch_mm
     spans = length // pitch  # `_position_grid` has spans + 1 positions, and one more when the end is no spike

@@ -1,4 +1,4 @@
-"""YAML run-configuration and scenario loading with strict validation.
+"""YAML run-configuration, scenario and calibration-file loading with strict validation.
 
 A subset of YAML 1.1 is read here, to what ``yaml.safe_load`` reads, and a text outside
 it is refused with the number of its first line outside, so PyYAML is only the tests'
@@ -29,8 +29,8 @@ from .controller import (
     rule_problem,
     sensor_index_problem,
 )
-from .errors import ConfigError, ScenarioError
-from .estimation import DEFAULT_CUTOFF_HZ, _read_lines, smoothing_coefficient
+from .errors import CalibrationError, ConfigError, ScenarioError
+from .estimation import DEFAULT_CUTOFF_HZ, CalibrationData, _read_lines, smoothing_coefficient
 from .line import NerveLineSpec
 
 
@@ -240,17 +240,18 @@ def _listed(errors: list[str], order: tuple[str, ...]) -> str:
     return "\n".join(sorted(errors, key=lambda error: rank.get(_HEAD.match(error)[0], rank[""])))
 
 
-def _parse_sensors(data: Any, errors: list[str]) -> dict[int, NerveLineSpec] | None:
-    """The sensor list as ``RunConfig.sensors``, or None when a block fails.
+def _parse_sensors(data: Any, errors: list[str], cls: type = NerveLineSpec) -> dict[int, Any] | None:
+    """A ``sensors:`` list as a map of each block's ``index`` to the ``cls`` record its other keys build, or None
+    when a block fails: ``RunConfig.sensors`` from a config, or a calibration table.
 
-    A block with the same fields as an earlier one that built reuses its spec.
+    A block with the same fields as an earlier one that built reuses its record.
     """
     if not isinstance(data, list):
         errors.append(f"sensors: must be a list, got {type(data).__name__}")
         return None
     since = len(errors)
-    sensors: dict[int, NerveLineSpec] = {}
-    built: dict[frozenset, NerveLineSpec] = {}  # only blocks that built cleanly
+    sensors: dict[int, Any] = {}
+    built: dict[frozenset, Any] = {}  # only blocks that built cleanly
     for k, item in enumerate(data):
         path = f"sensors[{k}]."
         if not _is_mapping(item, path, errors):
@@ -266,7 +267,7 @@ def _parse_sensors(data: Any, errors: list[str]) -> dict[int, NerveLineSpec] | N
             block = None
         spec = built.get(block)
         if spec is None:
-            spec = _build(NerveLineSpec, fields_only, path, errors)
+            spec = _build(cls, fields_only, path, errors)
             if spec is not None and block is not None:
                 built[block] = spec
         if spec is None or problem is not None:
@@ -333,6 +334,25 @@ def load_config(path: str | Path) -> RunConfig:
         errors = [_SEED_REQUIRED if error == "seed: required" else error for error in errors]
         raise ConfigError(_listed(errors, _CONFIG_ORDER))
     return config
+
+
+def read_calibration(path: str | Path) -> dict[int, CalibrationData]:
+    """Read the calibration triplets `estimation.write_calibration` writes, by sensor index.
+
+    The file is a ``sensors:`` list of blocks shaped like a config's, each an
+    ``index`` and the integers ``v_max``, ``v_mid`` and ``v_min``; a file
+    without the list calibrates no sensor.
+
+    Raises:
+        CalibrationError: the file's path, then every problem, each with its
+            line number or its field path (``sensors[1].v_min``).
+    """
+    data = _load_yaml_mapping(path, CalibrationError)
+    errors = _unknown_keys(data, {"sensors"}, "")
+    table = _parse_sensors(data.get("sensors", []), errors, CalibrationData)
+    if errors:
+        raise CalibrationError(f"{path}: " + "\n".join(errors))
+    return table
 
 
 _PHASES_BY_NAME = {phase.value: phase for phase in TaskPhase}

@@ -16,11 +16,11 @@ import random
 import stat
 import sys
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .bounds import is_finite_number
+from .bounds import bounded, record
 from .errors import CalibrationError
 from .line import ContactPoint, ContactSet, NerveLineSpec, sense
 
@@ -89,7 +89,7 @@ def filter_step(state: FilterState, raw: float) -> tuple[FilterState, float]:
     return replace(state, last=filtered), filtered
 
 
-@dataclass(frozen=True)
+@record(CalibrationError)
 class CalibrationData:
     """Reference counts for the three calibration poses of one line.
 
@@ -97,15 +97,18 @@ class CalibrationData:
     v_min: press at the finger base.
     """
 
-    v_max: int
-    v_mid: int
-    v_min: int
+    v_max: int = bounded()
+    v_mid: int = bounded()
+    v_min: int = bounded()
 
-    def __post_init__(self) -> None:
-        if not self.v_min < self.v_mid:
-            raise CalibrationError(f"v_min < v_mid violated (v_min={self.v_min}, v_mid={self.v_mid})")
-        if not self.v_mid < self.v_max:
-            raise CalibrationError(f"v_mid < v_max violated (v_mid={self.v_mid}, v_max={self.v_max})")
+    @staticmethod
+    def cross_problems(values: Mapping[str, Any]) -> list[str]:
+        v_max, v_mid, v_min = values.get("v_max"), values.get("v_mid"), values.get("v_min")
+        if v_min is not None and v_mid is not None and not v_min < v_mid:
+            return [f"v_min < v_mid violated (v_min={v_min}, v_mid={v_mid})"]
+        if v_mid is not None and v_max is not None and not v_mid < v_max:
+            return [f"v_mid < v_max violated (v_mid={v_mid}, v_max={v_max})"]
+        return []
 
 
 def calibrate(
@@ -248,25 +251,13 @@ def position_reached(
     return math.fsum(p for p, _ in window) / window_n < threshold_p
 
 
-_CAL_KEYS = ("sensor", "v_max", "v_mid", "v_min")
-
-
 def write_calibration(path: str | Path, table: Mapping[int, CalibrationData]) -> None:
-    """Write calibration triplets as flat key=value lines, one group per sensor."""
-    groups = (f"sensor={i}\nv_max={c.v_max}\nv_mid={c.v_mid}\nv_min={c.v_min}\n" for i, c in sorted(table.items()))
-    _write_lines(path, groups)
-
-
-def _parse_int(raw: str, lineno: int) -> int:
-    try:
-        value = int(raw, 10)
-        if str(value) != raw:  # plain decimal, as write_calibration writes it
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"line {lineno}: expected an integer, got {raw!r}") from None
-    if not is_finite_number(value):
-        raise ValueError(f"line {lineno}: integer beyond the float range")
-    return value
+    """Write calibration triplets as `config.read_calibration` reads them: a ``sensors:`` list, a block per sensor."""
+    blocks = (
+        f"  - index: {i}\n    v_max: {c.v_max}\n    v_mid: {c.v_mid}\n    v_min: {c.v_min}\n"
+        for i, c in sorted(table.items())
+    )
+    _write_lines(path, chain(["sensors:\n" if table else "sensors: []\n"], blocks))
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -325,44 +316,3 @@ def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
         if regular:
             os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
         os.close(fd)
-
-
-def read_calibration(path: str | Path) -> dict[int, CalibrationData]:
-    """Read calibration triplets written by write_calibration.
-
-    The format is strict: groups of exactly four ``key=value`` lines in the
-    order sensor, v_max, v_mid, v_min, with plain decimal integer values,
-    no blank lines and no whitespace around a key or a value.
-
-    Raises:
-        ValueError: malformed line, wrong key order, duplicate sensor, or
-            a triplet that fails the ordering check; messages carry the
-            line number.
-    """
-    lines = _read_lines(path)
-    table: dict[int, CalibrationData] = {}
-    fields: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            raise ValueError(f"line {lineno}: blank line not allowed")
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        expected = _CAL_KEYS[len(fields)]
-        if key != expected:
-            raise ValueError(f"line {lineno}: expected key {expected!r}, got {key!r}")
-        fields[key] = _parse_int(value, lineno)
-        if len(fields) == len(_CAL_KEYS):
-            sensor = fields["sensor"]
-            if sensor in table:
-                raise ValueError(f"line {lineno}: duplicate sensor {sensor}")
-            try:
-                table[sensor] = CalibrationData(
-                    v_max=fields["v_max"], v_mid=fields["v_mid"], v_min=fields["v_min"]
-                )
-            except CalibrationError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            fields = {}
-    if fields:
-        raise ValueError(f"line {len(lines)}: incomplete sensor group")
-    return table

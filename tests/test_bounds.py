@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import nerveline
 from nerveline import (
     ActuatorSpec,
+    CalibrationData,
     ConfigError,
     ContactRule,
     ControllerConfig,
@@ -381,6 +382,7 @@ VALID_RECORDS = [
     DEFAULT_RUN,
     ActuatorSpec(id=0, joint_ref="index_flexion"),
     Hand(),
+    CalibrationData(v_max=1023, v_mid=236, v_min=93),
 ]
 
 

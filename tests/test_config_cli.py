@@ -108,7 +108,22 @@ REFUSED_YAML = {
     "deep_flow": ("x: " + "[" * 3000 + "]" * 3000 + "\n", "line 1: nested deeper than 64 levels"),
     "deep_block": ("- " * 8000 + "x\n", "line 1: nested deeper than 64 levels"),
     "yaml_1_1_string": ("seed: 1\nnoise_sd_counts: 1e300\n", "line 2: cannot read '1e300'; 1.0e+300 is read as a number"),
+    # two flow items with no comma between them; the safe loader reads one plain scalar, ['Lift Lower']
+    "flow_items_without_comma": ("seed: 1\nphases: [Lift Lower]\n", "line 2: cannot read '[Lift Lower]'"),
 }
+
+
+def calibration_text(*triplets):
+    """A calibration file of one ``(v_max, v_mid, v_min)`` per sensor from index 0, as ``calibrate`` writes it."""
+    blocks = (
+        f"  - index: {i}\n    v_max: {hi}\n    v_mid: {mid}\n    v_min: {lo}\n"
+        for i, (hi, mid, lo) in enumerate(triplets)
+    )
+    return "sensors:\n" + "".join(blocks)
+
+
+# a calibration file whose third line is outside the reader's subset
+UNREADABLE_CALIBRATION = "sensors:\n  - index: 0\n    v_max: 1_023\n    v_mid: 236\n    v_min: 93\n"
 
 
 def write(tmp_path, name, text):
@@ -765,8 +780,13 @@ class TestYamlFastPath:
             # single-quoted scalar is read as yaml.safe_dump writes one
             ("a: 1 # c\rb: 2\n", {"a": 1, "b": 2}),
             ("a: 'b'\n", {"a": "b"}),
+            # a ' #' inside quotes opens no comment, and the one after the closing quote does
+            ("name: 'a #b' # c\n", {"name": "a #b"}),
         ],
-        ids=["tab", "question_mark", "bare_tag", "alias", "non_ascii", "at_sign", "over_16_kib", "cr", "quoted"],
+        ids=[
+            "tab", "question_mark", "bare_tag", "alias", "non_ascii", "at_sign", "over_16_kib", "cr", "quoted",
+            "quoted_hash_then_comment",
+        ],
     )
     def test_texts_outside_the_gate_skip_libyaml(self, tmp_path, text, verdict):
         """Texts that once went to PyYAML: each is refused by its line, or read as the safe loader reads it."""
@@ -1767,6 +1787,26 @@ class TestCliSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--repeats", "0", "--repeats: must be >= 1, got 0"),
+            ("--repeats", "-3", "--repeats: must be >= 1, got -3"),
+            ("--jitter-mm", "-0.5", "--jitter-mm: must be finite and non-negative, got -0.5"),
+        ],
+        ids=["repeats_zero", "repeats_negative", "jitter_negative"],
+    )
+    def test_option_below_its_floor_exits_two(self, tmp_path, capsys, monkeypatch, option, value, message):
+        def no_sweep(*args):
+            raise AssertionError(f"a sweep below the {option} floor was drawn")
+
+        monkeypatch.setattr(nerveline.cli, "_sweep_presses", no_sweep)
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--config", str(DEFAULT_CONFIG), f"{option}={value}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "pitch,length,positions",
         [
             ("0.0078125", "78.125", 10_001),  # 10,000 pitches of 2^-7 mm
@@ -1886,18 +1926,11 @@ class TestCliSweep:
 
     @pytest.mark.parametrize("jitter", ["nan", "inf", "-inf"])
     def test_non_finite_jitter_exits_two(self, tmp_path, capsys, jitter):
-        code = main(
-            [
-                "sweep",
-                "--config", str(DEFAULT_CONFIG),
-                "--out", str(tmp_path / "s.csv"),
-                f"--jitter-mm={jitter}",
-            ]
-        )
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--config", str(DEFAULT_CONFIG), "--out", str(out), f"--jitter-mm={jitter}"])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "jitter_mm" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: --jitter-mm: must be finite and non-negative, got {float(jitter)}\n"
+        assert not out.exists()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -2299,8 +2332,8 @@ class TestCliReplay:
         assert capsys.readouterr().err == f"error: {log}: {message}\n"
 
     def test_non_ascii_calibration_byte_names_the_line(self, tmp_path, capsys):
-        calibration = tmp_path / "calibration.txt"
-        calibration.write_bytes(b"sensor=0\r\nv_max=1023\r\nv_mid=2\xb36\r\nv_min=93\r\n")
+        calibration = tmp_path / "calibration.yaml"
+        calibration.write_bytes(b"sensors:\r\n  - index: 0\r\n    v_max: 2\xb36\r\n")
         config = write(tmp_path, "c.yaml", f"seed: 1\ncalibration_file: {calibration}\n")
         log = tmp_path / "frames.csv"
         log.write_text("t_ms,sensor,counts\n0,0,5\n")
@@ -2335,14 +2368,14 @@ class TestCliReplay:
 
     def test_calibration_error_reported_before_log_error(self, tmp_path, capsys):
         # the estimators are built before the first frame is read
-        calibration = tmp_path / "calibration.txt"
-        calibration.write_text("sensor=0\nv_max=1023\n\nv_min=93\n")
+        calibration = tmp_path / "calibration.yaml"
+        calibration.write_text(UNREADABLE_CALIBRATION)
         config = write(tmp_path, "c.yaml", f"seed: 1\ncalibration_file: {calibration}\n")
         log = tmp_path / "frames.csv"
         log.write_text("t_ms,sensor,counts\n0,0,abc\n")
         code = main(["replay", "--config", str(config), "--log", str(log), "--out", str(tmp_path / "r.csv")])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {calibration}: line 3: blank line not allowed\n"
+        assert capsys.readouterr().err == f"error: {calibration}: line 3: cannot read '1_023'\n"
 
 
 class TestCalibrationTable:
@@ -2377,23 +2410,17 @@ UNORDERED_LENGTH = "sensors: [{index: 0}, {index: 1, effective_length_mm: 1.0e-3
 
 class TestCliCalibrate:
     def test_noise_free_output_exact(self, tmp_path):
-        out = tmp_path / "calibration.txt"
+        out = tmp_path / "calibration.yaml"
         code = main(["calibrate", "--config", str(DEFAULT_CONFIG), "--out", str(out)])
         assert code == 0
-        group = "v_max=1023\nv_mid=236\nv_min=93\n"
-        expected = "".join(f"sensor={i}\n{group}" for i in range(4))
-        assert out.read_text() == expected
+        assert out.read_text() == calibration_text(*[(1023, 236, 93)] * 4)
 
     def test_noisy_output_pinned(self, tmp_path):
         config = write(tmp_path, "c.yaml", "seed: 3\nnoise_sd_counts: 60.0\n")
-        out = tmp_path / "calibration.txt"
+        out = tmp_path / "calibration.yaml"
         assert main(["calibrate", "--config", str(config), "--out", str(out)]) == 0
         triplets = [(992, 229, 93), (999, 237, 84), (1003, 243, 89), (1002, 232, 96)]
-        expected = "".join(
-            f"sensor={i}\nv_max={hi}\nv_mid={mid}\nv_min={lo}\n"
-            for i, (hi, mid, lo) in enumerate(triplets)
-        )
-        assert out.read_text() == expected
+        assert out.read_text() == calibration_text(*triplets)
 
     def test_calibration_file_feeds_run(self, tmp_path, capsys):
         calibration = tmp_path / "calibration.txt"
@@ -2439,8 +2466,8 @@ class TestCliCalibrate:
 
     @pytest.mark.parametrize("command", ["run", "sweep", "replay"])
     def test_calibration_value_beyond_float_range_exits_two(self, tmp_path, capsys, command):
-        calibration = tmp_path / "calibration.txt"
-        calibration.write_text("sensor=0\nv_max=1" + "0" * 400 + "\nv_mid=236\nv_min=93\n")
+        calibration = tmp_path / "calibration.yaml"
+        calibration.write_text(calibration_text(("1" + "0" * 400, 236, 93)))
         config = write(tmp_path, "c.yaml", f"seed: 1\ncalibration_file: {calibration}\n")
         argv = [command, "--config", str(config), "--out", str(tmp_path / "out.csv")]
         if command == "run":
@@ -2451,13 +2478,12 @@ class TestCliCalibrate:
             argv += ["--log", str(log)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "line 2: integer beyond the float range" in err
-        assert "Traceback" not in err
+        assert err == f"error: {calibration}: sensors[0].v_max: must be a finite number, got 1{'0' * 400}\n"
 
     @pytest.mark.parametrize("command", ["run", "sweep", "replay"])
     def test_calibration_error_names_the_file(self, tmp_path, capsys, command):
-        calibration = tmp_path / "calibration.txt"
-        calibration.write_text("sensor=0\nv_max=1023\n\nv_min=93\n")
+        calibration = tmp_path / "calibration.yaml"
+        calibration.write_text(UNREADABLE_CALIBRATION)
         config = write(tmp_path, "c.yaml", f"seed: 1\ncalibration_file: {calibration}\n")
         argv = [command, "--config", str(config), "--out", str(tmp_path / "out.csv")]
         if command == "run":
@@ -2467,7 +2493,7 @@ class TestCliCalibrate:
             log.write_text("t_ms,sensor,counts\n0,0,500\n")
             argv += ["--log", str(log)]
         assert main(argv) == 2
-        assert f"error: {calibration}: line 3: blank line not allowed" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {calibration}: line 3: cannot read '1_023'\n"
 
     @pytest.mark.parametrize(
         "sensors,command,message",
@@ -2501,8 +2527,8 @@ class TestCliCalibrate:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_sensor_in_calibration_file(self, tmp_path, capsys):
-        calibration = tmp_path / "calibration.txt"
-        calibration.write_text("sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n")
+        calibration = tmp_path / "calibration.yaml"
+        calibration.write_text(calibration_text((1023, 236, 93)))
         config = write(
             tmp_path,
             "c.yaml",

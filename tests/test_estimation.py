@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +170,22 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="v_mid < v_max"):
             calibrate([500] * 100, [500] * 100, [100] * 100)
 
+    @pytest.mark.parametrize(
+        "triplet,message",
+        [
+            ((1023.5, 236.25, 93), "v_max: must be an integer, got 1023.5\nv_mid: must be an integer, got 236.25"),
+            ((2, True, False), "v_mid: must be an integer, got True\nv_min: must be an integer, got False"),
+            ((math.inf, 236, 93), "v_max: must be an integer, got inf"),
+            ((1023, 93, 236), "v_min < v_mid violated (v_min=236, v_mid=93)"),
+        ],
+        ids=["floats", "bools", "infinite", "unordered"],
+    )
+    def test_triplet_built_in_code_is_checked(self, triplet, message):
+        """A triplet built in code gets the checks a calibration file's gets."""
+        with pytest.raises(CalibrationError) as raised:
+            CalibrationData(*triplet)
+        assert str(raised.value) == message
+
     def test_auto_calibration_of_default_line(self):
         data = auto_calibration(NerveLineSpec())
         assert (data.v_max, data.v_mid, data.v_min) == (1023, 236, 93)
@@ -323,108 +340,141 @@ class TestThresholds:
         assert not position_reached(window, window_n=10)
 
     def test_position_reached_validation(self):
-        with pytest.raises(ValueError, match="window_n"):
+        with pytest.raises(ValueError) as raised:
             position_reached([], window_n=0)
+        assert str(raised.value) == "window_n must be >= 1, got 0"
+
+
+def block(index, v_max=1023, v_mid=236, v_min=93):
+    """One sensor's block of a calibration file, as `write_calibration` writes it."""
+    return f"  - index: {index}\n    v_max: {v_max}\n    v_mid: {v_mid}\n    v_min: {v_min}\n"
+
+
+# files in the key=value format of earlier versions, which its reader accepted or refused line by line, and the
+# first line the YAML reader refuses in each: a line with a tab is refused before any line is parsed
+KEY_VALUE_FILES = [
+    ("sensor=0\nv_max=1023\nv_mid=236\n", "line 1: cannot read 'sensor=0'"),
+    ("sensor=0\nv_mid=236\nv_max=1023\nv_min=93\n", "line 1: cannot read 'sensor=0'"),
+    ("sensor=0\nv_max=10.5\nv_mid=2\nv_min=1\n", "line 1: cannot read 'sensor=0'"),
+    ("sensor=0\nv_max=1_023\nv_mid=236\nv_min=93\n", "line 1: cannot read 'sensor=0'"),
+    ("sensor=0\nv_max=1023\nv_mid= +220\nv_min=93\n", "line 1: cannot read 'sensor=0'"),
+    ("sensor=0\n\nv_max=1023\nv_mid=236\nv_min=93\n", "line 1: cannot read 'sensor=0'"),
+    ("sensor zero\n", "line 1: cannot read 'sensor zero'"),
+    ("   \nsensor=0\nv_max=1023\nv_mid=236\nv_min=93\n", "line 2: cannot read 'sensor=0'"),
+    ("  sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n", "line 1: cannot read 'sensor=0'"),
+    ("sensor=0\nv_max=1023  \nv_mid=236\nv_min=93\n", "line 1: cannot read 'sensor=0'"),
+    ("sensor=0\n\tv_max=1023\nv_mid=236\nv_min=93\n", "line 2: cannot read '\\tv_max=1023'"),
+    ("sensor=0\nv_max=100\nv_mid=200\nv_min=93\n", "line 1: cannot read 'sensor=0'"),
+    (
+        "sensor=0\nv_max=1023\nv_mid=236\nv_min=93\nsensor=0\nv_max=1023\nv_mid=236\nv_min=93\n",
+        "line 1: cannot read 'sensor=0'",
+    ),
+]
 
 
 class TestCalibrationFile:
+    """The file format; `tests/test_config_cli.py` covers the YAML reader's own rules (``TestYamlFastPath``)."""
+
     TABLE = {
         0: CalibrationData(1023, 236, 93),
         1: CalibrationData(1020, 240, 95),
     }
 
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "calibration.txt"
+        path = tmp_path / "calibration.yaml"
         write_calibration(path, self.TABLE)
         assert read_calibration(path) == self.TABLE
 
     def test_exact_file_format(self, tmp_path):
-        path = tmp_path / "calibration.txt"
+        path = tmp_path / "calibration.yaml"
         write_calibration(path, {0: CalibrationData(1023, 236, 93)})
-        assert path.read_text() == "sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n"
+        assert path.read_text() == "sensors:\n" + block(0)
+        assert yaml.safe_load(path.read_text()) == {"sensors": [{"index": 0, "v_max": 1023, "v_mid": 236, "v_min": 93}]}
+
+    def test_empty_table_round_trips(self, tmp_path):
+        path = tmp_path / "calibration.yaml"
+        write_calibration(path, {})
+        assert path.read_text() == "sensors: []\n"
+        assert read_calibration(path) == {}
 
     @pytest.mark.parametrize(
         "content,message",
         [
-            ("sensor=0\nv_max=1023\nv_mid=236\n", "incomplete sensor group"),
-            ("sensor=0\nv_mid=236\nv_max=1023\nv_min=93\n", "line 2: expected key 'v_max'"),
-            ("sensor=0\nv_max=10.5\nv_mid=2\nv_min=1\n", "line 2: expected an integer"),
-            ("sensor=0\nv_max=1_023\nv_mid=236\nv_min=93\n", "line 2: expected an integer"),
-            ("sensor=0\nv_max=1023\nv_mid= +220\nv_min=93\n", "line 3: expected an integer"),
-            ("sensor=0\n\nv_max=1023\nv_mid=236\nv_min=93\n", "line 2: blank"),
-            ("sensor zero\n", "line 1: expected key=value"),
-            ("   \nsensor=0\nv_max=1023\nv_mid=236\nv_min=93\n", "line 1: blank"),
-            # whitespace around a key or a value is not stripped
-            ("  sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n", "line 1: expected key 'sensor'"),
-            ("sensor=0\nv_max=1023  \nv_mid=236\nv_min=93\n", "line 2: expected an integer"),
-            ("sensor=0\n\tv_max=1023\nv_mid=236\nv_min=93\n", "line 2: expected key 'v_max'"),
-            pytest.param(
-                "sensor=0\nv_max=1" + "0" * 400 + "\n",
-                "line 2: integer beyond the float range",
-                id="beyond_float_range",
-            ),
-            (
-                "sensor=0\nv_max=100\nv_mid=200\nv_min=93\n",
-                "line 4: v_mid < v_max violated",
-            ),
-            (
-                "sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n"
-                "sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n",
-                "line 8: duplicate sensor 0",
-            ),
-            # lines break only at newlines: other line breaks of str.splitlines() are value text
-            pytest.param(
-                "sensor=0\x0cv_max=1023\x0bv_mid=236\x1cv_min=93\n",
-                "line 1: expected an integer",
-                id="line_breaks_inside_a_line",
-            ),
+            pytest.param("sensors:\n  - index: 0\n    v_max: 1023\n    v_mid: 236\n", "sensors[0].v_min: required",
+                         id="missing_field"),
+            pytest.param("sensors:\n" + block(0, v_max=10.5, v_mid=2, v_min=1),
+                         "sensors[0].v_max: must be an integer, got 10.5", id="float"),
+            pytest.param("sensors:\n" + block(0, v_mid="true", v_min="false"),
+                         "sensors[0].v_mid: must be an integer, got True\n"
+                         "sensors[0].v_min: must be an integer, got False", id="bools"),
+            pytest.param("sensors:\n" + block(0, v_max=".inf"), "sensors[0].v_max: must be an integer, got inf",
+                         id="infinite"),
+            pytest.param("sensors:\n" + block(0, v_max="1" + "0" * 400),
+                         "sensors[0].v_max: must be a finite number, got 1" + "0" * 400, id="beyond_float_range"),
+            pytest.param("sensors:\n" + block(0, v_max=100, v_mid=200),
+                         "sensors[0].v_mid < v_max violated (v_mid=200, v_max=100)", id="unordered"),
+            pytest.param("sensors:\n" + block(0) + block(0), "sensors[1].index: duplicate sensor 0", id="duplicate"),
+            pytest.param("sensors:\n" + block(7), "sensors[0].index: must be an integer in 0..3, got 7",
+                         id="index_out_of_range"),
+            pytest.param("sensors:\n" + block(0) + "    v_avg: 3\n", "sensors[0].v_avg: unknown key",
+                         id="unknown_field"),
+            pytest.param("sensors:\n" + block(0) + "sensor: 0\n", "sensor: unknown key", id="unknown_key"),
+            pytest.param("sensors:\n", "sensors: must be a list, got NoneType", id="null_list"),
+            pytest.param("- 0\n", "top level must be a mapping, got list", id="top_level_list"),
+            # files in the key=value format of earlier versions are refused, none read as a table
+            *KEY_VALUE_FILES,
+            pytest.param("sensors:\n" + block(0, v_max="1_023"), "line 3: cannot read '1_023'", id="underscore"),
+            # lines break only at newlines: other line breaks of str.splitlines() are refused inside a line
+            pytest.param("sensors:\x0c" + block(0), "line 1: cannot read 'sensors:\\x0c  - index: 0'",
+                         id="line_breaks_inside_a_line"),
             *(
                 pytest.param(
-                    f"sensor=0\nv_max=1023{sep}\nv_mid=236\nv_min=93\n",
-                    "line 2: expected an integer",
+                    "sensors:\n" + block(0, v_max=f"1023{sep}"),
+                    f"line 3: cannot read 'v_max: 1023\\x{ord(sep):02x}'",
                     id=f"line_break_{ord(sep):#04x}",
                 )
                 for sep in "\x0b\x0c\x1c\x1d\x1e"
             ),
-            pytest.param(
-                "sensor=0\nv_max=1023\nv_mid=236\nv_min=93\n\n",
-                "line 5: blank line not allowed",
-                id="trailing_blank_line",
-            ),
         ],
     )
     def test_malformed_files_name_the_line(self, tmp_path, content, message):
-        path = tmp_path / "calibration.txt"
+        """Each problem is named by its line or its field path, after the file's path."""
+        path = tmp_path / "calibration.yaml"
         path.write_text(content)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(CalibrationError) as raised:
             read_calibration(path)
+        assert str(raised.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "content,message",
         [
-            (b"sensor=0\nv_max=1023\nv_mid=2\xb36\nv_min=93\n", "line 3: byte 0xb3 is not ASCII"),
-            (b"sensor=0\r\nv_max=1023\r\n\xff", "line 3: byte 0xff is not ASCII"),
-            (b"\x80sensor=0\n", "line 1: byte 0x80 is not ASCII"),
+            (b"sensors:\n  - index: 0\n    v_max: 2\xb36\n", "line 3: byte 0xb3 is not ASCII"),
+            (b"sensors:\r\n  - index: 0\r\n\xff", "line 3: byte 0xff is not ASCII"),
+            (b"\x80sensors:\n", "line 1: byte 0x80 is not ASCII"),
         ],
         ids=["lf", "crlf", "first_byte"],
     )
     def test_non_ascii_byte_names_the_line(self, tmp_path, content, message):
-        path = tmp_path / "calibration.txt"
+        path = tmp_path / "calibration.yaml"
         path.write_bytes(content)
-        with pytest.raises(ValueError) as raised:
+        with pytest.raises(CalibrationError) as raised:
             read_calibration(path)
-        assert str(raised.value) == message
+        assert str(raised.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "content,table",
         [
-            (b"sensor=0\r\nv_max=1023\r\nv_mid=236\r\nv_min=93\r\n", {0: TABLE[0]}),
-            (b"sensor=0\nv_max=1023\nv_mid=236\nv_min=93", {0: TABLE[0]}),
+            (("sensors:\n" + block(0)).replace("\n", "\r\n").encode(), {0: TABLE[0]}),
+            (("sensors:\n" + block(0)).rstrip("\n").encode(), {0: TABLE[0]}),
             (b"", {}),
+            (("sensors:\n" + block(0) + "\n").encode(), {0: TABLE[0]}),
+            # keys in any order, blank lines, comments and trailing spaces, as in a config
+            (b"# bench 2\nsensors:\n\n  - v_min: 95   \n    index: 1  # dorsal\n    v_mid: 240\n    v_max: 1020\n",
+             {1: TABLE[1]}),
         ],
-        ids=["crlf", "no_final_newline", "empty"],
+        ids=["crlf", "no_final_newline", "empty", "trailing_blank_line", "any_key_order"],
     )
     def test_accepted_line_endings(self, tmp_path, content, table):
-        path = tmp_path / "calibration.txt"
+        path = tmp_path / "calibration.yaml"
         path.write_bytes(content)
         assert read_calibration(path) == table

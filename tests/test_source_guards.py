@@ -11,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
-from nerveline import load_config, load_scenario
+from nerveline import CalibrationData, load_config, load_scenario, read_calibration
+from nerveline.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "nerveline"
@@ -98,7 +100,9 @@ def test_guard_fires_on_a_planted_violation(tmp_path, name):
 
 def test_shipped_and_generated_yaml_load(tmp_path):
     """Every shipped config and scenario, and every YAML file ``bench/generate.py`` writes for a workload,
-    loads: each is in the reader's subset, so a change to either cannot break a run or the benchmark."""
+    loads: each is in the reader's subset, so a change to either cannot break a run or the benchmark.
+    The calibration files ``calibrate`` writes for the shipped config and a noisy benchmark config read
+    back to the table ``yaml.safe_load`` reads in them, so every YAML file the program writes is in it too."""
     sys.path.insert(0, str(REPO / "bench"))
     try:
         import generate
@@ -112,3 +116,9 @@ def test_shipped_and_generated_yaml_load(tmp_path):
     for path in paths:
         load_scenario(path, config) if path.stem in generate.SCENARIOS else load_config(path)
     assert len(paths) == 71
+    for name in ("default.yaml", generate.noisy_config_name(3, 1001)):
+        out = tmp_path / f"calibration_{name}"
+        assert main(["calibrate", "--config", str(tmp_path / name), "--out", str(out)]) == 0
+        blocks = yaml.safe_load(out.read_text(encoding="ascii"))["sensors"]
+        expected = {block.pop("index"): CalibrationData(**block) for block in blocks}
+        assert read_calibration(out) == expected and sorted(expected) == [0, 1, 2, 3]
